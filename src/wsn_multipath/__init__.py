@@ -10,7 +10,7 @@ from .allocator import (
     scheme_allocation,
     solve_quota_bound,
 )
-from .discovery import choke_probe, discover_paths, estimate_tau, refresh_policy
+from .discovery import choke_probe, discover_paths
 from .engine import Engine, RunMetrics, run_scenario
 from .metrics import (
     average_edp,
@@ -38,8 +38,8 @@ __all__ = [
     "PathParams", "RunMetrics", "Scenario", "SourceSpec", "Topology",
     "allocate_multi_source", "allocate_single_source", "average_edp",
     "build_scenario", "build_topology", "choke_probe", "discover_paths",
-    "estimate_tau", "load_scenario", "path_delay", "path_edp", "path_energy",
-    "per_hop_latency", "receive_energy_per_bit", "refresh_policy",
-    "run_scenario", "save_scenario", "scheme_allocation", "solve_quota_bound",
+    "load_scenario", "path_delay", "path_edp", "path_energy",
+    "per_hop_latency", "receive_energy_per_bit", "run_scenario",
+    "save_scenario", "scheme_allocation", "solve_quota_bound",
     "transmit_energy_per_bit", "validate_path",
 ]

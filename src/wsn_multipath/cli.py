@@ -4,28 +4,29 @@ Subcommands: discover (print each source's path set), allocate (per-path
 quotas), run (one simulation, metrics CSV + summary), experiment (scheme or
 framework suite), gen-topology (seeded uniform deployment).
 
-Exit codes: 0 success, 1 usage error, 2 scenario error, 3 simulation error.
+Exit codes: 0 success, 1 usage error, 2 scenario error (loading, building
+or discovering a scenario, or constructing its engine), 3 simulation error
+(anything raised while an engine runs: a livelock, a stalled flow, a bug).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
+import traceback
 
 from .allocator import AllocationInput, PathParams, scheme_allocation
-from .engine import Engine, LivelockError
+from .engine import Engine, SimulationError
 from .experiments import (
-    Report,
     configured,
     metrics_rows,
+    render_rows,
     run_multisource_frameworks,
     run_scheme_comparison,
     write_plot_data,
     write_rows_csv,
 )
-from .model import ScenarioError
 from .scenario import (
     build_scenario,
     generate_random_scenario,
@@ -112,33 +113,14 @@ def _load(args):
 
 
 def _emit_rows(rows: list[dict], args, name: str) -> None:
-    if args.format == "csv":
-        if args.out:
-            write_rows_csv(rows, os.path.join(_out_dir(args), name))
-        else:
-            cols: list[str] = []
-            for row in rows:
-                for key in row:
-                    if key not in cols:
-                        cols.append(key)
-            writer = csv.writer(sys.stdout)
-            writer.writerow(cols)
-            for row in rows:
-                writer.writerow([row.get(c, "") for c in cols])
+    if args.format == "csv" and args.out:
+        write_rows_csv(rows, os.path.join(_out_dir(args), name))
     elif args.format == "json-lines":
         import json
         for row in rows:
             print(json.dumps(row, sort_keys=True))
     else:
-        cols = []
-        for row in rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        table = [cols] + [[str(r.get(c, "")) for c in cols] for r in rows]
-        widths = [max(len(line[i]) for line in table) for i in range(len(cols))]
-        for line in table:
-            print("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip())
+        sys.stdout.write(render_rows(rows, args.format))
 
 
 def cmd_discover(args) -> int:
@@ -308,15 +290,16 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except (ValueError, KeyError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-    except LivelockError as exc:
+    except SimulationError as exc:
+        if exc.__cause__ is not None:  # an engine bug: show where it broke
+            traceback.print_exception(exc.__cause__, file=sys.stderr)
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+    except (ValueError, KeyError) as exc:
+        # Engine.run turns everything it raises into SimulationError, so
+        # these come from loading, building or discovering the scenario
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
-"""Routing-table construction: locally node-disjoint path discovery,
-round-trip-time latency estimation and choke-packet contention probing.
+"""Route discovery: locally node-disjoint path extraction and choke-packet
+contention probing.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .model import (
     DomainError,
@@ -16,7 +14,7 @@ from .model import (
 
 
 class ProbeFailedError(ValueError):
-    """A choke probe crossed a failed node; the routing table is stale."""
+    """A choke probe crossed a failed node; the route is stale."""
 
 
 def _lex_shortest_path(topology: Topology, source: int, sink: int,
@@ -80,23 +78,6 @@ def discover_paths(topology: Topology, source: int, sink: int,
     return found
 
 
-def estimate_tau(hello_send_s: float, reply_receive_s: float) -> float:
-    """One-way per-path latency from a hello/reply round trip: half the
-    measured interval."""
-    if reply_receive_s < hello_send_s:
-        raise DomainError(
-            f"reply at {reply_receive_s} precedes hello at {hello_send_s}")
-    return (reply_receive_s - hello_send_s) / 2.0
-
-
-def estimate_tau_per_hop(hello_send_s: float, reply_receive_s: float,
-                         hops: int) -> float:
-    """Per-hop latency: the one-way figure divided by the hop count."""
-    if hops < 1:
-        raise DomainError("hops must be >= 1")
-    return estimate_tau(hello_send_s, reply_receive_s) / hops
-
-
 def choke_probe(queue_state, path: PathInfo, threshold: float = 0.5) -> int:
     """Count of nodes along the path whose aggregate queue occupancy
     exceeds `threshold`.
@@ -115,53 +96,4 @@ def choke_probe(queue_state, path: PathInfo, threshold: float = 0.5) -> int:
     return count
 
 
-@dataclass
-class TableEvent:
-    kind: str  # initial_join | node_failure | link_failure | node_joined
-    count_since_build: int = 1
-
-
-def refresh_policy(event: TableEvent) -> bool:
-    """Rebuild the routing table only for events that change the path set:
-    the node's own join, or multiple failures / multiple newcomers since
-    the last build. Single transient drops do not trigger a rebuild."""
-    if event.kind == "initial_join":
-        return True
-    if event.kind in ("node_failure", "link_failure"):
-        return event.count_since_build >= 2
-    if event.kind == "node_joined":
-        return event.count_since_build >= 2
-    return False
-
-
-@dataclass
-class RoutingTable:
-    """Per-destination path sets plus the parameters measured for each."""
-
-    source: int
-    destination: int
-    paths: list[PathInfo] = field(default_factory=list)
-    created_at: float = 0.0
-    stale: bool = False
-    failures_since_build: int = 0
-    joins_since_build: int = 0
-
-    def register(self, kind: str) -> bool:
-        """Record a network event; returns True when a rebuild is due."""
-        if kind in ("node_failure", "link_failure"):
-            self.failures_since_build += 1
-            due = refresh_policy(TableEvent(kind, self.failures_since_build))
-        elif kind == "node_joined":
-            self.joins_since_build += 1
-            due = refresh_policy(TableEvent(kind, self.joins_since_build))
-        else:
-            due = refresh_policy(TableEvent(kind))
-        if due:
-            self.stale = True
-        return due
-
-
-__all__ = [
-    "ProbeFailedError", "RoutingTable", "TableEvent", "choke_probe",
-    "discover_paths", "estimate_tau", "estimate_tau_per_hop", "refresh_policy",
-]
+__all__ = ["ProbeFailedError", "choke_probe", "discover_paths"]

@@ -9,6 +9,7 @@ identical scenario and seed reproduce every metric bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import random
@@ -35,7 +36,12 @@ from .model import (
 from .scenario import RunConfig, Scenario, build_scenario, scenario_hash
 
 
-class LivelockError(RuntimeError):
+class SimulationError(RuntimeError):
+    """The engine reached a state its invariants forbid: a flow stalled
+    with injectable backlog, or a handler failed mid-run."""
+
+
+class LivelockError(SimulationError):
     """The event count exceeded the configured cap before quiescence."""
 
 
@@ -82,98 +88,151 @@ class _Flow:
         return self.resolved >= self.quota
 
 
+_SHARED = "shared"  # the shared FIFO's one key
+
+
 class _NodeQueues:
-    """Per-neighbor sub-queues plus the reserved control queue."""
+    """A node's data buffer as deques keyed by next hop, plus the reserved
+    control queue, which is always served first and never drops.
+
+    The discipline is fixed at construction, and nothing outside this
+    class knows which one is in force:
+    - fragmented: one sub-queue per neighbor, served round-robin; on
+      overflow the lowest-priority packet loses, ties evicting the newest
+      (largest uid); a hop whose attempts keep failing is blocked until
+      its fault resolves;
+    - shared FIFO (the traditional-MAC baseline): one key holding
+      ``capacity_pkts`` x neighbors packets, drop-tail. ``blocked`` holds
+      hop ids and the shared key is never one, so blocking a hop never
+      stops the FIFO.
+    Methods that take a data packet out of a sub-queue report its key, so
+    that the engine can wake the flows injecting there.
+    """
 
     def __init__(self, owner: int, neighbors: tuple[int, ...],
                  capacity_pkts: int, fragmented: bool):
         self.owner = owner
-        self.fragmented = fragmented
-        self.capacity_pkts = capacity_pkts
+        self.neighbors = neighbors
         self.control: deque[Packet] = deque()
-        self.data: dict[int, deque[Packet]] = {n: deque() for n in neighbors}
         self.blocked: set[int] = set()
-        self.cursor: int | None = None  # last-served neighbor id
-        self.fifo: deque[Packet] = deque()
-        self.fifo_capacity = capacity_pkts * max(1, len(neighbors))
+        self.cursor = None  # last-served key
+        self.evicts = fragmented
+        if fragmented:
+            self.key = lambda hop: hop
+            self.capacity_pkts = capacity_pkts
+            self.data = {n: deque() for n in neighbors}
+        else:
+            self.key = lambda hop: _SHARED
+            self.capacity_pkts = capacity_pkts * max(1, len(neighbors))
+            self.data = {_SHARED: deque()}
+        self.order = sorted(self.data)  # round-robin order of the keys
 
-    def ensure_queue(self, neighbor: int) -> None:
-        if neighbor not in self.data:
-            self.data[neighbor] = deque()
-
-    def total_data(self) -> int:
-        if not self.fragmented:
-            return len(self.fifo)
-        return sum(len(q) for q in self.data.values())
-
-    def total_capacity(self) -> int:
-        if not self.fragmented:
-            return self.fifo_capacity
-        return self.capacity_pkts * max(1, len(self.data))
+    def _queue(self, hop: int) -> deque[Packet]:
+        key = self.key(hop)
+        queue = self.data.get(key)
+        if queue is None:
+            if hop not in self.neighbors:
+                raise RoutingError(
+                    f"node {self.owner}: next hop {hop} is not a neighbor")
+            queue = self.data[key] = deque()  # a retargeted neighbor returns
+            bisect.insort(self.order, key)
+        return queue
 
     def occupancy(self) -> float:
-        cap = self.total_capacity()
-        return self.total_data() / cap if cap else 0.0
+        """Fill over capacity. The capacity counts the current keys, so it
+        shrinks when a failed neighbor's sub-queue is retargeted."""
+        cap = self.capacity_pkts * max(1, len(self.data))
+        return sum(len(q) for q in self.data.values()) / cap if cap else 0.0
 
-    def has_space(self, next_hop: int) -> bool:
-        if not self.fragmented:
-            return len(self.fifo) < self.fifo_capacity
-        self.ensure_queue(next_hop)
-        return (next_hop not in self.blocked
-                and len(self.data[next_hop]) < self.capacity_pkts)
+    def is_blocked(self, hop: int) -> bool:
+        return self.key(hop) in self.blocked
+
+    def block(self, hop: int) -> None:
+        self.blocked.add(hop)
+
+    def has_space(self, hop: int) -> bool:
+        key = self.key(hop)
+        return (key not in self.blocked
+                and len(self.data.get(key, ())) < self.capacity_pkts)
 
     def enqueue_control(self, pkt: Packet) -> None:
         self.control.append(pkt)
 
-    def enqueue_data(self, pkt: Packet, next_hop: int) -> tuple[bool, Packet | None]:
-        """Returns (arrival accepted, evicted victim). On overflow the
-        lowest-priority packet among incumbents and the arrival loses;
-        ties evict the newest (largest uid)."""
-        if not self.fragmented:
-            if len(self.fifo) >= self.fifo_capacity:
-                return False, None  # drop-tail, no priority eviction
-            self.fifo.append(pkt)
-            return True, None
-        if next_hop not in self.data:
-            raise RoutingError(
-                f"node {self.owner}: next hop {next_hop} is not a neighbor")
-        queue = self.data[next_hop]
+    def enqueue_data(self, pkt: Packet, hop: int) -> tuple[bool, Packet | None]:
+        """Returns (arrival accepted, evicted victim)."""
+        queue = self._queue(hop)
         if len(queue) < self.capacity_pkts:
             queue.append(pkt)
             return True, None
-        victim = pkt
-        for candidate in queue:
-            if (candidate.priority, -candidate.uid) < (victim.priority, -victim.uid):
-                victim = candidate
-        if victim is pkt:
+        if not self.evicts:
             return False, None
-        queue.remove(victim)
+        # the lowest priority loses, ties the newest (largest uid)
+        rank, at = (pkt.priority, -pkt.uid), None
+        for i, candidate in enumerate(queue):
+            if (candidate.priority, -candidate.uid) < rank:
+                rank, at = (candidate.priority, -candidate.uid), i
+        if at is None:
+            return False, None
+        victim = queue[at]
+        del queue[at]
         queue.append(pkt)
         return True, victim
 
-    def dispatch_next(self) -> Packet | None:
-        """Control queue first; otherwise advance the round-robin cursor
-        over non-empty, non-blocked sub-queues. The cursor persists."""
+    def requeue(self, pkt: Packet, hop: int) -> None:
+        """A packet whose transmission failed goes back to the head."""
+        self._queue(hop).appendleft(pkt)
+
+    def dispatch_next(self) -> tuple[Packet | None, object]:
+        """(packet, key it left). Control queue first; otherwise advance the
+        round-robin cursor over non-empty, non-blocked keys. The cursor
+        persists."""
         if self.control:
-            return self.control.popleft()
-        if not self.fragmented:
-            return self.fifo.popleft() if self.fifo else None
-        order = sorted(self.data)
-        if not order:
-            return None
-        if self.cursor is None or self.cursor not in self.data:
-            rotated = order
-        else:
+            return self.control.popleft(), None
+        order = self.order
+        if len(order) > 1 and self.cursor in self.data:  # one key: no rotation
             i = order.index(self.cursor) + 1
-            rotated = order[i:] + order[:i]
-        for neighbor in rotated:
-            if neighbor in self.blocked:
-                continue
-            queue = self.data[neighbor]
-            if queue:
-                self.cursor = neighbor
-                return queue.popleft()
-        return None
+            order = order[i:] + order[:i]
+        for key in order:
+            queue = self.data[key]
+            if queue and key not in self.blocked:
+                self.cursor = key
+                return queue.popleft(), key
+        return None, None
+
+    def remove_flow(self, flow_key: tuple[int, int]) -> dict[object, list[Packet]]:
+        """Take out every packet of one flow, grouped by the key it left."""
+        removed = {}
+        for key, queue in self.data.items():
+            gone = [p for p in queue if p.flow_key == flow_key]
+            if gone:
+                removed[key] = gone
+                kept = [p for p in queue if p.flow_key != flow_key]
+                queue.clear()
+                queue.extend(kept)
+        return removed
+
+    def retarget(self, failed: int, substitute: int):
+        """Unblock a replaced neighbor and move its sub-queue under the
+        substitute; returns the key freed, or None."""
+        self.blocked.discard(failed)
+        pending = self.data.pop(failed, None)  # never the shared key
+        if pending is None:
+            return None
+        self.order.remove(failed)
+        if pending:
+            self._queue(substitute).extend(pending)
+        if self.cursor == failed:
+            self.cursor = substitute
+        return failed
+
+    def drain(self) -> list[Packet]:
+        """Empty every queue: control packets first, then data by key."""
+        packets = list(self.control)
+        self.control.clear()
+        for queue in self.data.values():
+            packets.extend(queue)
+            queue.clear()
+        return packets
 
 
 class QueueStateView:
@@ -237,6 +296,11 @@ class Engine:
         self.seed = scenario.seed if seed is None else seed
         self.rng = random.Random(self.seed)
         self.topology, self.specs = build_scenario(scenario)
+        for fault in scenario.faults:
+            if (fault.node not in self.topology.nodes if fault.link is None
+                    else not self.topology.are_adjacent(*fault.link)):
+                raise ScenarioError(
+                    f"fault at t={fault.time_s}s names no node or link of the topology")
         self.fault = FaultConfig(
             max_attempts=self.config.max_attempts,
             detection=self._detection_enabled(),
@@ -265,6 +329,9 @@ class Engine:
         self._beacons: dict[int, tuple[int, int, int, set[int]]] = {}
         self._source_seq: dict[int, itertools.count] = {}
         self.flows: dict[tuple[int, int], _Flow] = {}
+        # (source, first-hop queue key) -> flows that found it full or
+        # blocked, by flow key, in the order they did
+        self._parked: dict[tuple, dict[tuple[int, int], _Flow]] = {}
         self.replaced: dict[int, int] = {}
         for key in ("tx_data", "rx_data", "tx_control", "rx_control",
                     "sensing", "idle"):
@@ -386,6 +453,8 @@ class Engine:
         next_hop = flow.route[1]
         queues = self.queues[source]
         if not queues.has_space(next_hop):
+            parked = self._parked.setdefault((source, queues.key(next_hop)), {})
+            parked[flow.key] = flow
             return False
         seq = (flow.next_seq if self.config.replicate
                else next(self._source_seq[flow.key[0]]))
@@ -398,7 +467,10 @@ class Engine:
         self._pkt_flow[pkt.uid] = flow
         self._enq_time[pkt.uid] = self._now
         accepted, victim = queues.enqueue_data(pkt, next_hop)
-        assert accepted and victim is None
+        if not accepted or victim is not None:
+            raise SimulationError(
+                f"node {source}: sub-queue {queues.key(next_hop)} reported space "
+                f"but did not take packet {pkt.uid} of flow {flow.key} cleanly")
         self._trace("inject", source, pkt.uid)
         return True
 
@@ -407,6 +479,15 @@ class Engine:
         while flow.backlog > 0 and (limit is None or flow.outstanding < limit):
             if not self._inject(flow):
                 break
+
+    def _slot_freed(self, node_id: int, key) -> None:
+        """A data packet left sub-queue `key` of `node_id`: refill the
+        flows parked on it. Every wake-up of a source that found its
+        first-hop sub-queue full or blocked comes through here."""
+        parked = self._parked.pop((node_id, key), None)
+        if parked:
+            for flow in parked.values():
+                self._fill_source(flow)
 
     # ------------------------------------------------------------ packet fate
 
@@ -447,8 +528,7 @@ class Engine:
         node = self.topology.nodes[node_id]
         if self._busy[node_id] or not node.alive:
             return
-        queues = self.queues[node_id]
-        pkt = queues.dispatch_next()
+        pkt, key = self.queues[node_id].dispatch_next()
         if pkt is None:
             return
         if pkt.kind == "data":
@@ -458,8 +538,7 @@ class Engine:
             if enq is not None:
                 flow.wait_total_s += self._now - enq
                 flow.wait_hops += 1
-            if self._pos[pkt.uid] == 0:
-                self._fill_source(flow)
+            self._slot_freed(node_id, key)
         else:
             next_hop = self._beacons[pkt.uid][0]
         link = self.topology.link(node_id, next_hop)
@@ -505,16 +584,11 @@ class Engine:
         # requeue under the route's current next hop, which may already be
         # a replacement node rather than the hop just attempted
         requeue_hop = flow.route[self._pos[pkt.uid] + 1]
-        if queues.fragmented:
-            queues.ensure_queue(requeue_hop)
-            queues.data[requeue_hop].appendleft(pkt)  # retry keeps head position
-        else:
-            queues.fifo.appendleft(pkt)
+        queues.requeue(pkt, requeue_hop)
         self._enq_time.setdefault(pkt.uid, self._now)
         if (requeue_hop == next_hop
                 and self._attempts[key] >= self.fault.max_attempts):
-            if queues.fragmented:
-                queues.blocked.add(next_hop)
+            queues.block(next_hop)
             self._start_sender_check(node_id, next_hop)
 
     def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
@@ -547,8 +621,6 @@ class Engine:
             self._arm_receiver_timer(flow, node_id, pkt.seq)
         next_hop = flow.route[pos + 1]
         queues = self.queues[node_id]
-        if queues.fragmented:
-            queues.ensure_queue(next_hop)
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if victim is not None:
             self._trace("drop", node_id, victim.uid)
@@ -569,20 +641,11 @@ class Engine:
         node.alive = False
         self._fault_time[node_id] = self._now
         self._trace("fault", node_id, 0)
-        queues = self.queues[node_id]
-        doomed: list[Packet] = []
-        if queues.fragmented:
-            for q in queues.data.values():
-                doomed.extend(q)
-                q.clear()
-        else:
-            doomed.extend(queues.fifo)
-            queues.fifo.clear()
-        for pkt in queues.control:
-            self._beacons.pop(pkt.uid, None)
-        queues.control.clear()
-        for pkt in doomed:
-            self._packet_resolved(pkt, delivered=False, cause="fault")
+        for pkt in self.queues[node_id].drain():
+            if pkt.kind == "data":
+                self._packet_resolved(pkt, delivered=False, cause="fault")
+            else:
+                self._beacons.pop(pkt.uid, None)
         # data held at a dead source is gone with it
         for flow in self.flows.values():
             if flow.route[0] == node_id and flow.backlog > 0 and not flow.abandoned:
@@ -710,19 +773,12 @@ class Engine:
         self._trace("replace", substitute, 0)
         for flow in affected:
             flow.route[flow.route.index(failed)] = substitute
+        # flows parked on the failed hop now inject toward the substitute
         for nid in sorted(self.queues):
-            queues = self.queues[nid]
-            if queues.fragmented and failed in queues.data:
-                pending = queues.data.pop(failed)
-                queues.blocked.discard(failed)
-                if pending:
-                    queues.ensure_queue(substitute)
-                    queues.data[substitute].extend(pending)
-                if queues.cursor == failed:
-                    queues.cursor = substitute
+            freed = self.queues[nid].retarget(failed, substitute)
+            if freed is not None:
+                self._slot_freed(nid, freed)
             self._attempts.pop((nid, failed), None)
-        for flow in affected:
-            self._fill_source(flow)
         for nid in sorted(self.queues):
             if not self._busy[nid] and self.topology.nodes[nid].alive:
                 self._try_start(nid)
@@ -733,21 +789,14 @@ class Engine:
         self._discard_backlog(flow)
         # flush whatever of this flow is still parked in sub-queues
         for nid in sorted(self.queues):
-            queues = self.queues[nid]
-            pools = (list(queues.data.values()) if queues.fragmented
-                     else [queues.fifo])
-            for pool in pools:
-                stuck = [p for p in pool
-                         if p.kind == "data" and p.flow_key == flow.key]
+            for key, stuck in self.queues[nid].remove_flow(flow.key).items():
                 for pkt in stuck:
-                    pool.remove(pkt)
                     self._packet_resolved(pkt, delivered=False, cause="fault")
+                self._slot_freed(nid, key)
+                self._try_start(nid)
         self.metrics.abandoned.append((flow.key[0], flow.key[1], undeliverable))
 
     # ------------------------------------------------------------------- run
-
-    def choke_view(self) -> QueueStateView:
-        return QueueStateView(self)
 
     def _on_probe(self) -> None:
         view = QueueStateView(self)
@@ -760,6 +809,18 @@ class Engine:
                 self.metrics.contention_history[(spec.node_id, idx)].append(count)
 
     def run(self) -> RunMetrics:
+        """Simulate to quiescence. Whatever fails on the way is the
+        engine's fault, not the scenario's: it surfaces as SimulationError."""
+        try:
+            self._simulate()
+        except SimulationError:
+            raise
+        except Exception as exc:
+            raise SimulationError(
+                f"at t={self._now:.9f}s: {type(exc).__name__}: {exc}") from exc
+        return self.metrics
+
+    def _simulate(self) -> None:
         for fault in self.scenario.faults:
             node = fault.node if fault.node is not None else 0
             self._push(fault.time_s, _RANK_FAULT, node, "fault",
@@ -799,29 +860,35 @@ class Engine:
         self.metrics.event_count = processed
         self.metrics.final_time_s = self._now
         self._finalize()
-        return self.metrics
 
     def _sweep_unresolved(self) -> None:
-        """Account for traffic stranded by unrecovered faults so that
-        injected = delivered + dropped holds at quiescence."""
-        for nid in sorted(self.queues):
-            queues = self.queues[nid]
-            pools = (list(queues.data.values()) if queues.fragmented
-                     else [queues.fifo])
-            for pool in pools:
-                while pool:
-                    pkt = pool.popleft()
-                    if pkt.kind == "data":
-                        self._packet_resolved(pkt, delivered=False, cause="fault")
+        """At quiescence, fail on a flow that could still inject. Otherwise
+        account for traffic stranded by unrecovered faults, so that
+        injected = delivered + dropped holds: the backlog of flows that
+        cannot inject or wait on stranded packets, then those packets."""
         for key in sorted(self.flows):
             flow = self.flows[key]
-            if flow.backlog > 0 and not self._inject_possible(flow):
-                self._discard_backlog(flow)
+            if flow.backlog > 0 and self._inject_possible(flow) and (
+                    self.config.window is None
+                    or flow.outstanding < self.config.window):
+                source, hop = flow.route[0], flow.route[1]
+                queues = self.queues[source]
+                raise SimulationError(
+                    f"flow {flow.key} stalled at t={self._now:.9f}s: "
+                    f"{flow.backlog} packets of backlog wait on sub-queue "
+                    f"{queues.key(hop)} of node {source} and nothing is left "
+                    f"to wake them")
+            self._discard_backlog(flow)
+        for nid in sorted(self.queues):
+            for pkt in self.queues[nid].drain():
+                if pkt.kind == "data":
+                    self._packet_resolved(pkt, delivered=False, cause="fault")
 
     def _inject_possible(self, flow: _Flow) -> bool:
+        source = flow.route[0]
         return (not flow.abandoned
-                and self.topology.nodes[flow.route[0]].alive
-                and flow.route[1] not in self.queues[flow.route[0]].blocked)
+                and self.topology.nodes[source].alive
+                and not self.queues[source].is_blocked(flow.route[1]))
 
     def _finalize(self) -> None:
         self._sweep_unresolved()
@@ -865,12 +932,7 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunMetrics:
     return Engine(scenario, seed=seed).run()
 
 
-def service_time(size_bits: float, speed_bps: float, link_delay_s: float = 0.0) -> float:
-    """Completion delay for one packet over one idle hop."""
-    return size_bits / speed_bps + link_delay_s
-
-
 __all__ = [
     "Engine", "FaultConfig", "LivelockError", "QueueStateView", "RunMetrics",
-    "run_scenario", "service_time",
+    "SimulationError", "run_scenario",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -78,39 +79,37 @@ class Report:
     rows: list[dict] = field(default_factory=list)
     checks: list[tuple[str, bool]] = field(default_factory=list)
 
-    def columns(self) -> list[str]:
-        cols: list[str] = []
-        for row in self.rows:
-            for key in row:
-                if key not in cols:
-                    cols.append(key)
-        return cols
-
     def to_csv(self, path: str) -> None:
-        cols = self.columns()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(cols)
-            for row in self.rows:
-                writer.writerow([_cell(row.get(c, "")) for c in cols])
+        write_rows_csv(self.rows, path)
 
     def to_text(self) -> str:
-        cols = self.columns()
-        table = [cols] + [[_cell(r.get(c, "")) for c in cols] for r in self.rows]
-        widths = [max(len(str(line[i])) for line in table) for i in range(len(cols))]
-        lines = ["  ".join(str(v).ljust(w) for v, w in zip(line, widths)).rstrip()
-                 for line in table]
+        text = render_rows(self.rows, "text")
         if self.checks:
-            lines.append("")
-            for label, ok in self.checks:
-                lines.append(f"[{'PASS' if ok else 'FAIL'}] {label}")
-        return "\n".join(lines) + "\n"
+            text += "\n" + "".join(f"[{'PASS' if ok else 'FAIL'}] {label}\n"
+                                   for label, ok in self.checks)
+        return text
 
 
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def render_rows(rows: list[dict], fmt: str) -> str:
+    """The rows as CSV (``fmt == "csv"``) or as a space-aligned text table.
+    Columns are the union of the rows' keys in first-seen order; a row
+    without a column leaves its cell empty."""
+    cols = list(dict.fromkeys(key for row in rows for key in row))
+    table = [cols] + [[_cell(row.get(c, "")) for c in cols] for row in rows]
+    if fmt == "csv":
+        out = io.StringIO()
+        csv.writer(out).writerows(table)
+        return out.getvalue()
+    widths = [max(len(line[i]) for line in table) for i in range(len(cols))]
+    lines = ("  ".join(v.ljust(w) for v, w in zip(line, widths)).rstrip()
+             for line in table)
+    return "".join(line + "\n" for line in lines)
 
 
 def _run_one(scenario: Scenario) -> RunMetrics:
@@ -251,16 +250,8 @@ def metrics_rows(metrics: RunMetrics) -> list[dict]:
 
 
 def write_rows_csv(rows: list[dict], path: str) -> None:
-    cols: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in cols:
-                cols.append(key)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow([_cell(row.get(c, "")) for c in cols])
+        fh.write(render_rows(rows, "csv"))
 
 
 def write_plot_data(report: Report, out_dir: str) -> list[str]:
@@ -295,6 +286,6 @@ def write_plot_data(report: Report, out_dir: str) -> list[str]:
 
 __all__ = [
     "FRAMEWORKS", "ExperimentSpec", "Report", "configured", "metrics_rows",
-    "run_multisource_frameworks", "run_scheme_comparison", "write_plot_data",
-    "write_rows_csv",
+    "render_rows", "run_multisource_frameworks", "run_scheme_comparison",
+    "write_plot_data", "write_rows_csv",
 ]

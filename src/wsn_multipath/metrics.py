@@ -7,20 +7,7 @@ mean hop count) as well as individual integer-hop paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import DomainError, NetworkParams, RangeExceededError
-
-
-@dataclass(frozen=True)
-class PathCost:
-    delay_s: float
-    energy_j: float
-
-    @property
-    def edp(self) -> float:
-        """Energy-delay product in joule-seconds."""
-        return self.delay_s * self.energy_j
 
 
 def per_hop_latency(size_bits: float, speed_bps: float,
@@ -107,7 +94,7 @@ def edp_coefficients(params: NetworkParams, hops: float, tau_s: float,
 
 
 __all__ = [
-    "PathCost", "average_edp", "edp_coefficients", "path_delay", "path_edp",
+    "average_edp", "edp_coefficients", "path_delay", "path_edp",
     "path_energy", "per_hop_latency", "receive_energy_per_bit",
     "transmit_energy_per_bit",
 ]

@@ -8,7 +8,7 @@ concurrent simulation runs; the engine keeps its own mutable per-run state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class DomainError(ValueError):
@@ -119,7 +119,6 @@ class PathInfo:
     tau_s: float = 0.0          # per-packet per-hop latency
     hop_dist_m: float = 0.0     # straight-line source-sink distance / hops
     contention: int = 0         # nodes flagged by the most recent choke probe
-    queue_wait_s: float = 0.0   # measured mean per-hop queueing delay
 
     @property
     def interior(self) -> frozenset[int]:
@@ -154,7 +153,7 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class Packet:
-    kind: str                   # data | hello | reply | choke | beacon | notify
+    kind: str                   # data | beacon
     priority: int
     source: int
     destination: int
@@ -200,9 +199,6 @@ class Topology:
     def distance(self, a: int, b: int) -> float:
         (ax, ay), (bx, by) = self.nodes[a].position, self.nodes[b].position
         return math.hypot(ax - bx, ay - by)
-
-    def alive_ids(self) -> list[int]:
-        return sorted(n for n, node in self.nodes.items() if node.alive)
 
     def reachable_from(self, start: int) -> set[int]:
         seen = {start}
@@ -288,14 +284,13 @@ def validate_path(topology: Topology, sequence: tuple[int, ...] | list[int]) -> 
     return PathInfo(nodes=seq, hops=len(seq) - 1)
 
 
-def path_tau(topology: Topology, path: PathInfo, packet_size_bits: float,
-             queue_wait_s: float = 0.0) -> float:
+def path_tau(topology: Topology, path: PathInfo, packet_size_bits: float) -> float:
     """Mean per-hop latency along a path from its link parameters."""
     total = 0.0
     for a, b in zip(path.nodes, path.nodes[1:]):
         link = topology.link(a, b)
         total += packet_size_bits / link.speed_bps + link.delay_s
-    return total / path.hops + queue_wait_s
+    return total / path.hops
 
 
 def annotate_source(topology: Topology, spec: SourceSpec, sink: int,
@@ -316,5 +311,4 @@ __all__ = [
     "PathInfo", "RangeExceededError", "RoutingError", "ScenarioError",
     "SourceSpec", "Topology", "UnreachableError",
     "annotate_source", "build_topology", "path_tau", "validate_path",
-    "replace",
 ]

@@ -166,6 +166,37 @@ def random_scenario(seed: int) -> Scenario:
     )
 
 
+def crossing_scenario(seed: int) -> Scenario:
+    """Several pipelined sources on a grid, routes discovered.
+
+    Nodes sit 20 m apart under a 25 m radio range, so each talks to its
+    four grid neighbours. The discovered routes of different sources
+    cross, and often pass through another source, which then relays
+    foreign traffic through the same sub-queues its own packets enter.
+    """
+    rng = random.Random(seed)
+    side = rng.randint(4, 6)
+    positions = {r * side + c + 1: (20.0 * c, 20.0 * r)
+                 for r in range(side) for c in range(side)}
+    sink = rng.choice(sorted(positions))
+    ids = rng.sample(sorted(n for n in positions if n != sink), rng.randint(2, 4))
+    return Scenario(
+        name=f"crossing-{seed}",
+        seed=seed,
+        params=small_params(radio_range_m=25.0),
+        positions=positions,
+        sink=sink,
+        sources=[SourceDecl(n, rng.randint(20, 80)) for n in sorted(ids)],
+        engine=RunConfig(
+            scheme=rng.choice([1, 2, 3]),
+            window=rng.choice([None, None, 2]),
+            queue_packets_per_subqueue=rng.choice([1, 2, 3, 5, 50]),
+            fragmented=rng.random() < 0.75,
+            fault_detection="off",
+        ),
+    )
+
+
 @pytest.fixture
 def mesh():
     from wsn_multipath.scenarios import three_source_mesh

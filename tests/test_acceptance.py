@@ -24,7 +24,12 @@ from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import build_scenario
 from wsn_multipath.scenarios import five_path_fan, three_source_mesh, three_source_mesh_sim
 
-from conftest import fault_beacon_scenario, fault_timer_scenario, random_scenario
+from conftest import (
+    crossing_scenario,
+    fault_beacon_scenario,
+    fault_timer_scenario,
+    random_scenario,
+)
 from test_engine import _star_scenario
 
 PARAMS = NetworkParams()
@@ -171,25 +176,42 @@ def test_criterion_07_determinism(tmp_path):
     _passline(7, "repeated runs byte-identical (metrics.csv, trace.txt, summary.txt)")
 
 
-def test_criterion_08_conservation_suite():
-    overflow_seen = 0
+def _conservation_cases():
     for seed in range(50):
-        metrics = run_scenario(random_scenario(seed))
+        yield f"random-{seed}", random_scenario(seed)
+    # pipelined multi-source traffic: sources relay for one another, so a
+    # source's first-hop sub-queue fills with foreign packets
+    for mesh in (three_source_mesh(), three_source_mesh_sim()):
+        yield f"{mesh.name}-pipelined", configured(mesh, packets=2000, window=None)
+    for seed in range(12):
+        yield f"crossing-{seed}", crossing_scenario(seed)
+
+
+def test_criterion_08_conservation_suite():
+    overflow_seen = relaying = cases = 0
+    for name, scenario in _conservation_cases():
+        metrics = run_scenario(scenario)
         assert (metrics.total_delivered + metrics.total_dropped
-                == metrics.total_injected), seed
+                == metrics.total_injected), name
         for src, injected in metrics.injected.items():
             resolved = sum(
                 stats["delivered"] + stats["dropped"]
                 for (s, _), stats in metrics.per_path.items() if s == src)
-            assert resolved == injected, (seed, src)
+            assert resolved == injected, (name, src)
         spent = (sum(metrics.initial_j.values())
                  - sum(metrics.residual_j.values()))
         assert metrics.energy_spent_j == pytest.approx(
-            spent, abs=1e-12 * sum(metrics.initial_j.values())), seed
+            spent, abs=1e-12 * sum(metrics.initial_j.values())), name
         overflow_seen += metrics.dropped_overflow > 0
+        relaying += any(n in metrics.injected
+                        for stats in metrics.per_path.values()
+                        for n in stats["route"][1:-1])
+        cases += 1
     assert overflow_seen >= 5
-    _passline(8, f"packet conservation and energy ledger balance on 50 random "
-                 f"scenarios ({overflow_seen} with forced overflow drops)")
+    assert relaying >= 10
+    _passline(8, f"packet conservation and energy ledger balance on {cases} "
+                 f"scenarios ({overflow_seen} with forced overflow drops, "
+                 f"{relaying} where sources relay for other sources)")
 
 
 def test_criterion_09_fault_protocol():

@@ -5,7 +5,9 @@ import sys
 import pytest
 
 from wsn_multipath.cli import main
-from wsn_multipath.scenario import save_scenario
+from wsn_multipath.engine import Engine
+from wsn_multipath.experiments import configured
+from wsn_multipath.scenario import FaultDecl, save_scenario
 from wsn_multipath.scenarios import three_source_mesh, five_path_fan
 
 
@@ -200,6 +202,33 @@ def test_run_livelock_exit_code(tmp_path, capsys):
     code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "simulation error" in capsys.readouterr().err.lower()
+
+
+def test_run_error_mid_simulation_exit_code(mesh_file, monkeypatch, capsys):
+    # a bug inside the event loop is the engine's, not the scenario's
+    def broken(self, *args):
+        raise KeyError("no such packet")
+    monkeypatch.setattr(Engine, "_on_arrival", broken)
+    assert main(["run", "--scenario", mesh_file]) == 3
+    assert "simulation error" in capsys.readouterr().err.lower()
+
+
+def test_run_stall_exit_code(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "pipelined.yaml"
+    save_scenario(configured(three_source_mesh(), packets=1000, window=None), str(path))
+    monkeypatch.setattr(Engine, "_slot_freed", lambda self, node_id, key: None)
+    assert main(["run", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "flow (1, 0) stalled" in err and "sub-queue 2 of node 1" in err
+
+
+def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):
+    sc = three_source_mesh()
+    sc.faults = [FaultDecl(1.0, node=99)]
+    path = tmp_path / "bad-fault.yaml"
+    save_scenario(sc, str(path))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "scenario error" in capsys.readouterr().err.lower()
 
 
 def test_console_entry_point():

@@ -2,13 +2,8 @@ import pytest
 
 from wsn_multipath.discovery import (
     ProbeFailedError,
-    RoutingTable,
-    TableEvent,
     choke_probe,
     discover_paths,
-    estimate_tau,
-    estimate_tau_per_hop,
-    refresh_policy,
 )
 from wsn_multipath.model import DomainError, UnreachableError, build_topology, validate_path
 from wsn_multipath.scenario import build_scenario
@@ -84,25 +79,6 @@ def test_discovery_deterministic(mesh):
             == [p.nodes for p in discover_paths(topo2, 3, 6)])
 
 
-def test_estimate_tau_round_trip():
-    assert estimate_tau(0.0, 0.4) == pytest.approx(0.2)
-    assert estimate_tau_per_hop(0.0, 0.4, 5) == pytest.approx(0.04)
-
-
-def test_estimate_tau_zero_interval():
-    assert estimate_tau(1.5, 1.5) == 0.0
-
-
-def test_estimate_tau_linear():
-    assert estimate_tau_per_hop(0.0, 0.8, 5) == pytest.approx(
-        2 * estimate_tau_per_hop(0.0, 0.4, 5))
-
-
-def test_estimate_tau_clock_error():
-    with pytest.raises(DomainError):
-        estimate_tau(2.0, 1.0)
-
-
 def _mesh_path(mesh, nodes):
     topo, _ = build_scenario(mesh)
     return validate_path(topo, nodes)
@@ -146,18 +122,3 @@ def test_choke_count_monotone_in_occupancy(mesh):
     drained = {**base, 7: 0.1}          # one queue drains
     assert choke_probe(FakeQueueState(filled), path) >= before
     assert choke_probe(FakeQueueState(drained), path) <= before
-
-
-def test_refresh_policy_cases():
-    assert refresh_policy(TableEvent("initial_join"))
-    assert not refresh_policy(TableEvent("link_failure", 1))
-    assert refresh_policy(TableEvent("node_failure", 2))
-    assert refresh_policy(TableEvent("node_joined", 2))
-    assert not refresh_policy(TableEvent("node_joined", 1))
-
-
-def test_routing_table_event_accumulation():
-    table = RoutingTable(source=1, destination=6)
-    assert not table.register("link_failure")
-    assert table.register("node_failure")       # second failure since build
-    assert table.stale

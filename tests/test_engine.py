@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from wsn_multipath.engine import Engine, LivelockError, run_scenario, service_time
+from wsn_multipath.engine import Engine, LivelockError, SimulationError, run_scenario
+from wsn_multipath.experiments import configured
 from wsn_multipath.model import CONTROL_PRIORITY, Packet, RoutingError
 from wsn_multipath.engine import _NodeQueues
 from wsn_multipath.scenario import FaultDecl, RunConfig, Scenario, SourceDecl
@@ -22,6 +23,11 @@ def _pkt(uid, priority=1, kind="data", seq=0):
                   priority=CONTROL_PRIORITY if kind != "data" else priority,
                   source=1, destination=2, flow_key=(1, 0), seq=seq,
                   size_bits=1000.0, uid=uid)
+
+
+def _served(q):
+    """The packet the next dispatch takes, without the key it left."""
+    return q.dispatch_next()[0]
 
 
 # ------------------------------------------------------------- queue mechanics
@@ -67,7 +73,7 @@ def test_dispatch_round_robin_order():
     q.enqueue_data(p1, 2)
     q.enqueue_data(p3, 2)
     q.enqueue_data(p2, 3)
-    assert [q.dispatch_next() for _ in range(4)] == [p1, p2, p3, None]
+    assert [_served(q) for _ in range(4)] == [p1, p2, p3, None]
 
 
 def test_dispatch_alternates_then_idles():
@@ -75,7 +81,7 @@ def test_dispatch_alternates_then_idles():
     p1, p2 = _pkt(1), _pkt(2)
     q.enqueue_data(p1, 2)
     q.enqueue_data(p2, 3)
-    assert [q.dispatch_next() for _ in range(3)] == [p1, p2, None]
+    assert [_served(q) for _ in range(3)] == [p1, p2, None]
 
 
 def test_control_queue_served_first_and_never_dropped():
@@ -83,26 +89,44 @@ def test_control_queue_served_first_and_never_dropped():
     q.enqueue_data(_pkt(1), 2)
     beacon = _pkt(99, kind="beacon")
     q.enqueue_control(beacon)
-    assert q.dispatch_next() is beacon
-    assert q.dispatch_next().uid == 1
+    assert _served(q) is beacon
+    assert _served(q).uid == 1
 
 
 def test_cursor_persists_across_calls():
     q = _NodeQueues(owner=1, neighbors=(2, 3, 4), capacity_pkts=5, fragmented=True)
     for uid, hop in ((1, 2), (2, 3), (3, 4), (4, 2)):
         q.enqueue_data(_pkt(uid), hop)
-    assert [p.uid for p in (q.dispatch_next(), q.dispatch_next())] == [1, 2]
+    assert [_served(q).uid for _ in range(2)] == [1, 2]
     q.enqueue_data(_pkt(5), 3)
     # cursor sits at 3; next service continues at 4 before wrapping
-    assert [p.uid for p in (q.dispatch_next(), q.dispatch_next(), q.dispatch_next())] \
-        == [3, 4, 5]
+    assert [_served(q).uid for _ in range(3)] == [3, 4, 5]
+
+
+def test_shared_fifo_drops_tail_at_combined_capacity():
+    # the traditional baseline: one queue holding capacity x neighbors
+    q = _NodeQueues(owner=1, neighbors=(2, 3), capacity_pkts=2, fragmented=False)
+    for uid, hop in ((1, 2), (2, 3), (3, 2), (4, 2)):
+        assert q.enqueue_data(_pkt(uid), hop) == (True, None)
+    assert not q.has_space(3)
+    # full: even a higher-priority arrival is dropped, nothing is evicted
+    assert q.enqueue_data(_pkt(5, priority=9), 3) == (False, None)
+    assert [p.uid for p in iter(lambda: _served(q), None)] == [1, 2, 3, 4]
+
+
+def test_shared_fifo_never_blocked_by_failing_hop():
+    fifo = _NodeQueues(owner=1, neighbors=(2, 3), capacity_pkts=2, fragmented=False)
+    split = _NodeQueues(owner=1, neighbors=(2, 3), capacity_pkts=2, fragmented=True)
+    for q in (fifo, split):
+        q.enqueue_data(_pkt(1), 2)
+        q.block(2)  # the hop's attempt budget ran out
+    assert not fifo.is_blocked(2) and fifo.has_space(2)
+    assert _served(fifo).uid == 1
+    assert split.is_blocked(2) and not split.has_space(2)
+    assert _served(split) is None
 
 
 # ------------------------------------------------------------- service timing
-
-def test_service_time_single_hop():
-    assert service_time(1000, 50000, 0.001) == pytest.approx(0.021)
-
 
 def test_lone_packet_delay():
     metrics = run_scenario(line_scenario(packets=1, hops=1, link_delay=0.001))
@@ -297,6 +321,20 @@ def test_sender_failure_receiver_timer_detection():
     assert timer[0]["latency_s"] <= 10 * tau + 1e-9
 
 
+def test_undetected_link_fault_strands_and_conserves():
+    # the relay's downstream link dies and nothing detects it: the packet
+    # parked at the relay and the source's remaining backlog count as
+    # fault drops at quiescence, and no packet is left in flight
+    sc = line_scenario(packets=5, hops=2, window=1)
+    sc.faults = [FaultDecl(0.05, link=(11, 2))]
+    sc.engine = RunConfig(scheme=2, window=1, max_attempts=3, fault_detection="off")
+    engine = Engine(sc)
+    metrics = engine.run()
+    assert metrics.total_delivered == 1
+    assert metrics.dropped_fault == 4
+    assert all(f.backlog == f.outstanding == 0 for f in engine.flows.values())
+
+
 def test_no_redundant_node_abandons_path():
     sc = fault_beacon_scenario()
     sc.redundant = ()
@@ -396,6 +434,22 @@ def test_livelock_guard_fires():
     sc.engine = RunConfig(scheme=2, max_events=10)
     with pytest.raises(LivelockError):
         run_scenario(sc)
+
+
+class _NoWakeEngine(Engine):
+    """An engine whose freed sub-queue slots wake no source."""
+
+    def _slot_freed(self, node_id, key):
+        pass
+
+
+def test_stall_at_quiescence_names_flow_and_subqueue(mesh):
+    # sources relay for each other; once a source's first-hop sub-queue
+    # has filled with foreign packets only a slot-freed wake-up refills it
+    sc = configured(mesh, packets=1000, window=None)
+    with pytest.raises(SimulationError,
+                       match=r"flow \(1, 0\) stalled .* sub-queue 2 of node 1"):
+        _NoWakeEngine(sc).run()
 
 
 def test_random_loss_retries_and_stays_deterministic():

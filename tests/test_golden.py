@@ -1,0 +1,110 @@
+"""Golden outputs: SHA-256 digests of what the CLI writes for the shipped
+scenarios.
+
+The ROADMAP rule is that the shipped scenarios' outputs stay bit-identical
+from one change to the next. A rerun test only compares two runs of the
+same code; these digests compare against the outputs recorded when they
+were first pinned. A change that moves them on purpose updates the digest
+here and says why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from wsn_multipath.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+MESHES = ("three-source-mesh", "three-source-mesh-sim")
+
+RUN_DIGESTS = {
+    ("five-path-fan", "metrics.csv"):
+        "73d6cb6ca35f916e01603fd6bdd6d9923e7e2948c8f4466247e6cd9247d6573c",
+    ("five-path-fan", "summary.txt"):
+        "dfcd288bd0194d6acddd103962a7f3ed4409918c89c6cd8d6c2a17e75450471a",
+    ("five-path-fan", "trace.txt"):
+        "518b5c0d4a54279ff2aef2d364b1cf2f2ee62898fbdc34bc85ca84b7e7ed000a",
+    ("three-source-mesh", "metrics.csv"):
+        "5f19e841cd0f1e5acd2f3ba448566d5bbd19405fc3fea04d75040169a461df50",
+    ("three-source-mesh", "summary.txt"):
+        "2a6fc9dd4087fc2df9deec214c072d4eead2d1c04cd733ae67881483d834ca88",
+    ("three-source-mesh", "trace.txt"):
+        "b638a576cff446d3cb4c29d4f9a8fb0fd8e50dabffd32fd7a2d04cb969105c80",
+    ("three-source-mesh-sim", "metrics.csv"):
+        "76467e52d5f4057b5a46e07668dc577c740192bf49b335377873c1ab42add762",
+    ("three-source-mesh-sim", "summary.txt"):
+        "f96a3b9194d5256dfe46f42c355f933e1f336b0cdb256e356ee0ccc06302765f",
+    ("three-source-mesh-sim", "trace.txt"):
+        "ae854d9041ee65d88f76edae9b155cab830d9eff746c07b798fe5f8be00d48d1",
+}
+
+SUITE_DIGESTS = {
+    ("three-source-mesh", "frameworks"):
+        "fd3df63324925ceffaa7f0d78b87243aa350b71dd316a66f6b114656f87748b2",
+    ("three-source-mesh-sim", "frameworks"):
+        "0a0dc66bfc79381ccba50cfe9eaa45d212778fd08f6764d632450c032cf4b3ca",
+    ("five-path-fan", "schemes"):
+        "6bfd0d812d952e1569e1ad1e7d520a5555e5c1967d5acdcde2c329db56000a2c",
+}
+
+STDOUT_DIGESTS = {
+    ("discover", "csv"):
+        "4d603390779284f9c27cc297be0b24eacccfe486d65b2d7146ae4006d9dbd0e4",
+    ("discover", "text"):
+        "055877eac2ab6796f43068665ea66404af9f44dee871822e2ec7fa211de8ca1c",
+    ("allocate", "csv"):
+        "eabaee439e5dd5ed80ca850712a45ea4b7c5693511bfc53ca3e7ee7960d15462",
+    ("allocate", "text"):
+        "d5ed0de2d888660a5c2d16654c49b2d20b348b64dccd65cb53d422f2109381b3",
+    ("run", "csv"):
+        "b5171ddb142dc06beaba4af511f4578b8389d6c6a66d8116569bee97e8cfe744",
+    ("run", "text"):
+        "c8f5612e6039ff4b171d78ae623eb9b6c827c7450d948446535a0a8e3e26c8b3",
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _scenario(name: str) -> str:
+    return str(SCENARIOS / f"{name}.yaml")
+
+
+def run_outputs(name: str, out: Path) -> dict[str, str]:
+    assert main(["run", "--scenario", _scenario(name), "--trace",
+                 "--out", str(out)]) == 0
+    return {f: _sha((out / f).read_bytes())
+            for f in ("metrics.csv", "summary.txt", "trace.txt")}
+
+
+def suite_output(name: str, suite: str, out: Path) -> str:
+    assert main(["experiment", "--scenario", _scenario(name), "--suite", suite,
+                 "--packets", "100", "200", "--out", str(out)]) == 0
+    return _sha((out / f"{suite}.csv").read_bytes())
+
+
+def stdout_output(command: str, fmt: str, capsys) -> str:
+    capsys.readouterr()
+    assert main([command, "--scenario", _scenario("three-source-mesh"),
+                 "--format", fmt]) == 0
+    return _sha(capsys.readouterr().out.encode())
+
+
+@pytest.mark.parametrize("name", ("five-path-fan",) + MESHES)
+def test_run_outputs_match_golden(name, tmp_path):
+    got = run_outputs(name, tmp_path)
+    assert got == {f: RUN_DIGESTS[(name, f)] for f in got}
+
+
+@pytest.mark.parametrize("name,suite", sorted(SUITE_DIGESTS))
+def test_suite_csv_matches_golden(name, suite, tmp_path):
+    assert suite_output(name, suite, tmp_path) == SUITE_DIGESTS[(name, suite)]
+
+
+@pytest.mark.parametrize("command,fmt", sorted(STDOUT_DIGESTS))
+def test_stdout_tables_match_golden(command, fmt, capsys):
+    assert stdout_output(command, fmt, capsys) == STDOUT_DIGESTS[(command, fmt)]

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wsn_multipath.metrics import (
-    PathCost,
     average_edp,
     edp_coefficients,
     path_delay,
@@ -169,7 +168,3 @@ def test_shorter_hops_cut_transmit_term():
     many = transmit_energy_per_bit(p, 80.0 / 8)
     assert many < few
 
-
-def test_path_cost_edp_property():
-    cost = PathCost(delay_s=2.0, energy_j=0.5)
-    assert cost.edp == 1.0
