@@ -74,7 +74,10 @@ def solve_quota_bound(params: NetworkParams, hops: float, tau_s: float,
     if rhs_edp < 0:
         raise DomainError(f"EDP budget must be >= 0, got {rhs_edp!r}")
     a, b = edp_coefficients(params, hops, tau_s, source_sink_dist_m)
-    assert a > 0 and b >= 0  # positive params make the discriminant positive
+    if not (a > 0 and b >= 0):
+        raise DomainError(
+            f"hops {hops!r} and tau_s {tau_s!r} give EDP coefficients "
+            f"a={a!r}, b={b!r}; the bound needs a > 0 and b >= 0")
     return (-b + math.sqrt(b * b + 4.0 * a * rhs_edp)) / (2.0 * a)
 
 

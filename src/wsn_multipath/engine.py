@@ -55,15 +55,12 @@ _RANK_PROBE = 4
 
 
 @dataclass
-class FaultConfig:
-    max_attempts: int = 10
-    detection: bool = True
-
-
-@dataclass
 class _Flow:
+    """One source's traffic on one path, and the only record of its
+    counts; `RunMetrics.per_path` is built from it at the end of a run."""
+
     key: tuple[int, int]            # (source node, path index)
-    route: list[int]
+    route: list[int]                # current route; replacement rewrites it
     quota: int
     tau_s: float
     next_seq: int = 0               # backlog position, 0..quota
@@ -301,10 +298,7 @@ class Engine:
                     else not self.topology.are_adjacent(*fault.link)):
                 raise ScenarioError(
                     f"fault at t={fault.time_s}s names no node or link of the topology")
-        self.fault = FaultConfig(
-            max_attempts=self.config.max_attempts,
-            detection=self._detection_enabled(),
-        )
+        self.detection = self._detection_enabled()
         self.metrics = RunMetrics(
             scenario_name=scenario.name,
             scenario_hash=scenario_hash(scenario),
@@ -317,22 +311,20 @@ class Engine:
         self.queues: dict[int, _NodeQueues] = {}
         self._busy: dict[int, bool] = {}
         self._busy_time: dict[int, float] = {}
-        self._pos: dict[int, int] = {}            # packet uid -> route index
-        self._pkt_flow: dict[int, _Flow] = {}     # packet uid -> flow
-        self._enq_time: dict[int, float] = {}     # packet uid -> enqueue time
         self._attempts: dict[tuple[int, int], int] = {}
         self._fault_time: dict[int, float] = {}
         self._fault_resolved: set[int] = set()
-        self._last_arrival: dict[tuple[tuple[int, int], int], tuple[float, int]] = {}
+        # (flow key, node) -> seq of the flow's last packet to arrive there
+        self._last_arrival: dict[tuple[tuple[int, int], int], int] = {}
         self._first_copy: dict[tuple[int, int], float] = {}
-        # beacon uid -> (target, origin, suspect, tried targets)
-        self._beacons: dict[int, tuple[int, int, int, set[int]]] = {}
+        # beacon uid -> (suspect hop, targets tried); a beacon's packet
+        # names its origin (source) and target (destination)
+        self._beacons: dict[int, tuple[int, set[int]]] = {}
         self._source_seq: dict[int, itertools.count] = {}
         self.flows: dict[tuple[int, int], _Flow] = {}
         # (source, first-hop queue key) -> flows that found it full or
         # blocked, by flow key, in the order they did
         self._parked: dict[tuple, dict[tuple[int, int], _Flow]] = {}
-        self.replaced: dict[int, int] = {}
         for key in ("tx_data", "rx_data", "tx_control", "rx_control",
                     "sensing", "idle"):
             self.metrics.energy_breakdown_j[key] = 0.0
@@ -376,35 +368,15 @@ class Engine:
         return scheme_allocation(self.config.scheme, inp).quotas
 
     def _init_flows(self) -> None:
-        view = QueueStateView(self)
         for spec in self.specs:
-            # probe before distribution; on the idle start network this is 0
-            for idx, path in enumerate(spec.paths):
-                path.contention = choke_probe(view, path)
-                self.metrics.contention_history.setdefault(
-                    (spec.node_id, idx), []).append(path.contention)
             quotas = self._allocate(spec)
             self.metrics.injected[spec.node_id] = sum(quotas)
-            self.metrics.delivered[spec.node_id] = 0
             self.metrics.per_source_comm_j[spec.node_id] = 0.0
             self._source_seq[spec.node_id] = itertools.count()
             for idx, (path, quota) in enumerate(zip(spec.paths, quotas)):
                 flow = _Flow(key=(spec.node_id, idx), route=list(path.nodes),
                              quota=quota, tau_s=path.tau_s)
                 self.flows[flow.key] = flow
-                self.metrics.per_path[flow.key] = {
-                    "route": tuple(path.nodes),
-                    "hops": path.hops,
-                    "quota": quota,
-                    "tau_s": path.tau_s,
-                    "model_delay_s": path_delay(quota, path.tau_s, path.hops),
-                    "model_energy_j": path_energy(
-                        self.params, quota, path.hops, spec.source_sink_dist_m),
-                    "sim_delay_s": 0.0,
-                    "delivered": 0,
-                    "dropped": 0,
-                    "mean_wait_s": 0.0,
-                }
 
     # ------------------------------------------------------------- primitives
 
@@ -460,12 +432,10 @@ class Engine:
                else next(self._source_seq[flow.key[0]]))
         pkt = Packet(kind="data", priority=DATA_PRIORITY, source=flow.key[0],
                      destination=flow.route[-1], flow_key=flow.key, seq=seq,
-                     size_bits=self.params.packet_size_bits, uid=next(self._uid))
+                     size_bits=self.params.packet_size_bits, uid=next(self._uid),
+                     enq_s=self._now)
         flow.next_seq += 1
         flow.outstanding += 1
-        self._pos[pkt.uid] = 0
-        self._pkt_flow[pkt.uid] = flow
-        self._enq_time[pkt.uid] = self._now
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if not accepted or victim is not None:
             raise SimulationError(
@@ -492,27 +462,18 @@ class Engine:
     # ------------------------------------------------------------ packet fate
 
     def _packet_resolved(self, pkt: Packet, delivered: bool, cause: str) -> None:
-        flow = self._pkt_flow.pop(pkt.uid, None)
-        self._pos.pop(pkt.uid, None)
-        self._enq_time.pop(pkt.uid, None)
-        if flow is None:
-            return
+        flow = self.flows[pkt.flow_key]
         flow.outstanding -= 1
-        stats = self.metrics.per_path[flow.key]
         if delivered:
             flow.delivered += 1
             flow.last_delivery_s = self._now
-            stats["delivered"] += 1
-            stats["sim_delay_s"] = self._now
-            self.metrics.delivered[flow.key[0]] += 1
-            copy_key = (flow.key[0], pkt.seq)
+            copy_key = (pkt.source, pkt.seq)
             if copy_key in self._first_copy:
                 self.metrics.duplicates += 1
             else:
                 self._first_copy[copy_key] = self._now
         else:
             flow.dropped += 1
-            stats["dropped"] += 1
             if cause == "overflow":
                 self.metrics.dropped_overflow += 1
             else:
@@ -532,15 +493,13 @@ class Engine:
         if pkt is None:
             return
         if pkt.kind == "data":
-            flow = self._pkt_flow[pkt.uid]
-            next_hop = flow.route[self._pos[pkt.uid] + 1]
-            enq = self._enq_time.pop(pkt.uid, None)
-            if enq is not None:
-                flow.wait_total_s += self._now - enq
-                flow.wait_hops += 1
+            flow = self.flows[pkt.flow_key]
+            next_hop = flow.route[pkt.hop + 1]
+            flow.wait_total_s += self._now - pkt.enq_s
+            flow.wait_hops += 1
             self._slot_freed(node_id, key)
         else:
-            next_hop = self._beacons[pkt.uid][0]
+            next_hop = pkt.destination
         link = self.topology.link(node_id, next_hop)
         occupancy = pkt.size_bits / link.speed_bps
         bucket = "tx_data" if pkt.kind == "data" else "tx_control"
@@ -579,17 +538,22 @@ class Engine:
             return
         key = (node_id, next_hop)
         self._attempts[key] = self._attempts.get(key, 0) + 1
+        flow = self.flows[pkt.flow_key]
         queues = self.queues[node_id]
-        flow = self._pkt_flow[pkt.uid]
-        # requeue under the route's current next hop, which may already be
-        # a replacement node rather than the hop just attempted
-        requeue_hop = flow.route[self._pos[pkt.uid] + 1]
-        queues.requeue(pkt, requeue_hop)
-        self._enq_time.setdefault(pkt.uid, self._now)
+        # the route's current next hop may already be a replacement node
+        # rather than the hop just attempted
+        requeue_hop = flow.route[pkt.hop + 1]
         if (requeue_hop == next_hop
-                and self._attempts[key] >= self.fault.max_attempts):
+                and self._attempts[key] >= self.config.max_attempts):
             queues.block(next_hop)
             self._start_sender_check(node_id, next_hop)
+        if flow.abandoned:
+            # no retry can help it, and a shared FIFO, which blocking never
+            # stops, would retry it forever
+            self._packet_resolved(pkt, delivered=False, cause="fault")
+        else:
+            queues.requeue(pkt, requeue_hop)
+            pkt.enq_s = self._now
 
     def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
         node = self.topology.nodes[node_id]
@@ -609,17 +573,16 @@ class Engine:
         if pkt.kind != "data":
             self._on_beacon_arrived(pkt)
             return
-        flow = self._pkt_flow[pkt.uid]
-        self._pos[pkt.uid] += 1
-        pos = self._pos[pkt.uid]
+        flow = self.flows[pkt.flow_key]
+        pkt.hop += 1
         self._attempts.pop((sender, node_id), None)  # success resets the counter
         if node_id == flow.route[-1]:
             self._trace("deliver", node_id, pkt.uid)
             self._packet_resolved(pkt, delivered=True, cause="")
             return
-        if self.fault.detection:
+        if self.detection:
             self._arm_receiver_timer(flow, node_id, pkt.seq)
-        next_hop = flow.route[pos + 1]
+        next_hop = flow.route[pkt.hop + 1]
         queues = self.queues[node_id]
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if victim is not None:
@@ -629,7 +592,7 @@ class Engine:
             self._trace("drop", node_id, pkt.uid)
             self._packet_resolved(pkt, delivered=False, cause="overflow")
         else:
-            self._enq_time[pkt.uid] = self._now
+            pkt.enq_s = self._now
         self._try_start(node_id)
 
     # ------------------------------------------------------------ fault logic
@@ -657,19 +620,18 @@ class Engine:
             return
         flow.next_seq = flow.quota
         flow.dropped += lost
-        self.metrics.per_path[flow.key]["dropped"] += lost
         self.metrics.dropped_fault += lost
 
     def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int) -> None:
         if flow.route.index(node_id) < 1:
             return
-        self._last_arrival[(flow.key, node_id)] = (self._now, seq)
+        self._last_arrival[(flow.key, node_id)] = seq
         if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
         # expected next arrival: one full per-packet cycle under windowed
         # transfer, one service slot otherwise, plus the watchdog allowance
         cycle = (len(flow.route) - 1) * flow.tau_s if self.config.window else flow.tau_s
-        allowance = self.fault.max_attempts * flow.tau_s
+        allowance = self.config.max_attempts * flow.tau_s
         self._push(self._now + cycle + allowance, _RANK_TIMER, node_id,
                    "timer", (flow.key, seq, self._now + cycle))
 
@@ -678,9 +640,7 @@ class Engine:
         flow = self.flows[flow_key]
         if flow.finished or flow.abandoned:
             return
-        _last_time, last_seq = self._last_arrival.get(
-            (flow_key, node_id), (0.0, -1))
-        if last_seq != seq:
+        if self._last_arrival.get((flow_key, node_id)) != seq:
             return  # newer traffic arrived; no silence to act on
         if not self.topology.nodes[node_id].alive:
             return
@@ -701,7 +661,7 @@ class Engine:
     def _start_sender_check(self, node_id: int, suspect: int) -> None:
         """Self-check: transmit a beacon to a third neighbor. Success means
         the suspect hop (node or link) is at fault and this node resolves."""
-        if suspect in self._fault_resolved or not self.fault.detection:
+        if suspect in self._fault_resolved or not self.detection:
             return
         self._send_beacon(node_id, suspect, tried=set())
 
@@ -715,26 +675,26 @@ class Engine:
         pkt = Packet(kind="beacon", priority=CONTROL_PRIORITY, source=origin,
                      destination=target, flow_key=(origin, -1), seq=0,
                      size_bits=self.config.control_size_bits, uid=next(self._uid))
-        self._beacons[pkt.uid] = (target, origin, suspect, tried)
+        self._beacons[pkt.uid] = (suspect, tried)
         self.queues[origin].enqueue_control(pkt)
         self._try_start(origin)
         return True
 
     def _retry_beacon(self, pkt: Packet) -> None:
-        target, origin, suspect, tried = self._beacons.pop(pkt.uid)
-        self._send_beacon(origin, suspect, tried | {target})
+        suspect, tried = self._beacons.pop(pkt.uid)
+        self._send_beacon(pkt.source, suspect, tried | {pkt.destination})
 
     def _on_beacon_arrived(self, pkt: Packet) -> None:
-        _target, origin, suspect, _tried = self._beacons.pop(pkt.uid)
+        suspect, _tried = self._beacons.pop(pkt.uid)
         if suspect in self._fault_resolved:
             return
+        since_fault = self._now - self._fault_time.get(suspect, self._now)
         self.metrics.detections.append({
-            "kind": "sender_beacon", "failed": suspect, "detector": origin,
-            "time_s": self._now,
-            "latency_s": self._now - self._fault_time.get(suspect, self._now),
-            "since_fault_s": self._now - self._fault_time.get(suspect, self._now),
+            "kind": "sender_beacon", "failed": suspect, "detector": pkt.source,
+            "time_s": self._now, "latency_s": since_fault,
+            "since_fault_s": since_fault,
         })
-        self._resolve_fault(detector=origin, failed=suspect)
+        self._resolve_fault(detector=pkt.source, failed=suspect)
 
     def _nearest_redundant(self, detector: int) -> int | None:
         best = None
@@ -768,7 +728,6 @@ class Engine:
                 self._abandon_flow(flow)
             return
         self.topology.nodes[substitute].is_redundant = False
-        self.replaced[failed] = substitute
         self.metrics.replacements.append((failed, substitute))
         self._trace("replace", substitute, 0)
         for flow in affected:
@@ -806,7 +765,8 @@ class Engine:
                     count = choke_probe(view, path)
                 except ProbeFailedError:
                     continue  # stale route; skip this sample
-                self.metrics.contention_history[(spec.node_id, idx)].append(count)
+                self.metrics.contention_history.setdefault(
+                    (spec.node_id, idx), []).append(count)
 
     def run(self) -> RunMetrics:
         """Simulate to quiescence. Whatever fails on the way is the
@@ -908,11 +868,24 @@ class Engine:
                 self.metrics.energy_breakdown_j["idle"] += idle
             self.metrics.residual_j[nid] = node.residual_energy_j
             self.metrics.initial_j[nid] = self.params.initial_energy_j
-        for key in sorted(self.flows):
-            flow = self.flows[key]
-            stats = self.metrics.per_path[key]
-            if flow.wait_hops:
-                stats["mean_wait_s"] = flow.wait_total_s / flow.wait_hops
+        for spec in self.specs:
+            flows = [self.flows[(spec.node_id, i)] for i in range(len(spec.paths))]
+            self.metrics.delivered[spec.node_id] = sum(f.delivered for f in flows)
+            for path, flow in zip(spec.paths, flows):
+                self.metrics.per_path[flow.key] = {
+                    "route": path.nodes,
+                    "hops": path.hops,
+                    "quota": flow.quota,
+                    "tau_s": path.tau_s,
+                    "model_delay_s": path_delay(flow.quota, path.tau_s, path.hops),
+                    "model_energy_j": path_energy(
+                        self.params, flow.quota, path.hops, spec.source_sink_dist_m),
+                    "sim_delay_s": flow.last_delivery_s,
+                    "delivered": flow.delivered,
+                    "dropped": flow.dropped,
+                    "mean_wait_s": (flow.wait_total_s / flow.wait_hops
+                                    if flow.wait_hops else 0.0),
+                }
         if self.config.replicate:
             per_source: dict[int, float] = {}
             for (source, _seq), t in self._first_copy.items():
@@ -933,6 +906,6 @@ def run_scenario(scenario: Scenario, seed: int | None = None) -> RunMetrics:
 
 
 __all__ = [
-    "Engine", "FaultConfig", "LivelockError", "QueueStateView", "RunMetrics",
+    "Engine", "LivelockError", "QueueStateView", "RunMetrics",
     "SimulationError", "run_scenario",
 ]

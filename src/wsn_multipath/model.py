@@ -1,8 +1,8 @@
 """Domain types shared by every other module: radio/energy parameters,
 nodes, links, topology, paths and per-source routing specs.
 
-Everything here is immutable after construction and safe to share across
-concurrent simulation runs; the engine keeps its own mutable per-run state.
+Parameters and links are immutable. Nodes, topologies and packets hold
+per-run state: each engine run builds its own and updates them in place.
 """
 
 from __future__ import annotations
@@ -151,8 +151,11 @@ class SourceSpec:
                         f"share interior nodes {sorted(shared)}")
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False, slots=True)
 class Packet:
+    """One frame. A data packet carries its own progress along its flow's
+    route; the engine moves it by updating `hop` and `enq_s` in place."""
+
     kind: str                   # data | beacon
     priority: int
     source: int
@@ -161,6 +164,8 @@ class Packet:
     seq: int
     size_bits: float
     uid: int = 0                # global injection order; larger = newer
+    hop: int = 0                # route index of the node holding the packet
+    enq_s: float = 0.0          # when it last entered a sub-queue
 
     def __post_init__(self):
         if self.kind != "data" and self.priority != CONTROL_PRIORITY:

@@ -197,6 +197,46 @@ def crossing_scenario(seed: int) -> Scenario:
     )
 
 
+def crossing_fault_scenario(seed: int, fragmented: bool, spare: bool) -> Scenario:
+    """`crossing_scenario(seed)` in the given queue discipline, where the
+    middle interior node of the first route with one fails halfway through
+    the fault-free run, with fault detection on and a livelock cap far
+    above what these runs need.
+
+    The discovered routes are declared explicitly, so that the spare
+    (with `spare`: a new node 1 m from the failed one, which hears the
+    same grid neighbours) cannot change them.
+    """
+    from dataclasses import replace
+
+    from wsn_multipath.engine import run_scenario
+    from wsn_multipath.scenario import build_scenario
+
+    base = crossing_scenario(seed)
+    base.engine = replace(base.engine, fragmented=fragmented)
+    _topology, specs = build_scenario(base)
+    route = next(p.nodes for spec in specs for p in spec.paths if p.hops > 1)
+    failed = route[len(route) // 2]
+    completion_s = run_scenario(base).completion_s
+    positions = dict(base.positions)
+    redundant = ()
+    if spare:
+        x, y = positions[failed]
+        spare_id = max(positions) + 1
+        positions[spare_id] = (x, y + 1.0)
+        redundant = (spare_id,)
+    return replace(
+        base,
+        name=f"crossing-fault-{seed}",
+        positions=positions,
+        sources=[replace(decl, paths=[list(p.nodes) for p in spec.paths])
+                 for decl, spec in zip(base.sources, specs)],
+        redundant=redundant,
+        faults=[FaultDecl(completion_s / 2.0, node=failed)],
+        engine=replace(base.engine, fault_detection="on", max_events=100_000),
+    )
+
+
 @pytest.fixture
 def mesh():
     from wsn_multipath.scenarios import three_source_mesh

@@ -25,6 +25,7 @@ from wsn_multipath.scenario import build_scenario
 from wsn_multipath.scenarios import five_path_fan, three_source_mesh, three_source_mesh_sim
 
 from conftest import (
+    crossing_fault_scenario,
     crossing_scenario,
     fault_beacon_scenario,
     fault_timer_scenario,
@@ -185,10 +186,17 @@ def _conservation_cases():
         yield f"{mesh.name}-pipelined", configured(mesh, packets=2000, window=None)
     for seed in range(12):
         yield f"crossing-{seed}", crossing_scenario(seed)
+    # the same crossings with one interior node failing mid-run, in both
+    # queue disciplines, recovered by a spare or abandoned without one
+    for seed in range(3, 6):
+        for fragmented in (True, False):
+            for spare in (True, False):
+                yield (f"crossing-fault-{seed}-{fragmented}-{spare}",
+                       crossing_fault_scenario(seed, fragmented, spare))
 
 
 def test_criterion_08_conservation_suite():
-    overflow_seen = relaying = cases = 0
+    overflow_seen = relaying = cases = faulted = detected = 0
     for name, scenario in _conservation_cases():
         metrics = run_scenario(scenario)
         assert (metrics.total_delivered + metrics.total_dropped
@@ -203,15 +211,19 @@ def test_criterion_08_conservation_suite():
         assert metrics.energy_spent_j == pytest.approx(
             spent, abs=1e-12 * sum(metrics.initial_j.values())), name
         overflow_seen += metrics.dropped_overflow > 0
+        faulted += bool(scenario.faults)
+        detected += bool(metrics.detections)
         relaying += any(n in metrics.injected
                         for stats in metrics.per_path.values()
                         for n in stats["route"][1:-1])
         cases += 1
     assert overflow_seen >= 5
     assert relaying >= 10
+    assert detected == faulted == 12
     _passline(8, f"packet conservation and energy ledger balance on {cases} "
                  f"scenarios ({overflow_seen} with forced overflow drops, "
-                 f"{relaying} where sources relay for other sources)")
+                 f"{relaying} where sources relay for other sources, "
+                 f"{faulted} with a detected node fault)")
 
 
 def test_criterion_09_fault_protocol():

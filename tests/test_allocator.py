@@ -48,6 +48,12 @@ def test_quota_bound_rejects_negative_budget():
         solve_quota_bound(PARAMS, 4, 0.02, 74.0, -1.0)
 
 
+def test_quota_bound_rejects_zero_tau():
+    # a zero per-hop latency zeroes both EDP coefficients: no root exists
+    with pytest.raises(DomainError):
+        solve_quota_bound(PARAMS, 4, 0.0, 74.0, 1.0)
+
+
 def test_quota_bound_hits_budget_and_agrees_with_scan():
     rhs = average_edp(PARAMS, 100, 3, 14 / 3, 0.02, 74.0)
     for hops in (3, 4, 7):

@@ -336,13 +336,21 @@ def test_undetected_link_fault_strands_and_conserves():
 
 
 def test_no_redundant_node_abandons_path():
-    sc = fault_beacon_scenario()
-    sc.redundant = ()
-    metrics = run_scenario(sc)
-    assert metrics.replacements == []
-    assert metrics.abandoned and metrics.abandoned[0][0] == 1
-    assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
-    assert metrics.dropped_fault > 0
+    # in the shared FIFO, node 2 keeps sending to the dead node 3 while its
+    # beacon is out, so a packet is in flight when the flow is abandoned:
+    # its failed attempt must drop it, because blocking never stops a FIFO
+    # and a requeued packet would be retried forever
+    for fragmented in (True, False):
+        sc = fault_beacon_scenario()
+        sc.redundant = ()
+        sc.engine.fragmented = fragmented
+        sc.engine.max_events = 10_000
+        metrics = run_scenario(sc)
+        assert metrics.replacements == []
+        assert metrics.abandoned and metrics.abandoned[0][0] == 1
+        assert (metrics.total_delivered + metrics.total_dropped
+                == metrics.total_injected == 5)
+        assert metrics.dropped_fault > 0
 
 
 def test_replacement_prefers_nearest_spare():
@@ -369,10 +377,10 @@ def test_degree_one_sender_defers_to_watchdog_then_abandons():
 
 def test_mid_run_probes_record_contention():
     sc = line_scenario(packets=30, hops=3, window=None)
+    assert run_scenario(sc).contention_history == {}  # no probe scheduled
     sc.engine.probe_times = [0.1]
-    metrics = run_scenario(sc)
-    history = metrics.contention_history[(1, 0)]
-    assert len(history) == 2  # start-of-run probe plus the scheduled one
+    history = run_scenario(sc).contention_history[(1, 0)]
+    assert len(history) == 1  # the scheduled probe; the idle start is not sampled
 
 
 def test_link_fault_triggers_retries():

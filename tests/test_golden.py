@@ -1,5 +1,5 @@
 """Golden outputs: SHA-256 digests of what the CLI writes for the shipped
-scenarios.
+scenarios, and of traced runs of the fault-recovery fixtures.
 
 The ROADMAP rule is that the shipped scenarios' outputs stay bit-identical
 from one change to the next. A rerun test only compares two runs of the
@@ -16,6 +16,11 @@ from pathlib import Path
 import pytest
 
 from wsn_multipath.cli import main
+from wsn_multipath.engine import run_scenario
+from wsn_multipath.experiments import metrics_rows, render_rows
+from wsn_multipath.scenario import FaultDecl, RunConfig
+
+from conftest import fault_beacon_scenario, fault_timer_scenario, line_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 MESHES = ("three-source-mesh", "three-source-mesh-sim")
@@ -66,6 +71,22 @@ STDOUT_DIGESTS = {
 }
 
 
+# (fixture, fragmented): the beacon and watchdog fixtures with their
+# spares in both queue disciplines, and a line whose last link dies
+FAULT_DIGESTS = {
+    ("fault-beacon", True):
+        "803015e0bafbf2aa3d8d11c5a7963446ce029ecf7403bd6e54d4cee611c7374b",
+    ("fault-beacon", False):
+        "c5d1e5a98a83c0969aa7bd7c1c5bb33fb9b9e52c2960c2da9f7b83b6be62c767",
+    ("fault-timer", True):
+        "3d6d662090b624d54637d01d80606ad1be131a759d0c8dd27a37956fe12599ea",
+    ("fault-timer", False):
+        "bf2a5da02c66f767ed3f0f568125f5c90fa192fe75ce3146f811054c89887f3e",
+    ("line-link-fault", True):
+        "e3196d0c50ce525e6cd400089182d4dc0f2fc3e41d9ffa9db5a2f9af9be125bf",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -108,3 +129,31 @@ def test_suite_csv_matches_golden(name, suite, tmp_path):
 @pytest.mark.parametrize("command,fmt", sorted(STDOUT_DIGESTS))
 def test_stdout_tables_match_golden(command, fmt, capsys):
     assert stdout_output(command, fmt, capsys) == STDOUT_DIGESTS[(command, fmt)]
+
+
+def _fault_scenario(name: str, fragmented: bool):
+    if name == "line-link-fault":
+        sc = line_scenario(packets=5, hops=2, window=1)
+        sc.faults = [FaultDecl(0.05, link=(11, 2))]
+        sc.engine = RunConfig(scheme=2, window=1, max_attempts=3,
+                              fault_detection="on")
+    else:
+        sc = {"fault-beacon": fault_beacon_scenario,
+              "fault-timer": fault_timer_scenario}[name]()
+    sc.engine.fragmented = fragmented
+    sc.engine.record_trace = True
+    return sc
+
+
+def fault_output(name: str, fragmented: bool) -> str:
+    """Digest of a traced fault run: its trace, its report rows, and its
+    detections and replacements."""
+    metrics = run_scenario(_fault_scenario(name, fragmented))
+    text = "\n".join([*metrics.trace, render_rows(metrics_rows(metrics), "csv"),
+                      repr(metrics.detections), repr(metrics.replacements)])
+    return _sha(text.encode())
+
+
+@pytest.mark.parametrize("name,fragmented", sorted(FAULT_DIGESTS))
+def test_fault_runs_match_golden(name, fragmented):
+    assert fault_output(name, fragmented) == FAULT_DIGESTS[(name, fragmented)]
