@@ -166,8 +166,7 @@ def cmd_allocate(args) -> int:
     for spec in specs:
         if args.source is not None and spec.node_id != args.source:
             continue
-        paths = [PathParams(p.hops, p.tau_s,
-                            contention.get((spec.node_id, i), p.contention))
+        paths = [PathParams(p.hops, p.tau_s, contention.get((spec.node_id, i), 0))
                  for i, p in enumerate(spec.paths)]
         alloc = scheme_allocation(
             scenario.engine.scheme,

@@ -24,17 +24,15 @@ def _lex_shortest_path(topology: Topology, source: int, sink: int,
     BFS from the sink gives every node's distance-to-sink; the path is then
     reconstructed greedily from the source, always stepping to the
     lowest-id neighbor one level closer. `blocked` nodes are unusable as
-    interior nodes.
+    interior nodes; it never holds the source or the sink.
     """
-    usable = lambda n: (n == source or n == sink
-                        or (n not in blocked and topology.nodes[n].alive))
     dist = {sink: 0}
     frontier = [sink]
     while frontier:
         nxt = []
         for n in frontier:
             for m in topology.neighbors(n):
-                if m not in dist and usable(m):
+                if m not in dist and m not in blocked:
                     dist[m] = dist[n] + 1
                     nxt.append(m)
         frontier = nxt
@@ -44,7 +42,7 @@ def _lex_shortest_path(topology: Topology, source: int, sink: int,
     current = source
     while current != sink:
         step = min(m for m in topology.neighbors(current)
-                   if usable(m) and dist.get(m) == dist[current] - 1)
+                   if dist.get(m) == dist[current] - 1)
         path.append(step)
         current = step
     return tuple(path)
@@ -55,13 +53,13 @@ def discover_paths(topology: Topology, source: int, sink: int,
     """Interior-node-disjoint paths by iterated shortest-path extraction.
 
     Each round takes the hop-count shortest path (lowest-node-id tie-break)
-    and removes its interior nodes before the next round. Path count never
-    exceeds the source degree; at least one path must exist.
+    and removes its interior nodes before the next round. A route with no
+    interior node is the last: it blocks nothing, so later rounds could only
+    repeat it. Path count never exceeds the source degree; at least one path
+    must exist.
     """
     if source == sink:
         raise DomainError("source and sink must differ")
-    if not (topology.nodes[source].alive and topology.nodes[sink].alive):
-        raise DomainError("source and sink must both be alive")
     limit = len(topology.neighbors(source))
     if max_paths is not None:
         limit = min(limit, max_paths)
@@ -72,6 +70,8 @@ def discover_paths(topology: Topology, source: int, sink: int,
         if seq is None:
             break
         found.append(validate_path(topology, seq))
+        if len(seq) == 2:
+            break
         blocked.update(seq[1:-1])
     if not found:
         raise UnreachableError(f"no path from {source} to {sink}")
@@ -82,8 +82,8 @@ def choke_probe(queue_state, path: PathInfo, threshold: float = 0.5) -> int:
     """Count of nodes along the path whose aggregate queue occupancy
     exceeds `threshold`.
 
-    The probe visits every node after the probing source, sink included,
-    so the count lies in [0, hops + 1]. `queue_state` must expose
+    The probe visits every node after the probing source, sink included:
+    `hops` nodes, so the count lies in [0, hops]. `queue_state` must expose
     ``occupancy(node_id) -> float`` and ``is_alive(node_id) -> bool``.
     """
     count = 0

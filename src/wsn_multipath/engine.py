@@ -27,7 +27,6 @@ from .metrics import (
 from .model import (
     CONTROL_PRIORITY,
     DATA_PRIORITY,
-    Link,
     Packet,
     RoutingError,
     ScenarioError,
@@ -242,7 +241,7 @@ class QueueStateView:
         return self._engine.queues[node_id].occupancy()
 
     def is_alive(self, node_id: int) -> bool:
-        return self._engine.topology.nodes[node_id].alive
+        return node_id not in self._engine._fault_time
 
 
 @dataclass
@@ -312,7 +311,13 @@ class Engine:
         self._busy: dict[int, bool] = {}
         self._busy_time: dict[int, float] = {}
         self._attempts: dict[tuple[int, int], int] = {}
+        # run state; the topology and specs are never written. A node is
+        # dead exactly when it has a fault time.
+        self._residual = dict.fromkeys(self.topology.nodes,
+                                       self.params.initial_energy_j)
         self._fault_time: dict[int, float] = {}
+        self._spares = set(scenario.redundant) & self.topology.nodes.keys()
+        self._down_links: set[tuple[int, int]] = set()
         self._fault_resolved: set[int] = set()
         # (flow key, node) -> seq of the flow's last packet to arrive there
         self._last_arrival: dict[tuple[tuple[int, int], int], int] = {}
@@ -341,18 +346,10 @@ class Engine:
         return bool(self.scenario.faults)
 
     def _init_queues(self) -> None:
-        s_bits = self.params.packet_size_bits
-        for nid, node in self.topology.nodes.items():
-            neighbors = self.topology.neighbors(nid)
-            n_i = max(1, len(neighbors))
-            if node.queue_capacity_bits is None:
-                cap = self.config.queue_packets_per_subqueue
-            else:
-                cap = int(node.queue_capacity_bits // (n_i * s_bits))
-                if cap < 1:
-                    raise ScenarioError(
-                        f"node {nid}: queue capacity below one packet per sub-queue")
-            self.queues[nid] = _NodeQueues(nid, neighbors, cap, self.config.fragmented)
+        for nid in self.topology.nodes:
+            self.queues[nid] = _NodeQueues(nid, self.topology.neighbors(nid),
+                                           self.config.queue_packets_per_subqueue,
+                                           self.config.fragmented)
             self._busy[nid] = False
             self._busy_time[nid] = 0.0
 
@@ -362,7 +359,7 @@ class Engine:
         inp = AllocationInput(
             params=self.params,
             total_packets=spec.packets,
-            paths=[PathParams(p.hops, p.tau_s, p.contention) for p in spec.paths],
+            paths=[PathParams(p.hops, p.tau_s) for p in spec.paths],
             source_sink_dist_m=spec.source_sink_dist_m,
         )
         return scheme_allocation(self.config.scheme, inp).quotas
@@ -390,14 +387,13 @@ class Engine:
 
     def _debit(self, node_id: int, joules: float, bucket: str,
                source: int | None = None) -> None:
-        node = self.topology.nodes[node_id]
-        node.residual_energy_j -= joules
+        self._residual[node_id] -= joules
         self.metrics.energy_spent_j += joules
         self.metrics.energy_breakdown_j[bucket] += joules
         if source is not None:
             self.metrics.per_source_comm_j[source] = (
                 self.metrics.per_source_comm_j.get(source, 0.0) + joules)
-        if node.residual_energy_j < 0 and node.alive:
+        if self._residual[node_id] < 0:
             self._node_failure(node_id)
 
     def _tx_energy(self, sender: int, receiver: int, size_bits: float) -> float:
@@ -420,7 +416,7 @@ class Engine:
         if flow.backlog <= 0 or flow.abandoned:
             return False
         source = flow.route[0]
-        if not self.topology.nodes[source].alive:
+        if source in self._fault_time:
             return False
         next_hop = flow.route[1]
         queues = self.queues[source]
@@ -479,15 +475,12 @@ class Engine:
             else:
                 self.metrics.dropped_fault += 1
         self._fill_source(flow)
-        source = flow.route[0]
-        if not self._busy[source] and self.topology.nodes[source].alive:
-            self._try_start(source)
+        self._try_start(flow.route[0])
 
     # ---------------------------------------------------------------- service
 
     def _try_start(self, node_id: int) -> None:
-        node = self.topology.nodes[node_id]
-        if self._busy[node_id] or not node.alive:
+        if self._busy[node_id] or node_id in self._fault_time:
             return
         pkt, key = self.queues[node_id].dispatch_next()
         if pkt is None:
@@ -514,17 +507,17 @@ class Engine:
 
     def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int) -> None:
         self._busy[node_id] = False
-        sender = self.topology.nodes[node_id]
         link = self.topology.link(node_id, next_hop)
         lost = (self.config.loss_prob > 0.0
                 and self.rng.random() < self.config.loss_prob)
-        if not sender.alive:
+        if node_id in self._fault_time:
             # the transmitter died mid-send; the frame is gone
             if pkt.kind == "data":
                 self._packet_resolved(pkt, delivered=False, cause="fault")
             else:
                 self._beacons.pop(pkt.uid, None)
-        elif not self.topology.nodes[next_hop].alive or not link.up or lost:
+        elif (next_hop in self._fault_time or link.endpoints in self._down_links
+              or lost):
             self._on_attempt_failed(node_id, next_hop, pkt)
         else:
             self._push(self._now + link.delay_s, _RANK_ARRIVAL, next_hop,
@@ -556,9 +549,8 @@ class Engine:
             pkt.enq_s = self._now
 
     def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
-        node = self.topology.nodes[node_id]
         self._trace("arrival", node_id, pkt.uid)
-        if not node.alive:
+        if node_id in self._fault_time:
             if pkt.kind == "data":
                 self._packet_resolved(pkt, delivered=False, cause="fault")
             else:
@@ -598,10 +590,8 @@ class Engine:
     # ------------------------------------------------------------ fault logic
 
     def _node_failure(self, node_id: int) -> None:
-        node = self.topology.nodes[node_id]
-        if not node.alive:
+        if node_id in self._fault_time:
             return
-        node.alive = False
         self._fault_time[node_id] = self._now
         self._trace("fault", node_id, 0)
         for pkt in self.queues[node_id].drain():
@@ -642,19 +632,19 @@ class Engine:
             return
         if self._last_arrival.get((flow_key, node_id)) != seq:
             return  # newer traffic arrived; no silence to act on
-        if not self.topology.nodes[node_id].alive:
+        if node_id in self._fault_time:
             return
         try:
             pos = flow.route.index(node_id)
         except ValueError:
             return
         upstream = flow.route[pos - 1]
-        if upstream in self._fault_resolved or self.topology.nodes[upstream].alive:
+        if upstream in self._fault_resolved or upstream not in self._fault_time:
             return
         self.metrics.detections.append({
             "kind": "receiver_timer", "failed": upstream, "detector": node_id,
             "time_s": self._now, "latency_s": self._now - expected_s,
-            "since_fault_s": self._now - self._fault_time.get(upstream, self._now),
+            "since_fault_s": self._now - self._fault_time[upstream],
         })
         self._resolve_fault(detector=node_id, failed=upstream)
 
@@ -668,7 +658,7 @@ class Engine:
     def _send_beacon(self, origin: int, suspect: int, tried: set[int]) -> bool:
         candidates = [n for n in self.topology.neighbors(origin)
                       if n != suspect and n not in tried
-                      and self.topology.nodes[n].alive]
+                      and n not in self._fault_time]
         if not candidates:
             return False  # no third neighbor; the downstream watchdog decides
         target = candidates[0]
@@ -697,14 +687,9 @@ class Engine:
         self._resolve_fault(detector=pkt.source, failed=suspect)
 
     def _nearest_redundant(self, detector: int) -> int | None:
-        best = None
-        best_key = None
-        for nid, node in self.topology.nodes.items():
-            if node.is_redundant and node.alive:
-                key = (self.topology.distance(detector, nid), nid)
-                if best_key is None or key < best_key:
-                    best, best_key = nid, key
-        return best
+        live = [(self.topology.distance(detector, nid), nid)
+                for nid in self._spares if nid not in self._fault_time]
+        return min(live)[1] if live else None
 
     def _substitution_fits(self, flow: _Flow, failed: int, substitute: int) -> bool:
         idx = flow.route.index(failed)
@@ -727,7 +712,7 @@ class Engine:
             for flow in affected:
                 self._abandon_flow(flow)
             return
-        self.topology.nodes[substitute].is_redundant = False
+        self._spares.discard(substitute)
         self.metrics.replacements.append((failed, substitute))
         self._trace("replace", substitute, 0)
         for flow in affected:
@@ -739,8 +724,7 @@ class Engine:
                 self._slot_freed(nid, freed)
             self._attempts.pop((nid, failed), None)
         for nid in sorted(self.queues):
-            if not self._busy[nid] and self.topology.nodes[nid].alive:
-                self._try_start(nid)
+            self._try_start(nid)
 
     def _abandon_flow(self, flow: _Flow) -> None:
         flow.abandoned = True
@@ -813,10 +797,7 @@ class Engine:
                 if fail_node is not None:
                     self._node_failure(fail_node)
                 else:
-                    a, b = min(fail_link), max(fail_link)
-                    link = self.topology.link(a, b)
-                    self.topology.links[(a, b)] = Link(
-                        (a, b), link.speed_bps, link.delay_s, up=False)
+                    self._down_links.add((min(fail_link), max(fail_link)))
         self.metrics.event_count = processed
         self.metrics.final_time_s = self._now
         self._finalize()
@@ -847,26 +828,25 @@ class Engine:
     def _inject_possible(self, flow: _Flow) -> bool:
         source = flow.route[0]
         return (not flow.abandoned
-                and self.topology.nodes[source].alive
+                and source not in self._fault_time
                 and not self.queues[source].is_blocked(flow.route[1]))
 
     def _finalize(self) -> None:
         self._sweep_unresolved()
         duration = self._now
-        for nid in sorted(self.topology.nodes):
-            node = self.topology.nodes[nid]
-            alive_span = duration if node.alive else self._fault_time.get(nid, duration)
+        for nid in sorted(self._residual):
+            alive_span = self._fault_time.get(nid, duration)
             sensing = self.params.sensing_w * alive_span
-            node.residual_energy_j -= sensing
+            self._residual[nid] -= sensing
             self.metrics.energy_spent_j += sensing
             self.metrics.energy_breakdown_j["sensing"] += sensing
             if self.config.include_idle:
                 idle_span = max(0.0, alive_span - self._busy_time[nid])
                 idle = self.config.idle_power_w * idle_span
-                node.residual_energy_j -= idle
+                self._residual[nid] -= idle
                 self.metrics.energy_spent_j += idle
                 self.metrics.energy_breakdown_j["idle"] += idle
-            self.metrics.residual_j[nid] = node.residual_energy_j
+            self.metrics.residual_j[nid] = self._residual[nid]
             self.metrics.initial_j[nid] = self.params.initial_energy_j
         for spec in self.specs:
             flows = [self.flows[(spec.node_id, i)] for i in range(len(spec.paths))]

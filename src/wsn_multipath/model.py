@@ -1,14 +1,16 @@
 """Domain types shared by every other module: radio/energy parameters,
 nodes, links, topology, paths and per-source routing specs.
 
-Parameters and links are immutable. Nodes, topologies and packets hold
-per-run state: each engine run builds its own and updates them in place.
+Parameters, nodes, links, topologies, paths and specs are build-time
+facts: nothing writes them once `build_scenario` returns. The engine owns
+every per-run fact (residual energy, which nodes have failed, which spares
+are left, which links are down), and packets carry their own progress.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 
 class DomainError(ValueError):
@@ -85,15 +87,10 @@ class NetworkParams:
                 f"path_loss_exp must lie in [2.0, 4.0], got {self.path_loss_exp!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Node:
     id: int
     position: tuple[float, float]
-    residual_energy_j: float = 23760.0
-    queue_capacity_bits: float | None = None  # M_i; engine fills the default
-    neighbor_count: int = 0
-    is_redundant: bool = False
-    alive: bool = True
 
 
 @dataclass(frozen=True)
@@ -101,7 +98,6 @@ class Link:
     endpoints: tuple[int, int]  # ordered (low id, high id)
     speed_bps: float = 50000.0
     delay_s: float = 0.0
-    up: bool = True
 
     def __post_init__(self):
         if self.speed_bps <= 0:
@@ -110,7 +106,7 @@ class Link:
             raise DomainError(f"link delay must be >= 0, got {self.delay_s!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathInfo:
     """An ordered source-to-sink node sequence with its per-path figures."""
 
@@ -118,7 +114,6 @@ class PathInfo:
     hops: int
     tau_s: float = 0.0          # per-packet per-hop latency
     hop_dist_m: float = 0.0     # straight-line source-sink distance / hops
-    contention: int = 0         # nodes flagged by the most recent choke probe
 
     @property
     def interior(self) -> frozenset[int]:
@@ -187,7 +182,6 @@ class Topology:
             adj[b].add(a)
         for nid in nodes:
             self._adjacency[nid] = tuple(sorted(adj[nid]))
-            nodes[nid].neighbor_count = len(self._adjacency[nid])
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         return self._adjacency[node_id]
@@ -212,7 +206,7 @@ class Topology:
             nxt = []
             for n in frontier:
                 for m in self._adjacency[n]:
-                    if m not in seen and self.nodes[m].alive:
+                    if m not in seen:
                         seen.add(m)
                         nxt.append(m)
             frontier = nxt
@@ -225,9 +219,7 @@ def build_topology(positions: dict[int, tuple[float, float]],
                    link_delay_s: float = 0.0,
                    link_overrides: dict[tuple[int, int], tuple[float, float]] | None = None,
                    sources: tuple[int, ...] = (),
-                   sink: int | None = None,
-                   redundant: tuple[int, ...] = (),
-                   initial_energy_j: float = 23760.0) -> Topology:
+                   sink: int | None = None) -> Topology:
     """Build the adjacency containing exactly the node pairs within radio range.
 
     Raises ConnectivityError naming the offending source if the sink is
@@ -238,12 +230,8 @@ def build_topology(positions: dict[int, tuple[float, float]],
     for nid, (x, y) in positions.items():
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"node {nid} has a non-finite position")
-    nodes = {
-        nid: Node(id=nid, position=(float(x), float(y)),
-                  residual_energy_j=initial_energy_j,
-                  is_redundant=nid in set(redundant))
-        for nid, (x, y) in positions.items()
-    }
+    nodes = {nid: Node(id=nid, position=(float(x), float(y)))
+             for nid, (x, y) in positions.items()}
     overrides = link_overrides or {}
     links: dict[tuple[int, int], Link] = {}
     ids = sorted(positions)
@@ -300,11 +288,12 @@ def path_tau(topology: Topology, path: PathInfo, packet_size_bits: float) -> flo
 
 def annotate_source(topology: Topology, spec: SourceSpec, sink: int,
                     params: NetworkParams) -> SourceSpec:
-    """Fill per-path tau and hop distances for a source's path set."""
+    """Replace a source's paths with copies that carry their tau and hop
+    distance, and record the source-sink distance."""
     dist = topology.distance(spec.node_id, sink)
-    for p in spec.paths:
-        p.tau_s = path_tau(topology, p, params.packet_size_bits)
-        p.hop_dist_m = dist / p.hops
+    spec.paths = [replace(p, tau_s=path_tau(topology, p, params.packet_size_bits),
+                          hop_dist_m=dist / p.hops)
+                  for p in spec.paths]
     spec.source_sink_dist_m = dist
     return spec
 

@@ -208,8 +208,6 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
         link_overrides=scenario.link_overrides,
         sources=tuple(s.id for s in scenario.sources),
         sink=scenario.sink,
-        redundant=scenario.redundant,
-        initial_energy_j=scenario.params.initial_energy_j,
     )
     specs = []
     for decl in scenario.sources:

@@ -8,6 +8,8 @@ from wsn_multipath.discovery import (
 from wsn_multipath.model import DomainError, UnreachableError, build_topology, validate_path
 from wsn_multipath.scenario import build_scenario
 
+from conftest import crossing_scenario
+
 
 class FakeQueueState:
     def __init__(self, occupancy=None, dead=()):
@@ -53,6 +55,15 @@ def test_complete_graph_enumeration():
         for b in paths:
             if a is not b:
                 assert not (a.interior & b.interior)
+
+
+def test_direct_route_is_found_once():
+    # source 7 is a grid neighbour of sink 3: the one-hop route blocks no
+    # node, so another round would only return it again
+    topo, specs = build_scenario(crossing_scenario(2))
+    assert [p.nodes for p in discover_paths(topo, 7, 3)] == [(7, 3)]
+    assert [p.nodes for p in specs[0].paths] == [(7, 3)]
+    assert len(topo.neighbors(7)) == 4
 
 
 def test_discovery_respects_max_paths(mesh):

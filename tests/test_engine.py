@@ -6,7 +6,13 @@ from wsn_multipath.engine import Engine, LivelockError, SimulationError, run_sce
 from wsn_multipath.experiments import configured
 from wsn_multipath.model import CONTROL_PRIORITY, Packet, RoutingError
 from wsn_multipath.engine import _NodeQueues
-from wsn_multipath.scenario import FaultDecl, RunConfig, Scenario, SourceDecl
+from wsn_multipath.scenario import (
+    FaultDecl,
+    RunConfig,
+    Scenario,
+    SourceDecl,
+    build_scenario,
+)
 
 from conftest import (
     fault_beacon_scenario,
@@ -383,14 +389,31 @@ def test_mid_run_probes_record_contention():
     assert len(history) == 1  # the scheduled probe; the idle start is not sampled
 
 
-def test_link_fault_triggers_retries():
+def _line_link_fault():
     sc = line_scenario(packets=5, hops=2, window=1)
     sc.faults = [FaultDecl(0.05, link=(11, 2))]
     sc.engine = RunConfig(scheme=2, window=1, max_attempts=3,
                           fault_detection="on")
-    metrics = run_scenario(sc)
+    return sc
+
+
+def test_link_fault_triggers_retries():
+    metrics = run_scenario(_line_link_fault())
     assert metrics.retransmissions >= 3
     assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
+
+
+@pytest.mark.parametrize("make", [fault_beacon_scenario, _line_link_fault],
+                         ids=["node-failure-replacement", "link-fault"])
+def test_faulted_run_leaves_the_build_untouched(make):
+    # run state (energy, liveness, spares, down links, rewritten routes)
+    # lives in the engine: the topology and path sets equal a fresh build
+    engine = Engine(make())
+    assert engine.run().detections
+    topology, specs = build_scenario(make())
+    assert engine.topology.links == topology.links
+    assert engine.topology.nodes == topology.nodes
+    assert [s.paths for s in engine.specs] == [s.paths for s in specs]
 
 
 # ------------------------------------------------------------- determinism
@@ -411,30 +434,20 @@ def test_golden_trace_two_packets_one_hop():
     ]
 
 
-def test_node_buffer_size_derives_subqueue_capacity():
-    from wsn_multipath.engine import Engine
-    from wsn_multipath.model import ScenarioError
-    engine = Engine(line_scenario(packets=4, hops=2))
-    interior = engine.topology.nodes[11]   # two neighbors
-    interior.queue_capacity_bits = 6000.0  # 6000 / (2 * 1000 bits) -> 3 packets
-    engine._init_queues()
-    assert engine.queues[11].capacity_pkts == 3
-    interior.queue_capacity_bits = 1500.0  # below one packet per sub-queue
-    with pytest.raises(ScenarioError):
-        engine._init_queues()
-
-
 def test_identical_runs_reproduce_metrics():
+    # a rerun of the same scenario object and a run of one rebuilt from
+    # scratch both reproduce the first run bit for bit
     sc = random_scenario(7)
     sc.engine.record_trace = True
     a = run_scenario(sc)
-    b = run_scenario(random_scenario(7) if False else sc)
-    c = run_scenario(random_scenario(7))
-    c_trace = c.trace  # scenario rebuilt from scratch
-    assert a.trace == b.trace
-    assert a.completion_s == b.completion_s
-    assert a.energy_spent_j == b.energy_spent_j
-    assert a.residual_j == b.residual_j
+    fresh = random_scenario(7)
+    fresh.engine.record_trace = True
+    for other in (run_scenario(sc), run_scenario(fresh)):
+        assert other.trace == a.trace
+        assert other.completion_s == a.completion_s
+        assert other.energy_spent_j == a.energy_spent_j
+        assert other.residual_j == a.residual_j
+    assert a.trace
 
 
 def test_livelock_guard_fires():

@@ -36,8 +36,8 @@ def test_params_path_loss_bounds():
 def test_two_nodes_in_range():
     topo = build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4)
     assert topo.are_adjacent(1, 2)
-    assert topo.nodes[1].neighbor_count == 1
-    assert topo.nodes[2].neighbor_count == 1
+    assert len(topo.neighbors(1)) == 1
+    assert len(topo.neighbors(2)) == 1
 
 
 def test_two_nodes_out_of_range():
@@ -58,9 +58,9 @@ def test_rejects_nonfinite_positions():
 def test_mesh_pinned_neighbor_counts(mesh):
     topo, _ = build_scenario(mesh)
     assert set(topo.neighbors(3)) == {2, 4, 7}
-    assert topo.nodes[3].neighbor_count == 3
+    assert len(topo.neighbors(3)) == 3
     assert set(topo.neighbors(9)) == {5, 6, 8, 11}
-    assert topo.nodes[9].neighbor_count == 4
+    assert len(topo.neighbors(9)) == 4
 
 
 def test_adjacency_symmetric_and_degree_consistent(mesh):
@@ -68,7 +68,7 @@ def test_adjacency_symmetric_and_degree_consistent(mesh):
     for nid in topo.nodes:
         for other in topo.neighbors(nid):
             assert nid in topo.neighbors(other)
-        assert topo.nodes[nid].neighbor_count == len(topo.neighbors(nid))
+        assert len(topo.neighbors(nid)) == sum(nid in link for link in topo.links)
 
 
 def test_validate_path_mesh_routes(mesh):
