@@ -194,8 +194,7 @@ def cmd_run(args) -> int:
         overrides["scheme"] = args.scheme
     if args.packets is not None or overrides:
         scenario = configured(scenario, packets=args.packets, **overrides)
-    engine = Engine(scenario, seed=args.seed)
-    metrics = engine.run()
+    metrics = Engine(scenario).run()
     rows = metrics_rows(metrics)
     out = _out_dir(args) if args.out else None
     if out:

@@ -15,6 +15,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .allocator import AllocationInput, PathParams, scheme_allocation
 from .discovery import ProbeFailedError, choke_probe
@@ -24,14 +25,7 @@ from .metrics import (
     receive_energy_per_bit,
     transmit_energy_per_bit,
 )
-from .model import (
-    CONTROL_PRIORITY,
-    DATA_PRIORITY,
-    Packet,
-    RoutingError,
-    ScenarioError,
-    SourceSpec,
-)
+from .model import Packet, RoutingError, ScenarioError, SourceSpec
 from .scenario import RunConfig, Scenario, build_scenario, scenario_hash
 
 
@@ -89,14 +83,14 @@ _SHARED = "shared"  # the shared FIFO's one key
 
 class _NodeQueues:
     """A node's data buffer as deques keyed by next hop, plus the reserved
-    control queue, which is always served first and never drops.
+    control queue, which is served first and never drops.
 
     The discipline is fixed at construction, and nothing outside this
     class knows which one is in force:
     - fragmented: one sub-queue per neighbor, served round-robin; on
-      overflow the lowest-priority packet loses, ties evicting the newest
-      (largest uid); a hop whose attempts keep failing is blocked until
-      its fault resolves;
+      overflow the newest packet (largest uid), queued or arriving, loses;
+      a hop whose attempts keep failing is blocked until its fault
+      resolves;
     - shared FIFO (the traditional-MAC baseline): one key holding
       ``capacity_pkts`` x neighbors packets, drop-tail. ``blocked`` holds
       hop ids and the shared key is never one, so blocking a hop never
@@ -162,15 +156,10 @@ class _NodeQueues:
             return True, None
         if not self.evicts:
             return False, None
-        # the lowest priority loses, ties the newest (largest uid)
-        rank, at = (pkt.priority, -pkt.uid), None
-        for i, candidate in enumerate(queue):
-            if (candidate.priority, -candidate.uid) < rank:
-                rank, at = (candidate.priority, -candidate.uid), i
-        if at is None:
+        victim = max(queue, key=attrgetter("uid"))
+        if victim.uid < pkt.uid:
             return False, None
-        victim = queue[at]
-        del queue[at]
+        queue.remove(victim)  # packets compare by identity
         queue.append(pkt)
         return True, victim
 
@@ -285,12 +274,11 @@ class RunMetrics:
 
 
 class Engine:
-    def __init__(self, scenario: Scenario, seed: int | None = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.config: RunConfig = scenario.engine
         self.params = scenario.params
-        self.seed = scenario.seed if seed is None else seed
-        self.rng = random.Random(self.seed)
+        self.rng = random.Random(scenario.seed)
         self.topology, self.specs = build_scenario(scenario)
         for fault in scenario.faults:
             if (fault.node not in self.topology.nodes if fault.link is None
@@ -301,7 +289,7 @@ class Engine:
         self.metrics = RunMetrics(
             scenario_name=scenario.name,
             scenario_hash=scenario_hash(scenario),
-            seed=self.seed,
+            seed=scenario.seed,
         )
         self._uid = itertools.count(1)
         self._event_counter = itertools.count()
@@ -312,12 +300,13 @@ class Engine:
         self._busy_time: dict[int, float] = {}
         self._attempts: dict[tuple[int, int], int] = {}
         # run state; the topology and specs are never written. A node is
-        # dead exactly when it has a fault time.
+        # dead exactly when it has a fault time, a link down exactly when
+        # it has a down time.
         self._residual = dict.fromkeys(self.topology.nodes,
                                        self.params.initial_energy_j)
         self._fault_time: dict[int, float] = {}
         self._spares = set(scenario.redundant) & self.topology.nodes.keys()
-        self._down_links: set[tuple[int, int]] = set()
+        self._down_links: dict[tuple[int, int], float] = {}
         self._fault_resolved: set[int] = set()
         # (flow key, node) -> seq of the flow's last packet to arrive there
         self._last_arrival: dict[tuple[tuple[int, int], int], int] = {}
@@ -377,9 +366,11 @@ class Engine:
 
     # ------------------------------------------------------------- primitives
 
-    def _push(self, time: float, rank: int, node: int, kind: str, payload: tuple) -> None:
+    def _push(self, time: float, rank: int, node: int, handler, payload: tuple) -> None:
+        """Schedule `handler(node, *payload)`. The counter makes every
+        entry unique before the handler, so handlers are never compared."""
         heapq.heappush(self._events, (time, rank, node, next(self._event_counter),
-                                      kind, payload))
+                                      handler, payload))
 
     def _trace(self, kind: str, node: int, pkt_uid: int) -> None:
         if self.config.record_trace:
@@ -411,14 +402,17 @@ class Engine:
 
     # -------------------------------------------------------------- injection
 
+    def _may_inject(self, flow: _Flow) -> bool:
+        """The flow has backlog, a live source and an open window."""
+        limit = self.config.window
+        return (flow.backlog > 0 and not flow.abandoned
+                and flow.route[0] not in self._fault_time
+                and (limit is None or flow.outstanding < limit))
+
     def _inject(self, flow: _Flow) -> bool:
-        """Move one backlog packet into the source's first-hop sub-queue."""
-        if flow.backlog <= 0 or flow.abandoned:
-            return False
-        source = flow.route[0]
-        if source in self._fault_time:
-            return False
-        next_hop = flow.route[1]
+        """Move one backlog packet into the source's first-hop sub-queue,
+        or park the flow there if the sub-queue is full or blocked."""
+        source, next_hop = flow.route[0], flow.route[1]
         queues = self.queues[source]
         if not queues.has_space(next_hop):
             parked = self._parked.setdefault((source, queues.key(next_hop)), {})
@@ -426,7 +420,7 @@ class Engine:
             return False
         seq = (flow.next_seq if self.config.replicate
                else next(self._source_seq[flow.key[0]]))
-        pkt = Packet(kind="data", priority=DATA_PRIORITY, source=flow.key[0],
+        pkt = Packet(kind="data", source=flow.key[0],
                      destination=flow.route[-1], flow_key=flow.key, seq=seq,
                      size_bits=self.params.packet_size_bits, uid=next(self._uid),
                      enq_s=self._now)
@@ -441,10 +435,8 @@ class Engine:
         return True
 
     def _fill_source(self, flow: _Flow) -> None:
-        limit = self.config.window
-        while flow.backlog > 0 and (limit is None or flow.outstanding < limit):
-            if not self._inject(flow):
-                break
+        while self._may_inject(flow) and self._inject(flow):
+            pass
 
     def _slot_freed(self, node_id: int, key) -> None:
         """A data packet left sub-queue `key` of `node_id`: refill the
@@ -457,10 +449,11 @@ class Engine:
 
     # ------------------------------------------------------------ packet fate
 
-    def _packet_resolved(self, pkt: Packet, delivered: bool, cause: str) -> None:
+    def _packet_resolved(self, pkt: Packet, fate: str) -> None:
+        """`fate` is "delivered", "overflow" or "fault"."""
         flow = self.flows[pkt.flow_key]
         flow.outstanding -= 1
-        if delivered:
+        if fate == "delivered":
             flow.delivered += 1
             flow.last_delivery_s = self._now
             copy_key = (pkt.source, pkt.seq)
@@ -470,12 +463,20 @@ class Engine:
                 self._first_copy[copy_key] = self._now
         else:
             flow.dropped += 1
-            if cause == "overflow":
+            if fate == "overflow":
                 self.metrics.dropped_overflow += 1
             else:
                 self.metrics.dropped_fault += 1
         self._fill_source(flow)
         self._try_start(flow.route[0])
+
+    def _lose(self, pkt: Packet) -> None:
+        """A frame lost to a fault: a data packet resolves as a fault drop,
+        a beacon is forgotten."""
+        if pkt.kind == "data":
+            self._packet_resolved(pkt, "fault")
+        else:
+            self._beacons.pop(pkt.uid, None)
 
     # ---------------------------------------------------------------- service
 
@@ -502,8 +503,8 @@ class Engine:
         self._busy[node_id] = True
         self._busy_time[node_id] += occupancy
         self._trace("service", node_id, pkt.uid)
-        self._push(self._now + occupancy, _RANK_SERVICE, node_id, "service_end",
-                   (pkt, next_hop))
+        self._push(self._now + occupancy, _RANK_SERVICE, node_id,
+                   self._on_service_end, (pkt, next_hop))
 
     def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int) -> None:
         self._busy[node_id] = False
@@ -511,17 +512,13 @@ class Engine:
         lost = (self.config.loss_prob > 0.0
                 and self.rng.random() < self.config.loss_prob)
         if node_id in self._fault_time:
-            # the transmitter died mid-send; the frame is gone
-            if pkt.kind == "data":
-                self._packet_resolved(pkt, delivered=False, cause="fault")
-            else:
-                self._beacons.pop(pkt.uid, None)
+            self._lose(pkt)  # the transmitter died mid-send
         elif (next_hop in self._fault_time or link.endpoints in self._down_links
               or lost):
             self._on_attempt_failed(node_id, next_hop, pkt)
         else:
             self._push(self._now + link.delay_s, _RANK_ARRIVAL, next_hop,
-                       "arrival", (pkt, node_id))
+                       self._on_arrival, (pkt, node_id))
         self._try_start(node_id)
 
     def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet) -> None:
@@ -543,7 +540,7 @@ class Engine:
         if flow.abandoned:
             # no retry can help it, and a shared FIFO, which blocking never
             # stops, would retry it forever
-            self._packet_resolved(pkt, delivered=False, cause="fault")
+            self._lose(pkt)
         else:
             queues.requeue(pkt, requeue_hop)
             pkt.enq_s = self._now
@@ -551,10 +548,7 @@ class Engine:
     def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
         self._trace("arrival", node_id, pkt.uid)
         if node_id in self._fault_time:
-            if pkt.kind == "data":
-                self._packet_resolved(pkt, delivered=False, cause="fault")
-            else:
-                self._beacons.pop(pkt.uid, None)
+            self._lose(pkt)
             return
         bucket = "rx_data" if pkt.kind == "data" else "rx_control"
         source = pkt.source if pkt.kind == "data" else None
@@ -570,7 +564,7 @@ class Engine:
         self._attempts.pop((sender, node_id), None)  # success resets the counter
         if node_id == flow.route[-1]:
             self._trace("deliver", node_id, pkt.uid)
-            self._packet_resolved(pkt, delivered=True, cause="")
+            self._packet_resolved(pkt, "delivered")
             return
         if self.detection:
             self._arm_receiver_timer(flow, node_id, pkt.seq)
@@ -579,10 +573,10 @@ class Engine:
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if victim is not None:
             self._trace("drop", node_id, victim.uid)
-            self._packet_resolved(victim, delivered=False, cause="overflow")
+            self._packet_resolved(victim, "overflow")
         if not accepted:
             self._trace("drop", node_id, pkt.uid)
-            self._packet_resolved(pkt, delivered=False, cause="overflow")
+            self._packet_resolved(pkt, "overflow")
         else:
             pkt.enq_s = self._now
         self._try_start(node_id)
@@ -595,10 +589,7 @@ class Engine:
         self._fault_time[node_id] = self._now
         self._trace("fault", node_id, 0)
         for pkt in self.queues[node_id].drain():
-            if pkt.kind == "data":
-                self._packet_resolved(pkt, delivered=False, cause="fault")
-            else:
-                self._beacons.pop(pkt.uid, None)
+            self._lose(pkt)
         # data held at a dead source is gone with it
         for flow in self.flows.values():
             if flow.route[0] == node_id and flow.backlog > 0 and not flow.abandoned:
@@ -623,7 +614,7 @@ class Engine:
         cycle = (len(flow.route) - 1) * flow.tau_s if self.config.window else flow.tau_s
         allowance = self.config.max_attempts * flow.tau_s
         self._push(self._now + cycle + allowance, _RANK_TIMER, node_id,
-                   "timer", (flow.key, seq, self._now + cycle))
+                   self._on_timer, (flow.key, seq, self._now + cycle))
 
     def _on_timer(self, node_id: int, flow_key: tuple[int, int], seq: int,
                   expected_s: float) -> None:
@@ -662,7 +653,7 @@ class Engine:
         if not candidates:
             return False  # no third neighbor; the downstream watchdog decides
         target = candidates[0]
-        pkt = Packet(kind="beacon", priority=CONTROL_PRIORITY, source=origin,
+        pkt = Packet(kind="beacon", source=origin,
                      destination=target, flow_key=(origin, -1), seq=0,
                      size_bits=self.config.control_size_bits, uid=next(self._uid))
         self._beacons[pkt.uid] = (suspect, tried)
@@ -678,7 +669,11 @@ class Engine:
         suspect, _tried = self._beacons.pop(pkt.uid)
         if suspect in self._fault_resolved:
             return
-        since_fault = self._now - self._fault_time.get(suspect, self._now)
+        down_s = self._fault_time.get(suspect)
+        if down_s is None:  # the suspect lives, so the link failed
+            down_s = self._down_links.get(
+                (min(pkt.source, suspect), max(pkt.source, suspect)), self._now)
+        since_fault = self._now - down_s
         self.metrics.detections.append({
             "kind": "sender_beacon", "failed": suspect, "detector": pkt.source,
             "time_s": self._now, "latency_s": since_fault,
@@ -734,14 +729,21 @@ class Engine:
         for nid in sorted(self.queues):
             for key, stuck in self.queues[nid].remove_flow(flow.key).items():
                 for pkt in stuck:
-                    self._packet_resolved(pkt, delivered=False, cause="fault")
+                    self._lose(pkt)
                 self._slot_freed(nid, key)
                 self._try_start(nid)
         self.metrics.abandoned.append((flow.key[0], flow.key[1], undeliverable))
 
     # ------------------------------------------------------------------- run
 
-    def _on_probe(self) -> None:
+    def _on_fault(self, node: int, link: tuple[int, int] | None) -> None:
+        """A scheduled fault: `link` goes down, or else `node` fails."""
+        if link is None:
+            self._node_failure(node)
+        else:
+            self._down_links.setdefault((min(link), max(link)), self._now)
+
+    def _on_probe(self, _node: int) -> None:
         view = QueueStateView(self)
         for spec in self.specs:
             for idx, path in enumerate(spec.paths):
@@ -767,37 +769,23 @@ class Engine:
     def _simulate(self) -> None:
         for fault in self.scenario.faults:
             node = fault.node if fault.node is not None else 0
-            self._push(fault.time_s, _RANK_FAULT, node, "fault",
-                       (fault.node, fault.link))
+            self._push(fault.time_s, _RANK_FAULT, node, self._on_fault, (fault.link,))
         for when in self.config.probe_times:
-            self._push(when, _RANK_PROBE, 0, "probe", ())
+            self._push(when, _RANK_PROBE, 0, self._on_probe, ())
         for key in sorted(self.flows):
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
             self._try_start(nid)
         processed = 0
         while self._events:
-            time, _rank, node, _count, kind, payload = heapq.heappop(self._events)
+            time, _rank, node, _count, handler, payload = heapq.heappop(self._events)
             self._now = time
             processed += 1
             if processed > self.config.max_events:
                 raise LivelockError(
                     f"exceeded {self.config.max_events} events at t={time:.6f}s; "
                     f"{sum(f.resolved for f in self.flows.values())} packets resolved")
-            if kind == "service_end":
-                self._on_service_end(node, *payload)
-            elif kind == "arrival":
-                self._on_arrival(node, *payload)
-            elif kind == "timer":
-                self._on_timer(node, *payload)
-            elif kind == "probe":
-                self._on_probe()
-            elif kind == "fault":
-                fail_node, fail_link = payload
-                if fail_node is not None:
-                    self._node_failure(fail_node)
-                else:
-                    self._down_links.add((min(fail_link), max(fail_link)))
+            handler(node, *payload)
         self.metrics.event_count = processed
         self.metrics.final_time_s = self._now
         self._finalize()
@@ -809,11 +797,9 @@ class Engine:
         cannot inject or wait on stranded packets, then those packets."""
         for key in sorted(self.flows):
             flow = self.flows[key]
-            if flow.backlog > 0 and self._inject_possible(flow) and (
-                    self.config.window is None
-                    or flow.outstanding < self.config.window):
-                source, hop = flow.route[0], flow.route[1]
-                queues = self.queues[source]
+            source, hop = flow.route[0], flow.route[1]
+            queues = self.queues[source]
+            if self._may_inject(flow) and not queues.is_blocked(hop):
                 raise SimulationError(
                     f"flow {flow.key} stalled at t={self._now:.9f}s: "
                     f"{flow.backlog} packets of backlog wait on sub-queue "
@@ -822,14 +808,7 @@ class Engine:
             self._discard_backlog(flow)
         for nid in sorted(self.queues):
             for pkt in self.queues[nid].drain():
-                if pkt.kind == "data":
-                    self._packet_resolved(pkt, delivered=False, cause="fault")
-
-    def _inject_possible(self, flow: _Flow) -> bool:
-        source = flow.route[0]
-        return (not flow.abandoned
-                and source not in self._fault_time
-                and not self.queues[source].is_blocked(flow.route[1]))
+                self._lose(pkt)
 
     def _finalize(self) -> None:
         self._sweep_unresolved()
@@ -866,23 +845,19 @@ class Engine:
                     "mean_wait_s": (flow.wait_total_s / flow.wait_hops
                                     if flow.wait_hops else 0.0),
                 }
-        if self.config.replicate:
-            per_source: dict[int, float] = {}
-            for (source, _seq), t in self._first_copy.items():
-                per_source[source] = max(per_source.get(source, 0.0), t)
-            self.metrics.per_source_completion_s = {
-                s.node_id: per_source.get(s.node_id, 0.0) for s in self.specs}
-        else:
-            self.metrics.per_source_completion_s = {
-                s.node_id: max((self.flows[(s.node_id, i)].last_delivery_s
-                                for i in range(len(s.paths))), default=0.0)
-                for s in self.specs}
+        # a source completes when the first copy of its last packet lands;
+        # without replication every delivery is a first copy
+        per_source: dict[int, float] = {}
+        for (source, _seq), t in self._first_copy.items():
+            per_source[source] = max(per_source.get(source, 0.0), t)
+        self.metrics.per_source_completion_s = {
+            s.node_id: per_source.get(s.node_id, 0.0) for s in self.specs}
         self.metrics.completion_s = max(
             self.metrics.per_source_completion_s.values(), default=0.0)
 
 
-def run_scenario(scenario: Scenario, seed: int | None = None) -> RunMetrics:
-    return Engine(scenario, seed=seed).run()
+def run_scenario(scenario: Scenario) -> RunMetrics:
+    return Engine(scenario).run()
 
 
 __all__ = [

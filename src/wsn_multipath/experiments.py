@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import RunMetrics, run_scenario
-from .scenario import RunConfig, Scenario, scenario_hash
+from .scenario import Scenario, scenario_hash
 
 FRAMEWORKS = ("traditional", "equal", "strategic")
 
@@ -37,37 +37,6 @@ def _framework_config(name: str) -> dict:
     if name == "strategic":
         return {"replicate": False, "fragmented": True, "scheme": 3}
     raise ValueError(f"unknown framework {name!r}")
-
-
-@dataclass
-class ExperimentSpec:
-    """A named, reproducible suite invocation: which scenario, which suite,
-    which traffic volumes, and one seed per repetition."""
-
-    name: str
-    scenario: Scenario
-    suite: str                      # schemes | frameworks
-    packet_counts: list[int] = field(default_factory=lambda: [100, 200])
-    seeds: list[int] = field(default_factory=lambda: [1])
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.suite not in ("schemes", "frameworks"):
-            raise ValueError(f"unknown suite {self.suite!r}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("repetition seeds must be distinct")
-
-    def run(self) -> list["Report"]:
-        reports = []
-        for seed in self.seeds:
-            cell = dataclasses.replace(self.scenario, seed=seed)
-            if self.suite == "schemes":
-                reports.append(run_scheme_comparison(
-                    cell, self.packet_counts, jobs=self.jobs))
-            else:
-                reports.append(run_multisource_frameworks(
-                    cell, self.packet_counts, jobs=self.jobs))
-        return reports
 
 
 @dataclass
@@ -285,7 +254,7 @@ def write_plot_data(report: Report, out_dir: str) -> list[str]:
 
 
 __all__ = [
-    "FRAMEWORKS", "ExperimentSpec", "Report", "configured", "metrics_rows",
+    "FRAMEWORKS", "Report", "configured", "metrics_rows",
     "render_rows", "run_multisource_frameworks", "run_scheme_comparison",
     "write_plot_data", "write_rows_csv",
 ]

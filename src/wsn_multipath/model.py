@@ -49,10 +49,6 @@ class ScenarioError(ValueError):
     """A scenario file or its contents are invalid."""
 
 
-CONTROL_PRIORITY = 255
-DATA_PRIORITY = 1
-
-
 @dataclass(frozen=True)
 class NetworkParams:
     """Global radio, energy and timing constants.
@@ -127,14 +123,6 @@ class SourceSpec:
     paths: list[PathInfo] = field(default_factory=list)
     source_sink_dist_m: float = 0.0
 
-    @property
-    def h_avg(self) -> float:
-        return sum(p.hops for p in self.paths) / len(self.paths)
-
-    @property
-    def tau_avg(self) -> float:
-        return sum(p.tau_s for p in self.paths) / len(self.paths)
-
     def check_locally_disjoint(self) -> None:
         """Paths of one source may share only their endpoints."""
         for i, a in enumerate(self.paths):
@@ -152,7 +140,6 @@ class Packet:
     route; the engine moves it by updating `hop` and `enq_s` in place."""
 
     kind: str                   # data | beacon
-    priority: int
     source: int
     destination: int
     flow_key: tuple[int, int]   # (source id, path index)
@@ -161,10 +148,6 @@ class Packet:
     uid: int = 0                # global injection order; larger = newer
     hop: int = 0                # route index of the node holding the packet
     enq_s: float = 0.0          # when it last entered a sub-queue
-
-    def __post_init__(self):
-        if self.kind != "data" and self.priority != CONTROL_PRIORITY:
-            raise DomainError("control packets must carry the maximum priority")
 
 
 class Topology:
@@ -299,7 +282,6 @@ def annotate_source(topology: Topology, spec: SourceSpec, sink: int,
 
 
 __all__ = [
-    "CONTROL_PRIORITY", "DATA_PRIORITY",
     "ConnectivityError", "DomainError", "DuplicateNodeError",
     "InvalidPathError", "Link", "NetworkParams", "Node", "Packet",
     "PathInfo", "RangeExceededError", "RoutingError", "ScenarioError",

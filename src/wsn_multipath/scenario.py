@@ -69,6 +69,14 @@ class RunConfig:
             raise ScenarioError("max_attempts must be >= 1")
         if self.window is not None and self.window < 1:
             raise ScenarioError("window must be >= 1 or null")
+        if self.queue_packets_per_subqueue < 1:
+            raise ScenarioError("queue_packets_per_subqueue must be >= 1")
+        if self.fault_detection not in ("auto", "on", "off"):
+            raise ScenarioError(f"unknown fault detection {self.fault_detection!r}")
+        if not 0.0 <= self.loss_prob <= 1.0:
+            raise ScenarioError(f"loss_prob must lie in [0, 1], got {self.loss_prob!r}")
+        if self.max_events < 1:
+            raise ScenarioError("max_events must be >= 1")
 
 
 @dataclass

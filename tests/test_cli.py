@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import pytest
+import yaml
 
 from wsn_multipath.cli import main
 from wsn_multipath.engine import Engine
@@ -228,6 +229,21 @@ def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):
     path = tmp_path / "bad-fault.yaml"
     save_scenario(sc, str(path))
     assert main(["run", "--scenario", str(path)]) == 2
+    assert "scenario error" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("queue_packets_per_subqueue", 0), ("queue_packets_per_subqueue", -3),
+    ("fault_detection", "maybe"), ("loss_prob", -0.1), ("loss_prob", 1.5),
+    ("max_events", 0),
+])
+def test_out_of_range_run_config_is_scenario_error(mesh_file, field, value, capsys):
+    with open(mesh_file) as fh:
+        data = yaml.safe_load(fh)
+    data["engine"][field] = value
+    with open(mesh_file, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main(["run", "--scenario", mesh_file]) == 2
     assert "scenario error" in capsys.readouterr().err.lower()
 
 

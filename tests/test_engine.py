@@ -4,7 +4,7 @@ import pytest
 
 from wsn_multipath.engine import Engine, LivelockError, SimulationError, run_scenario
 from wsn_multipath.experiments import configured
-from wsn_multipath.model import CONTROL_PRIORITY, Packet, RoutingError
+from wsn_multipath.model import Packet, RoutingError
 from wsn_multipath.engine import _NodeQueues
 from wsn_multipath.scenario import (
     FaultDecl,
@@ -24,10 +24,8 @@ from conftest import (
 )
 
 
-def _pkt(uid, priority=1, kind="data", seq=0):
-    return Packet(kind=kind,
-                  priority=CONTROL_PRIORITY if kind != "data" else priority,
-                  source=1, destination=2, flow_key=(1, 0), seq=seq,
+def _pkt(uid, kind="data", seq=0):
+    return Packet(kind=kind, source=1, destination=2, flow_key=(1, 0), seq=seq,
                   size_bits=1000.0, uid=uid)
 
 
@@ -44,19 +42,13 @@ def test_enqueue_empty_accepts():
     assert accepted and victim is None
 
 
-def test_enqueue_drops_lowest_priority_arrival():
+def test_enqueue_older_arrival_evicts_newest_incumbent():
     q = _NodeQueues(owner=1, neighbors=(2,), capacity_pkts=2, fragmented=True)
-    q.enqueue_data(_pkt(1, priority=5), 2)
-    q.enqueue_data(_pkt(2, priority=5), 2)
-    accepted, victim = q.enqueue_data(_pkt(3, priority=1), 2)
-    assert not accepted and victim is None
-
-
-def test_enqueue_evicts_lower_priority_incumbent():
-    q = _NodeQueues(owner=1, neighbors=(2,), capacity_pkts=1, fragmented=True)
-    q.enqueue_data(_pkt(1, priority=1), 2)
-    accepted, victim = q.enqueue_data(_pkt(2, priority=5), 2)
-    assert accepted and victim.uid == 1
+    q.enqueue_data(_pkt(3), 2)
+    q.enqueue_data(_pkt(5), 2)
+    accepted, victim = q.enqueue_data(_pkt(4), 2)
+    assert accepted and victim.uid == 5
+    assert [_served(q).uid for _ in range(2)] == [3, 4]
 
 
 def test_enqueue_tie_drops_newest():
@@ -115,8 +107,8 @@ def test_shared_fifo_drops_tail_at_combined_capacity():
     for uid, hop in ((1, 2), (2, 3), (3, 2), (4, 2)):
         assert q.enqueue_data(_pkt(uid), hop) == (True, None)
     assert not q.has_space(3)
-    # full: even a higher-priority arrival is dropped, nothing is evicted
-    assert q.enqueue_data(_pkt(5, priority=9), 3) == (False, None)
+    # full: even an older arrival is dropped, nothing is evicted
+    assert q.enqueue_data(_pkt(0), 3) == (False, None)
     assert [p.uid for p in iter(lambda: _served(q), None)] == [1, 2, 3, 4]
 
 
@@ -401,6 +393,10 @@ def test_link_fault_triggers_retries():
     metrics = run_scenario(_line_link_fault())
     assert metrics.retransmissions >= 3
     assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
+    # the sender's beacon finds the link down since 0.05 s
+    [found] = metrics.detections
+    assert found["kind"] == "sender_beacon" and found["time_s"] == pytest.approx(0.12128)
+    assert found["latency_s"] == found["since_fault_s"] == pytest.approx(0.07128)
 
 
 @pytest.mark.parametrize("make", [fault_beacon_scenario, _line_link_fault],

@@ -1,7 +1,5 @@
 import math
 
-import pytest
-
 from wsn_multipath.experiments import (
     Report,
     configured,
@@ -93,23 +91,3 @@ def test_report_text_includes_checks(fan):
     report = run_scheme_comparison(fan, [20])
     text = report.to_text()
     assert "[PASS]" in text or "[FAIL]" in text
-
-
-def test_experiment_spec_repetitions(fan):
-    from wsn_multipath.experiments import ExperimentSpec
-    spec = ExperimentSpec(name="fan-schemes", scenario=fan, suite="schemes",
-                          packet_counts=[15], seeds=[3, 4])
-    reports = spec.run()
-    assert [r.seed for r in reports] == [3, 4]
-    rerun = ExperimentSpec(name="fan-schemes", scenario=fan, suite="schemes",
-                           packet_counts=[15], seeds=[3, 4]).run()
-    for a, b in zip(reports, rerun):
-        assert a.rows == b.rows
-
-
-def test_experiment_spec_validation(fan):
-    from wsn_multipath.experiments import ExperimentSpec
-    with pytest.raises(ValueError):
-        ExperimentSpec(name="x", scenario=fan, suite="nope")
-    with pytest.raises(ValueError):
-        ExperimentSpec(name="x", scenario=fan, suite="schemes", seeds=[1, 1])

@@ -17,8 +17,8 @@ import pytest
 
 from wsn_multipath.cli import main
 from wsn_multipath.engine import run_scenario
-from wsn_multipath.experiments import metrics_rows, render_rows
-from wsn_multipath.scenario import FaultDecl, RunConfig
+from wsn_multipath.experiments import configured, metrics_rows, render_rows
+from wsn_multipath.scenario import FaultDecl, RunConfig, load_scenario
 
 from conftest import fault_beacon_scenario, fault_timer_scenario, line_scenario
 
@@ -83,7 +83,20 @@ FAULT_DIGESTS = {
     ("fault-timer", False):
         "bf2a5da02c66f767ed3f0f568125f5c90fa192fe75ce3146f811054c89887f3e",
     ("line-link-fault", True):
-        "e3196d0c50ce525e6cd400089182d4dc0f2fc3e41d9ffa9db5a2f9af9be125bf",
+        "8d5a973245271ec971bfe4d0ef34b560fdbf0a9911bbd81ad25949dddac73d9b",
+}
+
+# (mesh, fragmented): the shipped meshes at D=2000 with no window, so
+# sub-queues overflow and the fragmented discipline evicts
+PIPELINED_DIGESTS = {
+    ("three-source-mesh", False):
+        "e745d5b13f32d093b102dd9af88ca2cb404f649df4c32d29827766018d92c280",
+    ("three-source-mesh", True):
+        "69ec660dcd42dd80863b48c8024f758e2a7056bc19b22ca17aef73c3e9a6745e",
+    ("three-source-mesh-sim", False):
+        "12e5802917aa56020420be39398cb97f2b3c0a4eb90e8e2503aab7d1039dbe58",
+    ("three-source-mesh-sim", True):
+        "fc1ea62303f145c775da5084fa9a547dde56af3028ba819fef2f9ab5519f776f",
 }
 
 
@@ -157,3 +170,19 @@ def fault_output(name: str, fragmented: bool) -> str:
 @pytest.mark.parametrize("name,fragmented", sorted(FAULT_DIGESTS))
 def test_fault_runs_match_golden(name, fragmented):
     assert fault_output(name, fragmented) == FAULT_DIGESTS[(name, fragmented)]
+
+
+def pipelined_output(name: str, fragmented: bool) -> str:
+    """Digest of a traced pipelined mesh run: its trace, its report rows
+    and every node's residual energy."""
+    scenario = configured(load_scenario(_scenario(name)), packets=2000,
+                          window=None, fragmented=fragmented, record_trace=True)
+    metrics = run_scenario(scenario)
+    text = "\n".join([*metrics.trace, render_rows(metrics_rows(metrics), "csv"),
+                      repr(sorted(metrics.residual_j.items()))])
+    return _sha(text.encode())
+
+
+@pytest.mark.parametrize("name,fragmented", sorted(PIPELINED_DIGESTS))
+def test_pipelined_runs_match_golden(name, fragmented):
+    assert pipelined_output(name, fragmented) == PIPELINED_DIGESTS[(name, fragmented)]

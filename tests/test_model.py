@@ -109,22 +109,6 @@ def test_source_spec_disjointness_check(mesh):
         bad.check_locally_disjoint()
 
 
-def test_source_spec_averages(mesh):
-    _, specs = build_scenario(mesh)
-    spec = {s.node_id: s for s in specs}[3]
-    assert spec.h_avg == pytest.approx(14 / 3)
-    assert spec.tau_avg == pytest.approx(0.02)
-
-
-def test_control_packets_must_carry_max_priority():
-    from wsn_multipath.model import CONTROL_PRIORITY, Packet
-    Packet(kind="hello", priority=CONTROL_PRIORITY, source=1, destination=2,
-           flow_key=(1, 0), seq=0, size_bits=64.0)
-    with pytest.raises(DomainError):
-        Packet(kind="hello", priority=1, source=1, destination=2,
-               flow_key=(1, 0), seq=0, size_bits=64.0)
-
-
 def test_link_overrides_apply():
     topo = build_topology({1: (0, 0), 2: (10, 0)}, radio_range_m=12.0,
                           link_overrides={(1, 2): (25000.0, 0.002)})
