@@ -854,6 +854,20 @@ class Engine:
             s.node_id: per_source.get(s.node_id, 0.0) for s in self.specs}
         self.metrics.completion_s = max(
             self.metrics.per_source_completion_s.values(), default=0.0)
+        self._check_energy_ledger()
+
+    def _check_energy_ledger(self) -> None:
+        """Every joule spent sits in one bucket and came out of one node."""
+        m = self.metrics
+        spent = m.energy_spent_j
+        buckets = sum(m.energy_breakdown_j.values())
+        if abs(buckets - spent) > 1e-9 * abs(spent):
+            raise SimulationError(
+                f"energy buckets sum to {buckets!r} J but {spent!r} J were spent")
+        drained = sum(m.initial_j[n] - m.residual_j[n] for n in m.initial_j)
+        if abs(drained - spent) > 1e-6 * abs(spent):
+            raise SimulationError(
+                f"nodes were drained of {drained!r} J but {spent!r} J were spent")
 
 
 def run_scenario(scenario: Scenario) -> RunMetrics:

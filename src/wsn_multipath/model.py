@@ -196,6 +196,37 @@ class Topology:
         return seen
 
 
+def _pairs_in_range(positions: dict[int, tuple[float, float]],
+                    radio_range_m: float) -> list[tuple[int, int]]:
+    """Every pair (a, b), a < b, within radio range, in ascending order.
+
+    Fixed-radius near-neighbour grid (Bentley, Stanat & Williams, 1977):
+    nodes are bucketed into square cells and a node is tested only against
+    its own cell and the 8 around it. The cells are a hair wider than the
+    range, by a margin that grows with the largest coordinate, so that the
+    rounding of ``x / width`` can never put an in-range pair two cells apart.
+    """
+    extent = max((max(abs(x), abs(y)) for x, y in positions.values()), default=0.0)
+    width = radio_range_m * (1.0 + 2.0 ** -40 * max(1.0, extent / radio_range_m))
+    cells: dict[tuple[int, int], list[int]] = {}
+    for nid, (x, y) in positions.items():
+        cells.setdefault((math.floor(x / width), math.floor(y / width)), []).append(nid)
+    hypot = math.hypot
+    pairs = []
+    for (cx, cy), members in cells.items():
+        near = [nid for dx in (-1, 0, 1) for dy in (-1, 0, 1)
+                for nid in cells.get((cx + dx, cy + dy), ())]
+        for a in members:
+            ax, ay = positions[a]
+            for b in near:
+                if a < b:
+                    bx, by = positions[b]
+                    if hypot(ax - bx, ay - by) <= radio_range_m:
+                        pairs.append((a, b))
+    pairs.sort()
+    return pairs
+
+
 def build_topology(positions: dict[int, tuple[float, float]],
                    radio_range_m: float,
                    link_speed_bps: float = 50000.0,
@@ -205,10 +236,11 @@ def build_topology(positions: dict[int, tuple[float, float]],
                    sink: int | None = None) -> Topology:
     """Build the adjacency containing exactly the node pairs within radio range.
 
-    Raises ConnectivityError naming the offending source if the sink is
-    declared and unreachable from any declared source.
+    `links` holds them in ascending (low id, high id) order. Raises
+    ConnectivityError naming the offending source if the sink is declared
+    and unreachable from any declared source.
     """
-    if radio_range_m <= 0:
+    if not radio_range_m > 0:
         raise DomainError("radio range must be positive")
     for nid, (x, y) in positions.items():
         if not (math.isfinite(x) and math.isfinite(y)):
@@ -217,14 +249,9 @@ def build_topology(positions: dict[int, tuple[float, float]],
              for nid, (x, y) in positions.items()}
     overrides = link_overrides or {}
     links: dict[tuple[int, int], Link] = {}
-    ids = sorted(positions)
-    for i, a in enumerate(ids):
-        ax, ay = positions[a]
-        for b in ids[i + 1:]:
-            bx, by = positions[b]
-            if math.hypot(ax - bx, ay - by) <= radio_range_m:
-                speed, delay = overrides.get((a, b), (link_speed_bps, link_delay_s))
-                links[(a, b)] = Link((a, b), speed, delay)
+    for a, b in _pairs_in_range(positions, radio_range_m):
+        speed, delay = overrides.get((a, b), (link_speed_bps, link_delay_s))
+        links[(a, b)] = Link((a, b), speed, delay)
     topo = Topology(nodes, radio_range_m, links)
     if sink is not None:
         for src in sources:

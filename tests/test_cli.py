@@ -236,6 +236,11 @@ def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):
     ("queue_packets_per_subqueue", 0), ("queue_packets_per_subqueue", -3),
     ("fault_detection", "maybe"), ("loss_prob", -0.1), ("loss_prob", 1.5),
     ("max_events", 0),
+    ("control_size_bits", -64), ("control_size_bits", 0),
+    ("tx_power_w", -1e-3), ("rx_power_w", -1e-3), ("idle_power_w", -1e-3),
+    ("probe_times", [0.5, -0.1]),
+    ("queue_packets_per_subqueue", 1.5), ("queue_packets_per_subqueue", True),
+    ("window", 1.5), ("window", True), ("max_attempts", 2.5),
 ])
 def test_out_of_range_run_config_is_scenario_error(mesh_file, field, value, capsys):
     with open(mesh_file) as fh:
@@ -245,6 +250,21 @@ def test_out_of_range_run_config_is_scenario_error(mesh_file, field, value, caps
         yaml.safe_dump(data, fh)
     assert main(["run", "--scenario", mesh_file]) == 2
     assert "scenario error" in capsys.readouterr().err.lower()
+
+
+def test_unparseable_scenario_is_scenario_error(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("name: broken\nnodes: [1, 2\n")
+    assert main(["run", "--scenario", str(bad)]) == 2
+    assert "scenario error" in capsys.readouterr().err.lower()
+
+
+def test_gen_topology_nonpositive_radius_is_scenario_error(tmp_path, capsys):
+    out = tmp_path / "none.yaml"
+    assert main(["gen-topology", "--count", "10", "--area", "100",
+                 "--radius", "0", "--seed", "1", "--out", str(out)]) == 2
+    assert "scenario error" in capsys.readouterr().err.lower()
+    assert not out.exists()
 
 
 def test_console_entry_point():

@@ -469,6 +469,30 @@ def test_stall_at_quiescence_names_flow_and_subqueue(mesh):
         _NoWakeEngine(sc).run()
 
 
+class _LeakyEngine(Engine):
+    """An engine that books one joule in a bucket, or takes one from a
+    node, without spending it, just before the run is finalized."""
+
+    def __init__(self, scenario, leak):
+        super().__init__(scenario)
+        self._leak = leak
+
+    def _sweep_unresolved(self):
+        super()._sweep_unresolved()
+        if self._leak == "bucket":
+            self.metrics.energy_breakdown_j["tx_data"] += 1.0
+        else:
+            self._residual[1] -= 1.0
+
+
+@pytest.mark.parametrize("leak,match", [
+    ("bucket", "energy buckets sum to"), ("residual", "nodes were drained of")])
+def test_unbalanced_energy_ledger_is_simulation_error(leak, match):
+    sc = line_scenario(packets=5, hops=2, window=1)
+    with pytest.raises(SimulationError, match=match):
+        _LeakyEngine(sc, leak).run()
+
+
 def test_random_loss_retries_and_stays_deterministic():
     sc = line_scenario(packets=10, hops=3, window=1)
     sc.engine = RunConfig(scheme=2, window=1, loss_prob=0.2,

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wsn_multipath.model import (
     ConnectivityError,
     DomainError,
     DuplicateNodeError,
     InvalidPathError,
+    Link,
     NetworkParams,
     SourceSpec,
     build_topology,
@@ -53,6 +55,66 @@ def test_two_nodes_out_of_range():
 def test_rejects_nonfinite_positions():
     with pytest.raises(DomainError):
         build_topology({1: (0, 0), 2: (math.nan, 0)}, radio_range_m=2.4)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_rejects_nonpositive_radius(radius):
+    with pytest.raises(DomainError):
+        build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=radius)
+
+
+def _all_pairs_links(positions, radio_range_m, overrides):
+    """The reference build: test every pair, in ascending (a, b) order."""
+    links = {}
+    ids = sorted(positions)
+    for i, a in enumerate(ids):
+        ax, ay = positions[a]
+        for b in ids[i + 1:]:
+            bx, by = positions[b]
+            if math.hypot(ax - bx, ay - by) <= radio_range_m:
+                speed, delay = overrides.get((a, b), (50000.0, 0.0))
+                links[(a, b)] = Link((a, b), speed, delay)
+    return links
+
+
+@st.composite
+def _deployments(draw):
+    radius = draw(st.sampled_from([30.0, 0.1, 1 / 3]))
+    coordinate = st.one_of(
+        st.floats(-4 * radius, 4 * radius, allow_nan=False),
+        st.integers(-4, 4).map(lambda k: k * radius),   # lattice on the radius
+        st.floats(-1e-12, 1e-12, allow_nan=False),      # either side of 0
+    )
+    ids = draw(st.lists(st.integers(0, 300), max_size=40, unique=True))
+    positions = {nid: (draw(coordinate), draw(coordinate)) for nid in ids}
+    # partners exactly one radius away along an axis
+    for nid in draw(st.lists(st.sampled_from(ids), max_size=5, unique=True)
+                    if ids else st.just([])):
+        x, y = positions[nid]
+        dx, dy = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        positions[1000 + nid] = (x + dx * radius, y + dy * radius)
+    pairs = [(a, b) for a in sorted(positions) for b in sorted(positions) if a < b]
+    overrides = {}
+    if pairs:
+        for pair in draw(st.lists(st.sampled_from(pairs), max_size=6)):
+            overrides[pair] = (draw(st.sampled_from([25000.0, 1e6])),
+                               draw(st.sampled_from([0.0, 0.003])))
+    return positions, radius, overrides
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_deployments())
+# in range, yet in cells -1 and 1 if the cells were exactly 30 wide
+@example(({1: (-1e-15, 0.0), 2: (30.0, 0.0)}, 30.0, {}))
+@example(({1: (0.3, 0.0), 2: (0.4, 0.0), 3: (0.2, 0.1)}, 0.1, {(1, 3): (1e6, 0.0)}))
+def test_grid_build_equals_all_pairs_build(deployment):
+    positions, radius, overrides = deployment
+    topo = build_topology(positions, radius, link_overrides=overrides)
+    expected = _all_pairs_links(positions, radius, overrides)
+    assert list(topo.links.items()) == list(expected.items())
+    for nid in positions:
+        assert topo.neighbors(nid) == tuple(sorted(
+            b if a == nid else a for a, b in expected if nid in (a, b)))
 
 
 def test_mesh_pinned_neighbor_counts(mesh):

@@ -1,8 +1,13 @@
+import importlib.util
 import math
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+import yaml
 
+from wsn_multipath import scenario as scenario_module
 from wsn_multipath.model import ScenarioError
 from wsn_multipath.scenario import (
     FaultDecl,
@@ -21,6 +26,8 @@ from wsn_multipath.scenarios import (
     three_source_mesh_sim,
     write_all,
 )
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
 
 MESH_EDGES = {
     (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 7), (7, 8), (8, 9), (6, 9),
@@ -136,3 +143,34 @@ def test_generate_random_scenario_connectivity_flag():
     assert connected
     _, sparse = generate_random_scenario(40, 500.0, 2.4, seed=3)
     assert not sparse
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeDumper"), reason="PyYAML without libyaml")
+@pytest.mark.parametrize("sort_keys", [True, False])
+def test_libyaml_dump_equals_pure_python_dump(sort_keys):
+    # scenario_hash digests this text and save_scenario writes it, so the
+    # hashes and files must not depend on whether libyaml is installed
+    documents = [load_scenario(str(p)).to_dict() for p in SHIPPED]
+    documents.append(generate_random_scenario(2000, 760.0, 30.0, seed=11)[0].to_dict())
+    for doc in documents:
+        assert (yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=sort_keys)
+                == yaml.safe_dump(doc, sort_keys=sort_keys))
+
+
+def test_pure_python_yaml_fallback(monkeypatch, tmp_path):
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    name = "wsn_multipath._scenario_without_libyaml"
+    spec = importlib.util.spec_from_file_location(name, scenario_module.__file__)
+    pure = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, pure)
+    spec.loader.exec_module(pure)
+    assert (pure._Loader, pure._Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
+    assert [p.name for p in SHIPPED] == sorted(f"{b}.yaml" for b in BUILTIN)
+    for path in SHIPPED:
+        native, fallback = load_scenario(str(path)), pure.load_scenario(str(path))
+        assert fallback.to_dict() == native.to_dict()
+        assert pure.scenario_hash(fallback) == scenario_hash(native)
+        copy = tmp_path / path.name
+        pure.save_scenario(fallback, str(copy))
+        assert copy.read_text() == path.read_text()
