@@ -173,12 +173,12 @@ class _NodeQueues:
         persists."""
         if self.control:
             return self.control.popleft(), None
-        order = self.order
-        if len(order) > 1 and self.cursor in self.data:  # one key: no rotation
-            i = order.index(self.cursor) + 1
-            order = order[i:] + order[:i]
-        for key in order:
-            queue = self.data[key]
+        order, data = self.order, self.data
+        n = len(order)
+        start = order.index(self.cursor) + 1 if n > 1 and self.cursor in data else 0
+        for i in range(start, start + n):
+            key = order[i % n]
+            queue = data[key]
             if queue and key not in self.blocked:
                 self.cursor = key
                 return queue.popleft(), key
@@ -299,6 +299,12 @@ class Engine:
         self._busy: dict[int, bool] = {}
         self._busy_time: dict[int, float] = {}
         self._attempts: dict[tuple[int, int], int] = {}
+        self._tracing = self.config.record_trace
+        self._rx_per_bit = receive_energy_per_bit(self.params)
+        # (sender, receiver) -> (link, per-bit transmit energy or None in
+        # per_packet mode), filled by the hop's first frame; nothing writes
+        # the topology, so an entry never goes stale
+        self._hops: dict[tuple[int, int], tuple] = {}
         # run state; the topology and specs are never written. A node is
         # dead exactly when it has a fault time, a link down exactly when
         # it has a down time.
@@ -378,27 +384,24 @@ class Engine:
 
     def _debit(self, node_id: int, joules: float, bucket: str,
                source: int | None = None) -> None:
-        self._residual[node_id] -= joules
-        self.metrics.energy_spent_j += joules
-        self.metrics.energy_breakdown_j[bucket] += joules
+        residual, metrics = self._residual, self.metrics
+        residual[node_id] -= joules
+        metrics.energy_spent_j += joules
+        metrics.energy_breakdown_j[bucket] += joules
         if source is not None:
-            self.metrics.per_source_comm_j[source] = (
-                self.metrics.per_source_comm_j.get(source, 0.0) + joules)
-        if self._residual[node_id] < 0:
+            metrics.per_source_comm_j[source] += joules
+        if residual[node_id] < 0:
             self._node_failure(node_id)
 
-    def _tx_energy(self, sender: int, receiver: int, size_bits: float) -> float:
-        link = self.topology.link(sender, receiver)
-        if self.config.energy_mode == "per_packet":
-            return self.config.tx_power_w * (size_bits / link.speed_bps)
-        dist = self.topology.distance(sender, receiver)
-        return transmit_energy_per_bit(self.params, dist) * size_bits
-
-    def _rx_energy(self, sender: int, receiver: int, size_bits: float) -> float:
-        if self.config.energy_mode == "per_packet":
+    def _hop(self, sender: int, receiver: int) -> tuple:
+        hop = self._hops.get((sender, receiver))
+        if hop is None:
             link = self.topology.link(sender, receiver)
-            return self.config.rx_power_w * (size_bits / link.speed_bps)
-        return receive_energy_per_bit(self.params) * size_bits
+            hop = self._hops[(sender, receiver)] = (
+                link, None if self.config.energy_mode == "per_packet"
+                else transmit_energy_per_bit(
+                    self.params, self.topology.distance(sender, receiver)))
+        return hop
 
     # -------------------------------------------------------------- injection
 
@@ -431,7 +434,8 @@ class Engine:
             raise SimulationError(
                 f"node {source}: sub-queue {queues.key(next_hop)} reported space "
                 f"but did not take packet {pkt.uid} of flow {flow.key} cleanly")
-        self._trace("inject", source, pkt.uid)
+        if self._tracing:
+            self._trace("inject", source, pkt.uid)
         return True
 
     def _fill_source(self, flow: _Flow) -> None:
@@ -491,24 +495,26 @@ class Engine:
             next_hop = flow.route[pkt.hop + 1]
             flow.wait_total_s += self._now - pkt.enq_s
             flow.wait_hops += 1
-            self._slot_freed(node_id, key)
+            if self._parked:
+                self._slot_freed(node_id, key)
         else:
             next_hop = pkt.destination
-        link = self.topology.link(node_id, next_hop)
+        link, tx_per_bit = self._hop(node_id, next_hop)
         occupancy = pkt.size_bits / link.speed_bps
         bucket = "tx_data" if pkt.kind == "data" else "tx_control"
         source = pkt.source if pkt.kind == "data" else None
-        self._debit(node_id, self._tx_energy(node_id, next_hop, pkt.size_bits),
-                    bucket, source)
+        self._debit(node_id, self.config.tx_power_w * occupancy if tx_per_bit is None
+                    else tx_per_bit * pkt.size_bits, bucket, source)
         self._busy[node_id] = True
         self._busy_time[node_id] += occupancy
-        self._trace("service", node_id, pkt.uid)
+        if self._tracing:
+            self._trace("service", node_id, pkt.uid)
         self._push(self._now + occupancy, _RANK_SERVICE, node_id,
                    self._on_service_end, (pkt, next_hop))
 
     def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int) -> None:
         self._busy[node_id] = False
-        link = self.topology.link(node_id, next_hop)
+        link = self._hops[(node_id, next_hop)][0]
         lost = (self.config.loss_prob > 0.0
                 and self.rng.random() < self.config.loss_prob)
         if node_id in self._fault_time:
@@ -546,16 +552,18 @@ class Engine:
             pkt.enq_s = self._now
 
     def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
-        self._trace("arrival", node_id, pkt.uid)
+        if self._tracing:
+            self._trace("arrival", node_id, pkt.uid)
         if node_id in self._fault_time:
             self._lose(pkt)
             return
+        link, tx_per_bit = self._hops[(sender, node_id)]
+        occupancy = pkt.size_bits / link.speed_bps
         bucket = "rx_data" if pkt.kind == "data" else "rx_control"
         source = pkt.source if pkt.kind == "data" else None
-        self._debit(node_id, self._rx_energy(sender, node_id, pkt.size_bits),
-                    bucket, source)
-        self._busy_time[node_id] += pkt.size_bits / self.topology.link(
-            sender, node_id).speed_bps
+        self._debit(node_id, self.config.rx_power_w * occupancy if tx_per_bit is None
+                    else self._rx_per_bit * pkt.size_bits, bucket, source)
+        self._busy_time[node_id] += occupancy
         if pkt.kind != "data":
             self._on_beacon_arrived(pkt)
             return
@@ -563,7 +571,8 @@ class Engine:
         pkt.hop += 1
         self._attempts.pop((sender, node_id), None)  # success resets the counter
         if node_id == flow.route[-1]:
-            self._trace("deliver", node_id, pkt.uid)
+            if self._tracing:
+                self._trace("deliver", node_id, pkt.uid)
             self._packet_resolved(pkt, "delivered")
             return
         if self.detection:
@@ -776,14 +785,15 @@ class Engine:
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
             self._try_start(nid)
+        events, pop, cap = self._events, heapq.heappop, self.config.max_events
         processed = 0
-        while self._events:
-            time, _rank, node, _count, handler, payload = heapq.heappop(self._events)
+        while events:
+            time, _rank, node, _count, handler, payload = pop(events)
             self._now = time
             processed += 1
-            if processed > self.config.max_events:
+            if processed > cap:
                 raise LivelockError(
-                    f"exceeded {self.config.max_events} events at t={time:.6f}s; "
+                    f"exceeded {cap} events at t={time:.6f}s; "
                     f"{sum(f.resolved for f in self.flows.values())} packets resolved")
             handler(node, *payload)
         self.metrics.event_count = processed

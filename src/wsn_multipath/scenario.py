@@ -48,6 +48,8 @@ class FaultDecl:
     def __post_init__(self):
         if (self.node is None) == (self.link is None):
             raise ScenarioError("a fault names exactly one of node or link")
+        if not (math.isfinite(self.time_s) and self.time_s >= 0):
+            raise ScenarioError(f"fault time must be finite and >= 0, got {self.time_s!r}")
 
 
 @dataclass
@@ -226,7 +228,8 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
     """Materialize the topology and each source's annotated path set.
 
     Explicit path lists are validated against the topology; sources without
-    one get discovered interior-disjoint paths.
+    one get discovered interior-disjoint paths. Two nodes may not share a
+    position: no energy model covers a hop of zero length.
     """
     topo = build_topology(
         scenario.positions,
@@ -237,6 +240,11 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
         sources=tuple(s.id for s in scenario.sources),
         sink=scenario.sink,
     )
+    first_at: dict[tuple[float, float], int] = {}
+    for nid, node in topo.nodes.items():
+        other = first_at.setdefault(node.position, nid)
+        if other != nid:
+            raise ScenarioError(f"nodes {other} and {nid} share position {node.position}")
     specs = []
     for decl in scenario.sources:
         if decl.paths:

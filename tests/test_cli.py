@@ -8,7 +8,8 @@ import yaml
 from wsn_multipath.cli import main
 from wsn_multipath.engine import Engine
 from wsn_multipath.experiments import configured
-from wsn_multipath.scenario import FaultDecl, save_scenario
+from wsn_multipath.model import NetworkParams
+from wsn_multipath.scenario import FaultDecl, Scenario, SourceDecl, save_scenario
 from wsn_multipath.scenarios import three_source_mesh, five_path_fan
 
 
@@ -230,6 +231,33 @@ def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):
     save_scenario(sc, str(path))
     assert main(["run", "--scenario", str(path)]) == 2
     assert "scenario error" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("time_s", [-1.0, float("nan")])
+def test_fault_time_out_of_range_is_scenario_error(tmp_path, time_s, capsys):
+    sc = three_source_mesh(packets=20)
+    sc.faults = [FaultDecl(1.0, node=8)]
+    path = tmp_path / "fault-time.yaml"
+    save_scenario(sc, str(path))
+    with open(path) as fh:
+        data = yaml.safe_load(fh)
+    data["faults"][0]["time"] = time_s
+    with open(path, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err.lower()
+    assert "scenario error" in err and "fault time" in err
+
+
+def test_colocated_nodes_are_scenario_error(tmp_path, capsys):
+    path = tmp_path / "colocated.yaml"
+    save_scenario(Scenario(
+        name="colocated", params=NetworkParams(),
+        positions={1: (0.0, 0.0), 2: (0.0, 0.0), 3: (20.0, 0.0)}, sink=3,
+        sources=[SourceDecl(1, 5, paths=[[1, 2, 3]])]), str(path))
+    assert main(["run", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "nodes 1 and 2" in err
 
 
 @pytest.mark.parametrize("field,value", [

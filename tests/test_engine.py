@@ -101,6 +101,34 @@ def test_cursor_persists_across_calls():
     assert [_served(q).uid for _ in range(3)] == [3, 4, 5]
 
 
+def test_retarget_moves_key_and_cursor_to_substitute():
+    q = _NodeQueues(owner=1, neighbors=(2, 3, 4, 5), capacity_pkts=5, fragmented=True)
+    assert q.retarget(3, 5) == 3  # an idle neighbor's key leaves the order
+    assert q.order == [2, 4, 5]
+    p1, p2, p3, p4, p5 = (_pkt(uid) for uid in range(1, 6))
+    for pkt, hop in ((p1, 2), (p2, 4), (p3, 4)):
+        q.enqueue_data(pkt, hop)
+    assert [_served(q) for _ in range(2)] == [p1, p2]  # cursor at 4
+    q.block(4)
+    assert q.retarget(4, 3) == 4
+    assert q.order == [2, 3, 5] and q.cursor == 3 and not q.blocked
+    q.enqueue_data(p4, 2)
+    q.enqueue_data(p5, 5)
+    # service resumes after the substitute and reaches its backlog last
+    assert [_served(q) for _ in range(4)] == [p5, p4, p3, None]
+
+
+def test_dispatch_skips_blocked_key_on_wrap_around():
+    q = _NodeQueues(owner=1, neighbors=(2, 3, 4), capacity_pkts=5, fragmented=True)
+    pkts = [_pkt(uid) for uid in range(1, 6)]
+    for pkt, hop in zip(pkts, (2, 3, 4, 2, 3)):
+        q.enqueue_data(pkt, hop)
+    assert [_served(q) for _ in range(3)] == pkts[:3]  # cursor at 4
+    q.block(2)
+    assert [_served(q) for _ in range(2)] == [pkts[4], None]
+    assert list(q.data[2]) == [pkts[3]]
+
+
 def test_shared_fifo_drops_tail_at_combined_capacity():
     # the traditional baseline: one queue holding capacity x neighbors
     q = _NodeQueues(owner=1, neighbors=(2, 3), capacity_pkts=2, fragmented=False)

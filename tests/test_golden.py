@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 digests of what the CLI writes for the shipped
-scenarios, and of traced runs of the fault-recovery fixtures.
+scenarios, and of traced runs of the fault-recovery fixtures, the
+pipelined meshes and the engine modes no shipped scenario runs.
 
 The ROADMAP rule is that the shipped scenarios' outputs stay bit-identical
 from one change to the next. A rerun test only compares two runs of the
@@ -18,7 +19,12 @@ import pytest
 from wsn_multipath.cli import main
 from wsn_multipath.engine import run_scenario
 from wsn_multipath.experiments import configured, metrics_rows, render_rows
-from wsn_multipath.scenario import FaultDecl, RunConfig, load_scenario
+from wsn_multipath.scenario import (
+    FaultDecl,
+    RunConfig,
+    build_scenario,
+    load_scenario,
+)
 
 from conftest import fault_beacon_scenario, fault_timer_scenario, line_scenario
 
@@ -97,6 +103,20 @@ PIPELINED_DIGESTS = {
         "12e5802917aa56020420be39398cb97f2b3c0a4eb90e8e2503aab7d1039dbe58",
     ("three-source-mesh-sim", True):
         "fc1ea62303f145c775da5084fa9a547dde56af3028ba819fef2f9ab5519f776f",
+}
+
+# engine modes no shipped scenario runs: per-packet energy with idle
+# drain, links of differing speed and delay, and lossy links that force
+# retries and beacons under detection
+MODE_DIGESTS = {
+    "heterogeneous-links":
+        "56d1a90a20c27c48907047629495ecf26115bbb2b0aaa5db0536ef7f701df5ca",
+    "lossy-beacon":
+        "cbaab570abb4466fed29a24d1083d38271b3fa879ce11568a7b46a2ec8e23c89",
+    "lossy-mesh":
+        "4382e589069cdd07e59524959444cbb3cbbfa1262bf849e8b864b03463a938fe",
+    "per-packet-idle":
+        "4a0a9c99c01580d3861c7515c7d68e9126686f9d02dbe604ff917363ecd63e12",
 }
 
 
@@ -186,3 +206,43 @@ def pipelined_output(name: str, fragmented: bool) -> str:
 @pytest.mark.parametrize("name,fragmented", sorted(PIPELINED_DIGESTS))
 def test_pipelined_runs_match_golden(name, fragmented):
     assert pipelined_output(name, fragmented) == PIPELINED_DIGESTS[(name, fragmented)]
+
+
+def _heterogeneous_mesh(**overrides):
+    """The pipelined `three-source-mesh-sim` at 200 packets per source,
+    every link with one of four speeds and one of three delays."""
+    scenario = configured(load_scenario(_scenario("three-source-mesh-sim")),
+                          packets=200, window=None, record_trace=True, **overrides)
+    topology, _specs = build_scenario(scenario)
+    scenario.link_overrides = {
+        (a, b): (20000.0 + 10000.0 * ((a + b) % 4), 1e-4 * ((a * b) % 3))
+        for a, b in topology.links}
+    return scenario
+
+
+def _mode_scenario(name: str):
+    if name == "heterogeneous-links":
+        return _heterogeneous_mesh()
+    if name == "per-packet-idle":
+        return _heterogeneous_mesh(energy_mode="per_packet", include_idle=True)
+    if name == "lossy-beacon":
+        base, sizing = fault_beacon_scenario(packets=40), {}
+    else:
+        base = load_scenario(_scenario("three-source-mesh-sim"))
+        sizing = {"packets": 100, "window": None, "max_attempts": 3}
+    return configured(base, loss_prob=0.2, fault_detection="on",
+                      record_trace=True, **sizing)
+
+
+def mode_output(name: str) -> str:
+    """Digest of a traced run in one engine mode: its trace, its report
+    rows and every node's residual energy."""
+    metrics = run_scenario(_mode_scenario(name))
+    text = "\n".join([*metrics.trace, render_rows(metrics_rows(metrics), "csv"),
+                      repr(sorted(metrics.residual_j.items()))])
+    return _sha(text.encode())
+
+
+@pytest.mark.parametrize("name", sorted(MODE_DIGESTS))
+def test_engine_mode_runs_match_golden(name):
+    assert mode_output(name) == MODE_DIGESTS[name]
