@@ -78,20 +78,22 @@ def discover_paths(topology: Topology, source: int, sink: int,
     return found
 
 
-def choke_probe(queue_state, path: PathInfo, threshold: float = 0.5) -> int:
+def choke_probe(occupancy: dict[int, float], path: PathInfo,
+                threshold: float = 0.5) -> int:
     """Count of nodes along the path whose aggregate queue occupancy
     exceeds `threshold`.
 
     The probe visits every node after the probing source, sink included:
-    `hops` nodes, so the count lies in [0, hops]. `queue_state` must expose
-    ``occupancy(node_id) -> float`` and ``is_alive(node_id) -> bool``.
+    `hops` nodes, so the count lies in [0, hops]. `occupancy` maps each
+    live node to its fill over capacity; a node missing from it has failed.
     """
     count = 0
     for node in path.nodes[1:]:
-        if not queue_state.is_alive(node):
+        fill = occupancy.get(node)
+        if fill is None:
             raise ProbeFailedError(
                 f"node {node} on path {path.nodes} has failed")
-        if queue_state.occupancy(node) > threshold:
+        if fill > threshold:
             count += 1
     return count
 

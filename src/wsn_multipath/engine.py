@@ -140,6 +140,9 @@ class _NodeQueues:
     def block(self, hop: int) -> None:
         self.blocked.add(hop)
 
+    def unblock(self, hop: int) -> None:
+        self.blocked.discard(hop)
+
     def has_space(self, hop: int) -> bool:
         key = self.key(hop)
         return (key not in self.blocked
@@ -220,19 +223,6 @@ class _NodeQueues:
         return packets
 
 
-class QueueStateView:
-    """Read-only view the choke probe walks."""
-
-    def __init__(self, engine: "Engine"):
-        self._engine = engine
-
-    def occupancy(self, node_id: int) -> float:
-        return self._engine.queues[node_id].occupancy()
-
-    def is_alive(self, node_id: int) -> bool:
-        return node_id not in self._engine._fault_time
-
-
 @dataclass
 class RunMetrics:
     scenario_name: str
@@ -285,7 +275,9 @@ class Engine:
                     else not self.topology.are_adjacent(*fault.link)):
                 raise ScenarioError(
                     f"fault at t={fault.time_s}s names no node or link of the topology")
-        self.detection = self._detection_enabled()
+        self.detection = (self.config.fault_detection == "on"
+                          or (self.config.fault_detection == "auto"
+                              and bool(scenario.faults)))
         self.metrics = RunMetrics(
             scenario_name=scenario.name,
             scenario_hash=scenario_hash(scenario),
@@ -333,13 +325,6 @@ class Engine:
 
     # ------------------------------------------------------------------ setup
 
-    def _detection_enabled(self) -> bool:
-        if self.config.fault_detection == "on":
-            return True
-        if self.config.fault_detection == "off":
-            return False
-        return bool(self.scenario.faults)
-
     def _init_queues(self) -> None:
         for nid in self.topology.nodes:
             self.queues[nid] = _NodeQueues(nid, self.topology.neighbors(nid),
@@ -379,7 +364,7 @@ class Engine:
                                       handler, payload))
 
     def _trace(self, kind: str, node: int, pkt_uid: int) -> None:
-        if self.config.record_trace:
+        if self._tracing:
             self.metrics.trace.append(f"{self._now:.9f},{kind},{node},{pkt_uid}")
 
     def _debit(self, node_id: int, joules: float, bucket: str,
@@ -530,7 +515,8 @@ class Engine:
     def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet) -> None:
         self.metrics.retransmissions += 1
         if pkt.kind != "data":
-            self._retry_beacon(pkt)
+            suspect, tried = self._beacons.pop(pkt.uid)
+            self._send_beacon(node_id, suspect, tried | {pkt.destination})
             return
         key = (node_id, next_hop)
         self._attempts[key] = self._attempts.get(key, 0) + 1
@@ -539,13 +525,18 @@ class Engine:
         # the route's current next hop may already be a replacement node
         # rather than the hop just attempted
         requeue_hop = flow.route[pkt.hop + 1]
-        if (requeue_hop == next_hop
-                and self._attempts[key] >= self.config.max_attempts):
+        spent = (requeue_hop == next_hop
+                 and self._attempts[key] >= self.config.max_attempts)
+        if spent:
             queues.block(next_hop)
-            self._start_sender_check(node_id, next_hop)
-        if flow.abandoned:
-            # no retry can help it, and a shared FIFO, which blocking never
-            # stops, would retry it forever
+            if self.detection and next_hop not in self._fault_resolved:
+                # self-check: a beacon to a third neighbor that arrives
+                # clears this node, and the fault record judges the suspect
+                self._send_beacon(node_id, next_hop, tried=set())
+        if flow.abandoned or (spent and not queues.is_blocked(next_hop)):
+            # no retry can help an abandoned flow; and a frame at its hop's
+            # retry limit that no block holds (a shared FIFO is never
+            # blocked) is dropped, as MAC 802.11 drops it, not retried forever
             self._lose(pkt)
         else:
             queues.requeue(pkt, requeue_hop)
@@ -570,7 +561,9 @@ class Engine:
         flow = self.flows[pkt.flow_key]
         pkt.hop += 1
         self._attempts.pop((sender, node_id), None)  # success resets the counter
-        if node_id == flow.route[-1]:
+        # the last hop delivers, by position: after a link fault into the
+        # sink, a spare may hold the route's end while this packet flew on
+        if pkt.hop == len(flow.route) - 1:
             if self._tracing:
                 self._trace("deliver", node_id, pkt.uid)
             self._packet_resolved(pkt, "delivered")
@@ -601,7 +594,7 @@ class Engine:
             self._lose(pkt)
         # data held at a dead source is gone with it
         for flow in self.flows.values():
-            if flow.route[0] == node_id and flow.backlog > 0 and not flow.abandoned:
+            if flow.route[0] == node_id:
                 self._discard_backlog(flow)
 
     def _discard_backlog(self, flow: _Flow) -> None:
@@ -613,8 +606,6 @@ class Engine:
         self.metrics.dropped_fault += lost
 
     def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int) -> None:
-        if flow.route.index(node_id) < 1:
-            return
         self._last_arrival[(flow.key, node_id)] = seq
         if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
@@ -639,28 +630,16 @@ class Engine:
         except ValueError:
             return
         upstream = flow.route[pos - 1]
-        if upstream in self._fault_resolved or upstream not in self._fault_time:
-            return
-        self.metrics.detections.append({
-            "kind": "receiver_timer", "failed": upstream, "detector": node_id,
-            "time_s": self._now, "latency_s": self._now - expected_s,
-            "since_fault_s": self._now - self._fault_time[upstream],
-        })
-        self._resolve_fault(detector=node_id, failed=upstream)
+        if upstream in self._fault_time:
+            self._detect("receiver_timer", node_id, upstream,
+                         self._fault_time[upstream], expected_s)
 
-    def _start_sender_check(self, node_id: int, suspect: int) -> None:
-        """Self-check: transmit a beacon to a third neighbor. Success means
-        the suspect hop (node or link) is at fault and this node resolves."""
-        if suspect in self._fault_resolved or not self.detection:
-            return
-        self._send_beacon(node_id, suspect, tried=set())
-
-    def _send_beacon(self, origin: int, suspect: int, tried: set[int]) -> bool:
+    def _send_beacon(self, origin: int, suspect: int, tried: set[int]) -> None:
         candidates = [n for n in self.topology.neighbors(origin)
                       if n != suspect and n not in tried
                       and n not in self._fault_time]
         if not candidates:
-            return False  # no third neighbor; the downstream watchdog decides
+            return  # no third neighbor; the downstream watchdog decides
         target = candidates[0]
         pkt = Packet(kind="beacon", source=origin,
                      destination=target, flow_key=(origin, -1), seq=0,
@@ -668,27 +647,23 @@ class Engine:
         self._beacons[pkt.uid] = (suspect, tried)
         self.queues[origin].enqueue_control(pkt)
         self._try_start(origin)
-        return True
-
-    def _retry_beacon(self, pkt: Packet) -> None:
-        suspect, tried = self._beacons.pop(pkt.uid)
-        self._send_beacon(pkt.source, suspect, tried | {pkt.destination})
 
     def _on_beacon_arrived(self, pkt: Packet) -> None:
+        origin = pkt.source
         suspect, _tried = self._beacons.pop(pkt.uid)
-        if suspect in self._fault_resolved:
+        # the suspect node failed, or else the link to it did
+        down_s = self._fault_time.get(suspect, self._down_links.get(
+            (min(origin, suspect), max(origin, suspect))))
+        if down_s is not None:
+            self._detect("sender_beacon", origin, suspect, down_s, down_s)
             return
-        down_s = self._fault_time.get(suspect)
-        if down_s is None:  # the suspect lives, so the link failed
-            down_s = self._down_links.get(
-                (min(pkt.source, suspect), max(pkt.source, suspect)), self._now)
-        since_fault = self._now - down_s
-        self.metrics.detections.append({
-            "kind": "sender_beacon", "failed": suspect, "detector": pkt.source,
-            "time_s": self._now, "latency_s": since_fault,
-            "since_fault_s": since_fault,
-        })
-        self._resolve_fault(detector=pkt.source, failed=suspect)
+        # a false alarm: random losses made a live hop look dead, so the
+        # origin lifts its block and counts the hop's attempts anew
+        queues = self.queues[origin]
+        queues.unblock(suspect)
+        self._attempts.pop((origin, suspect), None)
+        self._slot_freed(origin, queues.key(suspect))
+        self._try_start(origin)
 
     def _nearest_redundant(self, detector: int) -> int | None:
         live = [(self.topology.distance(detector, nid), nid)
@@ -702,10 +677,20 @@ class Engine:
         return all(other is None or self.topology.are_adjacent(other, substitute)
                    for other in (before, after))
 
-    def _resolve_fault(self, detector: int, failed: int) -> None:
+    def _detect(self, kind: str, detector: int, failed: int, down_s: float,
+                expected_s: float) -> None:
+        """`detector` finds `failed` down since `down_s`, where it expected
+        to hear from it by `expected_s`. The first detection of a fault
+        records it and recovers: the nearest spare replaces the failed node
+        if it fits every affected flow, or else those flows are abandoned."""
         if failed in self._fault_resolved:
             return
         self._fault_resolved.add(failed)
+        self.metrics.detections.append({
+            "kind": kind, "failed": failed, "detector": detector,
+            "time_s": self._now, "latency_s": self._now - expected_s,
+            "since_fault_s": self._now - down_s,
+        })
         affected = [f for f in self.flows.values()
                     if failed in f.route and not f.finished and not f.abandoned]
         substitute = self._nearest_redundant(detector)
@@ -753,11 +738,12 @@ class Engine:
             self._down_links.setdefault((min(link), max(link)), self._now)
 
     def _on_probe(self, _node: int) -> None:
-        view = QueueStateView(self)
+        occupancy = {nid: queues.occupancy() for nid, queues in self.queues.items()
+                     if nid not in self._fault_time}
         for spec in self.specs:
             for idx, path in enumerate(spec.paths):
                 try:
-                    count = choke_probe(view, path)
+                    count = choke_probe(occupancy, path)
                 except ProbeFailedError:
                     continue  # stale route; skip this sample
                 self.metrics.contention_history.setdefault(
@@ -875,7 +861,9 @@ class Engine:
             raise SimulationError(
                 f"energy buckets sum to {buckets!r} J but {spent!r} J were spent")
         drained = sum(m.initial_j[n] - m.residual_j[n] for n in m.initial_j)
-        if abs(drained - spent) > 1e-6 * abs(spent):
+        # each debit rounds a residual at the scale of its initial energy,
+        # so a run that spends little misses the relative bound alone
+        if abs(drained - spent) > 1e-6 * abs(spent) + 1e-12 * sum(m.initial_j.values()):
             raise SimulationError(
                 f"nodes were drained of {drained!r} J but {spent!r} J were spent")
 
@@ -885,6 +873,5 @@ def run_scenario(scenario: Scenario) -> RunMetrics:
 
 
 __all__ = [
-    "Engine", "LivelockError", "QueueStateView", "RunMetrics",
-    "SimulationError", "run_scenario",
+    "Engine", "LivelockError", "RunMetrics", "SimulationError", "run_scenario",
 ]

@@ -347,18 +347,54 @@ def test_sender_failure_receiver_timer_detection():
     assert timer[0]["latency_s"] <= 10 * tau + 1e-9
 
 
-def test_undetected_link_fault_strands_and_conserves():
-    # the relay's downstream link dies and nothing detects it: the packet
-    # parked at the relay and the source's remaining backlog count as
-    # fault drops at quiescence, and no packet is left in flight
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_undetected_link_fault_strands_and_conserves(fragmented):
+    # the relay's downstream link dies and nothing detects it. A fragmented
+    # relay blocks the hop, and the packet parked there and the source's
+    # remaining backlog count as fault drops at quiescence; a shared FIFO,
+    # which no block stops, drops each frame at the hop's retry limit.
+    # Either way no packet is left in flight.
     sc = line_scenario(packets=5, hops=2, window=1)
     sc.faults = [FaultDecl(0.05, link=(11, 2))]
-    sc.engine = RunConfig(scheme=2, window=1, max_attempts=3, fault_detection="off")
+    sc.engine = RunConfig(scheme=2, window=1, max_attempts=3, fault_detection="off",
+                          fragmented=fragmented, max_events=10_000)
     engine = Engine(sc)
     metrics = engine.run()
     assert metrics.total_delivered == 1
     assert metrics.dropped_fault == 4
     assert all(f.backlog == f.outstanding == 0 for f in engine.flows.values())
+
+
+def test_lossy_live_hop_is_a_false_alarm(mesh_sim):
+    # random losses make a relay block its live hop to the sink; its beacon
+    # arrives, but no fault is on record, so the relay lifts the block and
+    # tries again instead of abandoning every flow through the sink
+    sc = configured(mesh_sim, packets=100, window=None, max_attempts=3,
+                    loss_prob=0.2, fault_detection="on")
+    metrics = run_scenario(sc)
+    assert metrics.retransmissions > 0
+    assert not [d for d in metrics.detections if d["failed"] == mesh_sim.sink]
+    assert metrics.abandoned == []
+    assert (metrics.total_delivered + metrics.total_dropped
+            == metrics.total_injected == 300)
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_dead_source_loses_its_backlog_as_fault_drops(mesh, fragmented):
+    # source 1 dies at 0.5 s with most of its quota not yet injected: that
+    # backlog dies with it as fault drops, so when the watchdog detects the
+    # failure, only the flows of sources 3 and 10 through node 1 remain to
+    # abandon
+    sc = configured(mesh, fragmented=fragmented)
+    sc.faults = [FaultDecl(0.5, node=1)]
+    engine = Engine(sc)
+    metrics = engine.run()
+    assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
+    assert (metrics.total_delivered, metrics.dropped_fault) == (174, 126)
+    assert [source for source, _idx, _lost in metrics.abandoned] == [3, 10]
+    own = [f for f in engine.flows.values() if f.key[0] == 1]
+    assert all(f.backlog == f.outstanding == 0 for f in own)
+    assert sum(f.dropped for f in own) == 100 - sum(f.delivered for f in own) > 0
 
 
 def test_no_redundant_node_abandons_path():

@@ -83,7 +83,7 @@ FAULT_DIGESTS = {
     ("fault-beacon", True):
         "803015e0bafbf2aa3d8d11c5a7963446ce029ecf7403bd6e54d4cee611c7374b",
     ("fault-beacon", False):
-        "c5d1e5a98a83c0969aa7bd7c1c5bb33fb9b9e52c2960c2da9f7b83b6be62c767",
+        "ee8a6cf4accda34348c6e1da875a91cec44f5725480655c45203ac73ae82a261",
     ("fault-timer", True):
         "3d6d662090b624d54637d01d80606ad1be131a759d0c8dd27a37956fe12599ea",
     ("fault-timer", False):
@@ -114,7 +114,7 @@ MODE_DIGESTS = {
     "lossy-beacon":
         "cbaab570abb4466fed29a24d1083d38271b3fa879ce11568a7b46a2ec8e23c89",
     "lossy-mesh":
-        "4382e589069cdd07e59524959444cbb3cbbfa1262bf849e8b864b03463a938fe",
+        "1966185d6b83696304ff4a29c383a33575b0db4bb9c4b2e6c9f258e850e5ac77",
     "per-packet-idle":
         "4a0a9c99c01580d3861c7515c7d68e9126686f9d02dbe604ff917363ecd63e12",
 }
