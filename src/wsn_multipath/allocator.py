@@ -152,9 +152,7 @@ def scheme_allocation(scheme: int, inp: AllocationInput) -> Allocation:
         return Allocation(quotas=quotas, raw_quotas=[float(q) for q in quotas],
                           exceeds_bound=[False] * n)
     if scheme == SCHEME_STRATEGIC:
-        if any(p.contention for p in inp.paths):
-            return allocate_multi_source(inp)
-        return allocate_single_source(inp)
+        return allocate_multi_source(inp)
     raise DomainError(f"unknown scheme {scheme!r}; expected 1, 2 or 3")
 
 

@@ -72,8 +72,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--scheme", type=int, choices=(1, 2, 3), default=None)
     p.add_argument("--source", type=int, default=None,
                    help="restrict output to one source")
-    p.add_argument("--choke", action="store_true",
-                   help="probe contention after a warmup run before allocating")
 
     p = sub.add_parser("run", help="simulate one scenario")
     common(p)
@@ -151,17 +149,11 @@ def cmd_allocate(args) -> int:
                               packets=args.packets,
                               **({"scheme": args.scheme} if args.scheme else {}))
     topology, specs = build_scenario(scenario)
-    contention: dict[tuple[int, int], int] = {}
-    if args.choke:
-        # probe mid-run: a first pass finds the completion time, a second
-        # pass samples queue occupancy halfway through the transfer
-        first = Engine(scenario).run()
-        if first.completion_s > 0.0:
-            probing = configured(scenario)
-            probing.engine.probe_times = [first.completion_s / 2.0]
-            warm = Engine(probing).run()
-            for key, history in warm.contention_history.items():
-                contention[key] = history[-1]
+    # the scenario's own probes, if it declares any, discount each route
+    # by the last count they recorded
+    contention = ({key: history[-1] for key, history
+                   in Engine(scenario).run().contention_history.items()}
+                  if scenario.engine.probe_times else {})
     rows = []
     for spec in specs:
         if args.source is not None and spec.node_id != args.source:

@@ -4,6 +4,8 @@ contention probing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from .model import (
     DomainError,
     PathInfo,
@@ -78,21 +80,20 @@ def discover_paths(topology: Topology, source: int, sink: int,
     return found
 
 
-def choke_probe(occupancy: dict[int, float], path: PathInfo,
+def choke_probe(occupancy: dict[int, float], route: Sequence[int],
                 threshold: float = 0.5) -> int:
-    """Count of nodes along the path whose aggregate queue occupancy
-    exceeds `threshold`.
+    """Count of nodes along `route`, a node sequence, whose aggregate
+    queue occupancy exceeds `threshold`.
 
     The probe visits every node after the probing source, sink included:
-    `hops` nodes, so the count lies in [0, hops]. `occupancy` maps each
+    one per hop, so the count lies in [0, hops]. `occupancy` maps each
     live node to its fill over capacity; a node missing from it has failed.
     """
     count = 0
-    for node in path.nodes[1:]:
+    for node in route[1:]:
         fill = occupancy.get(node)
         if fill is None:
-            raise ProbeFailedError(
-                f"node {node} on path {path.nodes} has failed")
+            raise ProbeFailedError(f"node {node} on route {route} has failed")
         if fill > threshold:
             count += 1
     return count

@@ -30,8 +30,8 @@ from .scenario import RunConfig, Scenario, build_scenario, scenario_hash
 
 
 class SimulationError(RuntimeError):
-    """The engine reached a state its invariants forbid: a flow stalled
-    with injectable backlog, or a handler failed mid-run."""
+    """The engine reached a state its invariants forbid: a flow left
+    unfinished at quiescence, or a handler failed mid-run."""
 
 
 class LivelockError(SimulationError):
@@ -89,8 +89,8 @@ class _NodeQueues:
     class knows which one is in force:
     - fragmented: one sub-queue per neighbor, served round-robin; on
       overflow the newest packet (largest uid), queued or arriving, loses;
-      a hop whose attempts keep failing is blocked until its fault
-      resolves;
+      a hop whose attempts keep failing is blocked while its self-check
+      beacon is out;
     - shared FIFO (the traditional-MAC baseline): one key holding
       ``capacity_pkts`` x neighbors packets, drop-tail. ``blocked`` holds
       hop ids and the shared key is never one, so blocking a hop never
@@ -461,11 +461,12 @@ class Engine:
 
     def _lose(self, pkt: Packet) -> None:
         """A frame lost to a fault: a data packet resolves as a fault drop,
-        a beacon is forgotten."""
+        a beacon ends its origin's self-check."""
         if pkt.kind == "data":
             self._packet_resolved(pkt, "fault")
         else:
-            self._beacons.pop(pkt.uid, None)
+            suspect, _tried = self._beacons.pop(pkt.uid)
+            self._end_self_check(pkt.source, suspect)
 
     # ---------------------------------------------------------------- service
 
@@ -516,7 +517,8 @@ class Engine:
         self.metrics.retransmissions += 1
         if pkt.kind != "data":
             suspect, tried = self._beacons.pop(pkt.uid)
-            self._send_beacon(node_id, suspect, tried | {pkt.destination})
+            if not self._send_beacon(node_id, suspect, tried | {pkt.destination}):
+                self._end_self_check(node_id, suspect)
             return
         key = (node_id, next_hop)
         self._attempts[key] = self._attempts.get(key, 0) + 1
@@ -527,12 +529,9 @@ class Engine:
         requeue_hop = flow.route[pkt.hop + 1]
         spent = (requeue_hop == next_hop
                  and self._attempts[key] >= self.config.max_attempts)
-        if spent:
+        if spent and self._send_beacon(node_id, next_hop, tried=set()):
+            # the hop stays blocked while its self-check beacon is out
             queues.block(next_hop)
-            if self.detection and next_hop not in self._fault_resolved:
-                # self-check: a beacon to a third neighbor that arrives
-                # clears this node, and the fault record judges the suspect
-                self._send_beacon(node_id, next_hop, tried=set())
         if flow.abandoned or (spent and not queues.is_blocked(next_hop)):
             # no retry can help an abandoned flow; and a frame at its hop's
             # retry limit that no block holds (a shared FIFO is never
@@ -634,12 +633,18 @@ class Engine:
             self._detect("receiver_timer", node_id, upstream,
                          self._fault_time[upstream], expected_s)
 
-    def _send_beacon(self, origin: int, suspect: int, tried: set[int]) -> None:
+    def _send_beacon(self, origin: int, suspect: int, tried: set[int]) -> bool:
+        """Self-check: a beacon to a third neighbor that arrives clears the
+        origin, and the fault record judges the suspect. Returns whether
+        one went out; none does with detection off, for a suspect already
+        resolved, or with no live untried neighbor left."""
+        if not self.detection or suspect in self._fault_resolved:
+            return False
         candidates = [n for n in self.topology.neighbors(origin)
                       if n != suspect and n not in tried
                       and n not in self._fault_time]
         if not candidates:
-            return  # no third neighbor; the downstream watchdog decides
+            return False
         target = candidates[0]
         pkt = Packet(kind="beacon", source=origin,
                      destination=target, flow_key=(origin, -1), seq=0,
@@ -647,6 +652,7 @@ class Engine:
         self._beacons[pkt.uid] = (suspect, tried)
         self.queues[origin].enqueue_control(pkt)
         self._try_start(origin)
+        return True
 
     def _on_beacon_arrived(self, pkt: Packet) -> None:
         origin = pkt.source
@@ -656,9 +662,12 @@ class Engine:
             (min(origin, suspect), max(origin, suspect))))
         if down_s is not None:
             self._detect("sender_beacon", origin, suspect, down_s, down_s)
-            return
-        # a false alarm: random losses made a live hop look dead, so the
-        # origin lifts its block and counts the hop's attempts anew
+        # else a false alarm: random losses made a live hop look dead
+        self._end_self_check(origin, suspect)
+
+    def _end_self_check(self, origin: int, suspect: int) -> None:
+        """The origin's self-check of `suspect` is over: it lifts its
+        block, counts the hop's attempts anew and wakes its parked flows."""
         queues = self.queues[origin]
         queues.unblock(suspect)
         self._attempts.pop((origin, suspect), None)
@@ -740,14 +749,14 @@ class Engine:
     def _on_probe(self, _node: int) -> None:
         occupancy = {nid: queues.occupancy() for nid, queues in self.queues.items()
                      if nid not in self._fault_time}
-        for spec in self.specs:
-            for idx, path in enumerate(spec.paths):
-                try:
-                    count = choke_probe(occupancy, path)
-                except ProbeFailedError:
-                    continue  # stale route; skip this sample
-                self.metrics.contention_history.setdefault(
-                    (spec.node_id, idx), []).append(count)
+        for key, flow in self.flows.items():
+            if flow.abandoned:
+                continue
+            try:
+                count = choke_probe(occupancy, flow.route)
+            except ProbeFailedError:
+                continue  # a failed node not yet replaced; skip this sample
+            self.metrics.contention_history.setdefault(key, []).append(count)
 
     def run(self) -> RunMetrics:
         """Simulate to quiescence. Whatever fails on the way is the
@@ -787,24 +796,17 @@ class Engine:
         self._finalize()
 
     def _sweep_unresolved(self) -> None:
-        """At quiescence, fail on a flow that could still inject. Otherwise
-        account for traffic stranded by unrecovered faults, so that
-        injected = delivered + dropped holds: the backlog of flows that
-        cannot inject or wait on stranded packets, then those packets."""
+        """At quiescence every injected packet is delivered or dropped and
+        every backlog discarded; a flow that has not finished is stalled."""
         for key in sorted(self.flows):
             flow = self.flows[key]
-            source, hop = flow.route[0], flow.route[1]
-            queues = self.queues[source]
-            if self._may_inject(flow) and not queues.is_blocked(hop):
+            if not flow.finished:
+                source, hop = flow.route[0], flow.route[1]
                 raise SimulationError(
                     f"flow {flow.key} stalled at t={self._now:.9f}s: "
-                    f"{flow.backlog} packets of backlog wait on sub-queue "
-                    f"{queues.key(hop)} of node {source} and nothing is left "
-                    f"to wake them")
-            self._discard_backlog(flow)
-        for nid in sorted(self.queues):
-            for pkt in self.queues[nid].drain():
-                self._lose(pkt)
+                    f"{flow.backlog} packets of backlog and {flow.outstanding} "
+                    f"in flight wait on sub-queue {self.queues[source].key(hop)} "
+                    f"of node {source} and nothing is left to wake them")
 
     def _finalize(self) -> None:
         self._sweep_unresolved()

@@ -10,7 +10,7 @@ from wsn_multipath.engine import Engine
 from wsn_multipath.experiments import configured
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, Scenario, SourceDecl, save_scenario
-from wsn_multipath.scenarios import three_source_mesh, five_path_fan
+from wsn_multipath.scenarios import five_path_fan, three_source_mesh, three_source_mesh_sim
 
 
 @pytest.fixture
@@ -71,19 +71,22 @@ def test_allocate_equal_split(mesh_file, capsys):
 
 
 def test_allocate_choke_shifts_quotas(tmp_path, capsys):
-    # pipelined warmup with small buffers: mid-run the sources' own queues
-    # sit near capacity, so routes crossing another source get flagged
+    # pipelined run with small buffers, probed halfway through the
+    # transfer: the sources' own queues sit near capacity, so routes
+    # crossing another source get flagged
     sc = three_source_mesh(packets=99)
     sc.engine.window = None
     sc.engine.queue_packets_per_subqueue = 10
     path = tmp_path / "mesh-loaded.yaml"
     save_scenario(sc, str(path))
-
     assert main(["allocate", "--scenario", str(path), "--source", "10",
                  "--format", "csv"]) == 0
     baseline = capsys.readouterr().out.splitlines()[1:]
+
+    sc.engine.probe_times = [Engine(sc).run().completion_s / 2.0]
+    save_scenario(sc, str(path))
     assert main(["allocate", "--scenario", str(path), "--source", "10",
-                 "--format", "csv", "--choke"]) == 0
+                 "--format", "csv"]) == 0
     probed = capsys.readouterr().out.splitlines()[1:]
 
     base_quotas = [int(r.split(",")[5]) for r in baseline]
@@ -104,6 +107,14 @@ def test_allocate_choke_shifts_quotas(tmp_path, capsys):
                for p, c in zip(spec.paths, choke_counts)],
         source_sink_dist_m=spec.source_sink_dist_m)).quotas
     assert choke_quotas == expected
+
+
+def test_allocate_without_probes_runs_no_engine(mesh_file, monkeypatch, capsys):
+    def no_run(self):
+        raise AssertionError("allocate ran the engine")
+    monkeypatch.setattr(Engine, "run", no_run)
+    assert main(["allocate", "--scenario", mesh_file, "--scheme", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 10
 
 
 def test_run_writes_outputs(fan_file, tmp_path):
@@ -222,6 +233,19 @@ def test_run_stall_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["run", "--scenario", str(path)]) == 3
     err = capsys.readouterr().err
     assert "flow (1, 0) stalled" in err and "sub-queue 2 of node 1" in err
+
+
+def test_block_that_never_lifts_is_a_stall(tmp_path, monkeypatch, capsys):
+    # lossy hops block while their self-check beacons are out; if ending
+    # a self-check lifted nothing, flows would strand at quiescence
+    path = tmp_path / "lossy.yaml"
+    save_scenario(configured(three_source_mesh_sim(), packets=100, window=None,
+                             max_attempts=3, loss_prob=0.2, fault_detection="on"),
+                  str(path))
+    monkeypatch.setattr(Engine, "_end_self_check", lambda self, origin, suspect: None)
+    assert main(["run", "--scenario", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "stalled" in err and "in flight" in err
 
 
 def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):

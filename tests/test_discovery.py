@@ -91,39 +91,39 @@ def _mesh_path(mesh, nodes):
 
 def test_choke_probe_idle_network(mesh):
     path = _mesh_path(mesh, [3, 7, 8, 9, 6])
-    assert choke_probe(occupancy(path), path) == 0
+    assert choke_probe(occupancy(path), path.nodes) == 0
 
 
 def test_choke_probe_saturation_counts_sink(mesh):
     # every visited node (interior + sink, not the probing source) flagged
     path = _mesh_path(mesh, [3, 7, 8, 9, 6])
     occ = {n: 0.9 for n in path.nodes}
-    assert choke_probe(occupancy(path, occ), path) == path.hops
+    assert choke_probe(occupancy(path, occ), path.nodes) == path.hops
 
 
 def test_choke_probe_single_hot_node(mesh):
     path = _mesh_path(mesh, [3, 7, 8, 9, 6])
-    assert choke_probe(occupancy(path, {8: 0.6}), path) == 1
+    assert choke_probe(occupancy(path, {8: 0.6}), path.nodes) == 1
     # the probing source's own queue is not inspected
-    assert choke_probe(occupancy(path, {3: 0.9}), path) == 0
+    assert choke_probe(occupancy(path, {3: 0.9}), path.nodes) == 0
 
 
 def test_choke_probe_threshold_is_strict(mesh):
     path = _mesh_path(mesh, [3, 7, 8, 9, 6])
-    assert choke_probe(occupancy(path, {8: 0.5}), path) == 0
+    assert choke_probe(occupancy(path, {8: 0.5}), path.nodes) == 0
 
 
 def test_choke_probe_failed_node(mesh):
     path = _mesh_path(mesh, [3, 7, 8, 9, 6])
     with pytest.raises(ProbeFailedError):
-        choke_probe(occupancy(path, dead=(8,)), path)
+        choke_probe(occupancy(path, dead=(8,)), path.nodes)
 
 
 def test_choke_count_monotone_in_occupancy(mesh):
     path = _mesh_path(mesh, [3, 7, 8, 9, 6])
     base = {7: 0.6, 8: 0.3, 9: 0.7}
-    before = choke_probe(occupancy(path, dict(base)), path)
+    before = choke_probe(occupancy(path, dict(base)), path.nodes)
     filled = {**base, 8: 0.8}           # one queue fills
     drained = {**base, 7: 0.1}          # one queue drains
-    assert choke_probe(occupancy(path, filled), path) >= before
-    assert choke_probe(occupancy(path, drained), path) <= before
+    assert choke_probe(occupancy(path, filled), path.nodes) >= before
+    assert choke_probe(occupancy(path, drained), path.nodes) <= before

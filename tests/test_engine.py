@@ -349,11 +349,10 @@ def test_sender_failure_receiver_timer_detection():
 
 @pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
 def test_undetected_link_fault_strands_and_conserves(fragmented):
-    # the relay's downstream link dies and nothing detects it. A fragmented
-    # relay blocks the hop, and the packet parked there and the source's
-    # remaining backlog count as fault drops at quiescence; a shared FIFO,
-    # which no block stops, drops each frame at the hop's retry limit.
-    # Either way no packet is left in flight.
+    # the relay's downstream link dies and nothing detects it. With no
+    # self-check beacon to wait for, neither discipline blocks the hop:
+    # each frame is dropped at the hop's retry limit, and the source's
+    # window refills until its backlog is spent. No packet is left behind.
     sc = line_scenario(packets=5, hops=2, window=1)
     sc.faults = [FaultDecl(0.05, link=(11, 2))]
     sc.engine = RunConfig(scheme=2, window=1, max_attempts=3, fault_detection="off",
@@ -377,6 +376,20 @@ def test_lossy_live_hop_is_a_false_alarm(mesh_sim):
     assert metrics.abandoned == []
     assert (metrics.total_delivered + metrics.total_dropped
             == metrics.total_injected == 300)
+
+
+@pytest.mark.parametrize("window", [None, 1])
+def test_lossy_live_hop_without_detection_is_not_blocked(mesh_sim, window):
+    # no fault is declared, so detection is off and no beacon goes out; a
+    # hop that used up its attempts drops the frame instead of blocking
+    # for good and stranding its backlog
+    sc = configured(mesh_sim, packets=100, window=window, max_attempts=3,
+                    loss_prob=0.2)
+    engine = Engine(sc)
+    metrics = engine.run()
+    assert metrics.total_delivered >= 270
+    assert metrics.total_delivered + metrics.total_dropped == 300
+    assert not any(q.blocked for q in engine.queues.values())
 
 
 @pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
@@ -443,6 +456,16 @@ def test_mid_run_probes_record_contention():
     sc.engine.probe_times = [0.1]
     history = run_scenario(sc).contention_history[(1, 0)]
     assert len(history) == 1  # the scheduled probe; the idle start is not sampled
+
+
+def test_probe_follows_the_replaced_route():
+    # spare 6 replaces the dead node 3 at 0.341 s; the probes after it
+    # sample the flow's current route, not the build-time one through 3
+    sc = fault_beacon_scenario(packets=20)
+    sc.engine.probe_times = [0.5, 1.0]
+    metrics = run_scenario(sc)
+    assert metrics.replacements == [(3, 6)]
+    assert metrics.contention_history == {(1, 0): [0, 0]}
 
 
 def _line_link_fault():

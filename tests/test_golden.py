@@ -114,7 +114,7 @@ MODE_DIGESTS = {
     "lossy-beacon":
         "cbaab570abb4466fed29a24d1083d38271b3fa879ce11568a7b46a2ec8e23c89",
     "lossy-mesh":
-        "1966185d6b83696304ff4a29c383a33575b0db4bb9c4b2e6c9f258e850e5ac77",
+        "79e95b510373d8b80a7fa83d63cd7e7be0d46aee8da0552889887fd3a6a89ed7",
     "per-packet-idle":
         "4a0a9c99c01580d3861c7515c7d68e9126686f9d02dbe604ff917363ecd63e12",
 }
