@@ -14,6 +14,7 @@ import heapq
 import itertools
 import random
 from collections import deque
+from collections.abc import Container
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -96,11 +97,14 @@ class _NodeQueues:
       hop ids and the shared key is never one, so blocking a hop never
       stops the FIFO.
     Methods that take a data packet out of a sub-queue report its key, so
-    that the engine can wake the flows injecting there.
+    that the engine can wake the flows injecting there. A fragmented
+    buffer has no sub-queue toward a `replaced` neighbor until a frame is
+    queued for it, as if `retarget` had taken that sub-queue away.
     """
 
     def __init__(self, owner: int, neighbors: tuple[int, ...],
-                 capacity_pkts: int, fragmented: bool):
+                 capacity_pkts: int, fragmented: bool,
+                 replaced: Container[int] = ()):
         self.owner = owner
         self.neighbors = neighbors
         self.control: deque[Packet] = deque()
@@ -110,7 +114,7 @@ class _NodeQueues:
         if fragmented:
             self.key = lambda hop: hop
             self.capacity_pkts = capacity_pkts
-            self.data = {n: deque() for n in neighbors}
+            self.data = {n: deque() for n in neighbors if n not in replaced}
         else:
             self.key = lambda hop: _SHARED
             self.capacity_pkts = capacity_pkts * max(1, len(neighbors))
@@ -287,9 +291,11 @@ class Engine:
         self._event_counter = itertools.count()
         self._events: list[tuple] = []
         self._now = 0.0
+        # a node's buffer is built when a frame is first queued there; a
+        # node without one is empty
         self.queues: dict[int, _NodeQueues] = {}
-        self._busy: dict[int, bool] = {}
-        self._busy_time: dict[int, float] = {}
+        self._busy = dict.fromkeys(self.topology.nodes, False)
+        self._busy_time = dict.fromkeys(self.topology.nodes, 0.0)
         self._attempts: dict[tuple[int, int], int] = {}
         self._tracing = self.config.record_trace
         self._rx_per_bit = receive_energy_per_bit(self.params)
@@ -320,18 +326,9 @@ class Engine:
         for key in ("tx_data", "rx_data", "tx_control", "rx_control",
                     "sensing", "idle"):
             self.metrics.energy_breakdown_j[key] = 0.0
-        self._init_queues()
         self._init_flows()
 
     # ------------------------------------------------------------------ setup
-
-    def _init_queues(self) -> None:
-        for nid in self.topology.nodes:
-            self.queues[nid] = _NodeQueues(nid, self.topology.neighbors(nid),
-                                           self.config.queue_packets_per_subqueue,
-                                           self.config.fragmented)
-            self._busy[nid] = False
-            self._busy_time[nid] = 0.0
 
     def _allocate(self, spec: SourceSpec) -> list[int]:
         if self.config.replicate:
@@ -378,6 +375,18 @@ class Engine:
         if residual[node_id] < 0:
             self._node_failure(node_id)
 
+    def _queues_at(self, node_id: int) -> _NodeQueues:
+        """The node's buffer, built for its first frame. A neighbor already
+        replaced gets no sub-queue, as `retarget` takes it from a buffer
+        built earlier; `occupancy` counts the keys."""
+        queues = self.queues.get(node_id)
+        if queues is None:
+            queues = self.queues[node_id] = _NodeQueues(
+                node_id, self.topology.neighbors(node_id),
+                self.config.queue_packets_per_subqueue, self.config.fragmented,
+                replaced={failed for failed, _sub in self.metrics.replacements})
+        return queues
+
     def _hop(self, sender: int, receiver: int) -> tuple:
         hop = self._hops.get((sender, receiver))
         if hop is None:
@@ -401,7 +410,9 @@ class Engine:
         """Move one backlog packet into the source's first-hop sub-queue,
         or park the flow there if the sub-queue is full or blocked."""
         source, next_hop = flow.route[0], flow.route[1]
-        queues = self.queues[source]
+        queues = self.queues.get(source)  # `_queues_at`, inlined per frame
+        if queues is None:
+            queues = self._queues_at(source)
         if not queues.has_space(next_hop):
             parked = self._parked.setdefault((source, queues.key(next_hop)), {})
             parked[flow.key] = flow
@@ -473,7 +484,10 @@ class Engine:
     def _try_start(self, node_id: int) -> None:
         if self._busy[node_id] or node_id in self._fault_time:
             return
-        pkt, key = self.queues[node_id].dispatch_next()
+        queues = self.queues.get(node_id)
+        if queues is None:
+            return
+        pkt, key = queues.dispatch_next()
         if pkt is None:
             return
         if pkt.kind == "data":
@@ -570,7 +584,9 @@ class Engine:
         if self.detection:
             self._arm_receiver_timer(flow, node_id, pkt.seq)
         next_hop = flow.route[pkt.hop + 1]
-        queues = self.queues[node_id]
+        queues = self.queues.get(node_id)  # `_queues_at`, inlined per frame
+        if queues is None:
+            queues = self._queues_at(node_id)
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if victim is not None:
             self._trace("drop", node_id, victim.uid)
@@ -589,8 +605,10 @@ class Engine:
             return
         self._fault_time[node_id] = self._now
         self._trace("fault", node_id, 0)
-        for pkt in self.queues[node_id].drain():
-            self._lose(pkt)
+        queues = self.queues.get(node_id)
+        if queues is not None:
+            for pkt in queues.drain():
+                self._lose(pkt)
         # data held at a dead source is gone with it
         for flow in self.flows.values():
             if flow.route[0] == node_id:
@@ -650,7 +668,7 @@ class Engine:
                      destination=target, flow_key=(origin, -1), seq=0,
                      size_bits=self.config.control_size_bits, uid=next(self._uid))
         self._beacons[pkt.uid] = (suspect, tried)
-        self.queues[origin].enqueue_control(pkt)
+        self._queues_at(origin).enqueue_control(pkt)
         self._try_start(origin)
         return True
 
@@ -715,13 +733,15 @@ class Engine:
         self._trace("replace", substitute, 0)
         for flow in affected:
             flow.route[flow.route.index(failed)] = substitute
-        # flows parked on the failed hop now inject toward the substitute
+        # flows parked on the failed hop now inject toward the substitute;
+        # a buffer built from here on has no sub-queue toward the failed node
         for nid in sorted(self.queues):
             freed = self.queues[nid].retarget(failed, substitute)
             if freed is not None:
                 self._slot_freed(nid, freed)
             self._attempts.pop((nid, failed), None)
-        for nid in sorted(self.queues):
+        # every node, in id order: a buffer built in this loop starts too
+        for nid in sorted(self.topology.nodes):
             self._try_start(nid)
 
     def _abandon_flow(self, flow: _Flow) -> None:
@@ -747,11 +767,14 @@ class Engine:
             self._down_links.setdefault((min(link), max(link)), self._now)
 
     def _on_probe(self, _node: int) -> None:
-        occupancy = {nid: queues.occupancy() for nid, queues in self.queues.items()
-                     if nid not in self._fault_time}
         for key, flow in self.flows.items():
             if flow.abandoned:
                 continue
+            # every live node on the route has an occupancy; a missing one
+            # tells `choke_probe` that the node has failed
+            occupancy = {nid: (self.queues[nid].occupancy() if nid in self.queues
+                               else 0.0)
+                         for nid in flow.route if nid not in self._fault_time}
             try:
                 count = choke_probe(occupancy, flow.route)
             except ProbeFailedError:
@@ -805,7 +828,7 @@ class Engine:
                 raise SimulationError(
                     f"flow {flow.key} stalled at t={self._now:.9f}s: "
                     f"{flow.backlog} packets of backlog and {flow.outstanding} "
-                    f"in flight wait on sub-queue {self.queues[source].key(hop)} "
+                    f"in flight wait on sub-queue {self._queues_at(source).key(hop)} "
                     f"of node {source} and nothing is left to wake them")
 
     def _finalize(self) -> None:

@@ -118,10 +118,11 @@ class Scenario:
 
     def to_dict(self) -> dict:
         nodes = []
+        redundant = set(self.redundant)
         for nid in sorted(self.positions):
             x, y = self.positions[nid]
             entry = {"id": nid, "x": float(x), "y": float(y)}
-            if nid in self.redundant:
+            if nid in redundant:
                 entry["redundant"] = True
             nodes.append(entry)
         data = {
@@ -219,9 +220,47 @@ def load_scenario(path: str) -> Scenario:
     return Scenario.from_dict(data)
 
 
+def _yaml_float(value: float) -> str:
+    """`value` as SafeRepresenter writes a float scalar."""
+    if value != value:
+        return ".nan"
+    if value in (math.inf, -math.inf):
+        return ".inf" if value > 0 else "-.inf"
+    text = repr(value).lower()
+    if "." not in text and "e" in text:
+        text = text.replace("e", ".0e", 1)  # 1e+17 is no YAML float; 1.0e+17 is
+    return text
+
+
+def _canonical(scenario: Scenario) -> str:
+    """The text of `yaml.dump(scenario.to_dict(), sort_keys=True)`.
+
+    Each top-level key is dumped on its own, in sorted order, except the
+    node list, whose entries are written here: a block sequence of
+    mappings with sorted keys, an int id, `redundant: true` when set and
+    two floats. That skips building and resolving a YAML node for every
+    entry of a large deployment."""
+    data = scenario.to_dict()
+    parts = []
+    for key in sorted(data):
+        value = data[key]
+        if key != "nodes" or not value:
+            parts.append(yaml.dump({key: value}, Dumper=_Dumper, sort_keys=True))
+            continue
+        parts.append("nodes:\n")
+        for entry in value:
+            parts.append(f"- id: {entry['id']}\n")
+            if entry.get("redundant"):
+                parts.append("  redundant: true\n")
+            parts.append(f"  x: {_yaml_float(entry['x'])}\n"
+                         f"  y: {_yaml_float(entry['y'])}\n")
+    return "".join(parts)
+
+
 def scenario_hash(scenario: Scenario) -> str:
-    canonical = yaml.dump(scenario.to_dict(), Dumper=_Dumper, sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    """First 16 hex digits of the SHA-256 of the scenario's YAML dump with
+    sorted keys."""
+    return hashlib.sha256(_canonical(scenario).encode()).hexdigest()[:16]
 
 
 def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:

@@ -237,6 +237,59 @@ def crossing_fault_scenario(seed: int, fragmented: bool, spare: bool) -> Scenari
     )
 
 
+def late_spare_scenario(fragmented: bool) -> Scenario:
+    """Sources 1 and 2 both relay through node 5 to the sink 9: source 1
+    on 1-5-2-9, source 2 on 2-5-9. Node 5 fails at 0.3 s and spare 6,
+    1 m from it, takes its place, so the spare holds its first frame only
+    after the replacement. Slow links out of the spare and five-packet
+    sub-queues with no window keep its sub-queues toward 2 and toward 9
+    full while it is probed at 1.0-3.0 s."""
+    positions = {1: (-20.0, 0.0), 2: (10.0, 17.0), 5: (0.0, 0.0), 6: (0.0, 1.0),
+                 9: (20.0, 0.0)}
+    return Scenario(
+        name="late-spare",
+        params=small_params(),
+        positions=positions,
+        sink=9,
+        sources=[SourceDecl(1, 120, paths=[[1, 5, 2, 9]]),
+                 SourceDecl(2, 120, paths=[[2, 5, 9]])],
+        link_overrides={(2, 6): (12500.0, 0.0), (6, 9): (12500.0, 0.0)},
+        redundant=(6,),
+        faults=[FaultDecl(0.3, node=5)],
+        engine=RunConfig(scheme=2, window=None, queue_packets_per_subqueue=5,
+                         fragmented=fragmented, fault_detection="on",
+                         record_trace=True, probe_times=[1.0, 1.5, 2.0, 2.5, 3.0]),
+    )
+
+
+def uniform_fault_scenario(count: int, area_m: float, radius_m: float, seed: int,
+                           packets: int) -> Scenario:
+    """A connected seeded uniform deployment, traced, where the middle
+    interior node of the first discovered route fails halfway through the
+    fault-free run. Spares are the common neighbours of its two route
+    neighbours that lie on no route."""
+    from dataclasses import replace
+
+    from wsn_multipath.engine import run_scenario
+    from wsn_multipath.scenario import build_scenario, generate_random_scenario
+
+    base, connected = generate_random_scenario(count, area_m, radius_m, seed,
+                                               packets=packets)
+    assert connected
+    topology, specs = build_scenario(base)
+    route = specs[0].paths[0].nodes
+    middle = len(route) // 2
+    failed, before, after = route[middle], route[middle - 1], route[middle + 1]
+    on_routes = {n for spec in specs for p in spec.paths for n in p.nodes}
+    spares = (set(topology.neighbors(before)) & set(topology.neighbors(after))) - on_routes
+    return replace(
+        base,
+        redundant=tuple(sorted(spares)),
+        faults=[FaultDecl(run_scenario(base).completion_s / 2.0, node=failed)],
+        engine=replace(base.engine, record_trace=True),
+    )
+
+
 @pytest.fixture
 def mesh():
     from wsn_multipath.scenarios import three_source_mesh

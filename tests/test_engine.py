@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import pytest
 
 from wsn_multipath.engine import Engine, LivelockError, SimulationError, run_scenario
-from wsn_multipath.experiments import configured
+from wsn_multipath.experiments import configured, metrics_rows, render_rows
 from wsn_multipath.model import Packet, RoutingError
 from wsn_multipath.engine import _NodeQueues
 from wsn_multipath.scenario import (
@@ -17,9 +18,11 @@ from wsn_multipath.scenario import (
 from conftest import (
     fault_beacon_scenario,
     fault_timer_scenario,
+    late_spare_scenario,
     line_scenario,
     random_scenario,
     small_params,
+    uniform_fault_scenario,
     y_scenario,
 )
 
@@ -466,6 +469,43 @@ def test_probe_follows_the_replaced_route():
     metrics = run_scenario(sc)
     assert metrics.replacements == [(3, 6)]
     assert metrics.contention_history == {(1, 0): [0, 0]}
+
+
+# digests of the traced late-spare runs (trace, report rows, probe counts),
+# recorded when every node's buffer was built before the run
+LATE_SPARE_DIGESTS = {
+    True: "880fb80ecbd081eefadee4ab419f70edfc41e971a2eb0dd1096e1e14249a093e",
+    False: "0a8501b6635d798b0bc17cf3a4a1b11d7759ea974df9808451ebfae5aa49d1c9",
+}
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_buffer_built_after_a_replacement_matches_an_early_one(fragmented):
+    # spare 6 holds its first frame only after it replaced node 5, so its
+    # buffer is built then. One built before the run had its sub-queue
+    # toward 5 taken away by the replacement, and the probes' occupancy
+    # counts sub-queues: a late buffer with a sub-queue toward 5 would
+    # read 10/20 where this one reads 10/15, and the probes count less
+    metrics = run_scenario(late_spare_scenario(fragmented))
+    assert metrics.replacements == [(5, 6)]
+    replaced_at = metrics.trace.index("0.481280000,replace,6,0")
+    first_service = next(i for i, line in enumerate(metrics.trace)
+                         if line.split(",")[1:3] == ["service", "6"])
+    assert first_service > replaced_at
+    text = "\n".join([*metrics.trace, render_rows(metrics_rows(metrics), "csv"),
+                      repr(metrics.contention_history)])
+    assert hashlib.sha256(text.encode()).hexdigest() == LATE_SPARE_DIGESTS[fragmented]
+
+
+def test_buffers_exist_only_where_frames_waited():
+    # a node's buffer is built when a frame is first queued there, and
+    # every frame queued is served unless it is lost first
+    engine = Engine(uniform_fault_scenario(1000, 540.0, 30.0, seed=10, packets=100))
+    metrics = engine.run()
+    served = {int(line.split(",")[2]) for line in metrics.trace
+              if line.split(",")[1] == "service"}
+    assert set(engine.queues) == served
+    assert len(engine.queues) < len(engine.topology.nodes) // 10
 
 
 def _line_link_fault():

@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 digests of what the CLI writes for the shipped
 scenarios, and of traced runs of the fault-recovery fixtures, the
-pipelined meshes and the engine modes no shipped scenario runs.
+pipelined meshes, the engine modes no shipped scenario runs and a
+1000-node deployment with a failure.
 
 The ROADMAP rule is that the shipped scenarios' outputs stay bit-identical
 from one change to the next. A rerun test only compares two runs of the
@@ -26,7 +27,12 @@ from wsn_multipath.scenario import (
     load_scenario,
 )
 
-from conftest import fault_beacon_scenario, fault_timer_scenario, line_scenario
+from conftest import (
+    fault_beacon_scenario,
+    fault_timer_scenario,
+    line_scenario,
+    uniform_fault_scenario,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 MESHES = ("three-source-mesh", "three-source-mesh-sim")
@@ -118,6 +124,11 @@ MODE_DIGESTS = {
     "per-packet-idle":
         "4a0a9c99c01580d3861c7515c7d68e9126686f9d02dbe604ff917363ecd63e12",
 }
+
+# a seeded uniform deployment of 1000 nodes at the density of the
+# benchmark's 5000-node one, where a route's middle node fails and one of
+# three spares replaces it; only 54 of its nodes ever hold a frame
+UNIFORM_FAULT_DIGEST = "a35028b399d8967f32dacfd848457bb04663dba3607ef9872b4a728912159f59"
 
 
 def _sha(data: bytes) -> str:
@@ -246,3 +257,13 @@ def mode_output(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(MODE_DIGESTS))
 def test_engine_mode_runs_match_golden(name):
     assert mode_output(name) == MODE_DIGESTS[name]
+
+
+def test_large_deployment_fault_run_matches_golden():
+    metrics = run_scenario(uniform_fault_scenario(1000, 540.0, 30.0, seed=10,
+                                                  packets=100))
+    assert metrics.replacements == [(327, 503)]
+    text = "\n".join([*metrics.trace, render_rows(metrics_rows(metrics), "csv"),
+                      repr(sorted(metrics.residual_j.items())),
+                      repr(metrics.detections), repr(metrics.replacements)])
+    assert _sha(text.encode()) == UNIFORM_FAULT_DIGEST

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import sys
@@ -6,11 +7,13 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from wsn_multipath import scenario as scenario_module
 from wsn_multipath.model import ScenarioError
 from wsn_multipath.scenario import (
     FaultDecl,
+    RunConfig,
     Scenario,
     SourceDecl,
     build_scenario,
@@ -27,7 +30,22 @@ from wsn_multipath.scenarios import (
     write_all,
 )
 
+from conftest import small_params
+
 SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+
+# scenario_hash values recorded before the hash wrote the node list itself;
+# they must never move
+SCENARIO_HASHES = {
+    "five-path-fan": "9ab2c655d84cf121",
+    "three-source-mesh": "678bfe961dfcaba5",
+    "three-source-mesh-sim": "ddc2509525769de6",
+    "uniform-2000-seed11": "37cea3b902bbc605",
+}
+
+
+def _uniform_2000():
+    return generate_random_scenario(2000, 760.0, 30.0, seed=11)[0]
 
 MESH_EDGES = {
     (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 7), (7, 8), (8, 9), (6, 9),
@@ -151,7 +169,7 @@ def test_libyaml_dump_equals_pure_python_dump(sort_keys):
     # scenario_hash digests this text and save_scenario writes it, so the
     # hashes and files must not depend on whether libyaml is installed
     documents = [load_scenario(str(p)).to_dict() for p in SHIPPED]
-    documents.append(generate_random_scenario(2000, 760.0, 30.0, seed=11)[0].to_dict())
+    documents.append(_uniform_2000().to_dict())
     for doc in documents:
         assert (yaml.dump(doc, Dumper=yaml.CSafeDumper, sort_keys=sort_keys)
                 == yaml.safe_dump(doc, sort_keys=sort_keys))
@@ -174,3 +192,79 @@ def test_pure_python_yaml_fallback(monkeypatch, tmp_path):
         copy = tmp_path / path.name
         pure.save_scenario(fallback, str(copy))
         assert copy.read_text() == path.read_text()
+    generated = _uniform_2000()
+    assert (pure.scenario_hash(generated) == scenario_hash(generated)
+            == SCENARIO_HASHES["uniform-2000-seed11"])
+    native_copy, pure_copy = tmp_path / "native.yaml", tmp_path / "pure.yaml"
+    save_scenario(generated, str(native_copy))
+    pure.save_scenario(generated, str(pure_copy))
+    assert pure_copy.read_text() == native_copy.read_text()
+    assert pure.load_scenario(str(pure_copy)).to_dict() == generated.to_dict()
+
+
+def test_scenario_hashes_are_pinned():
+    got = {path.stem: scenario_hash(load_scenario(str(path))) for path in SHIPPED}
+    got["uniform-2000-seed11"] = scenario_hash(_uniform_2000())
+    assert got == SCENARIO_HASHES
+
+
+# floats SafeRepresenter writes in every form: exponents that need a ".0",
+# negative zero, subnormals, the extremes and the non-finite values
+_COORDS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 0.1, 1e16, 1e17, -1e17, 1e-5, 5e-324, -2.5e-300,
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+)
+_NAMES = st.one_of(
+    st.text(max_size=30),
+    st.sampled_from(["", "yes", "No", "null", "~", "1.0", "0x1f", "1e3", ".inf",
+                     "2001-12-14", "- item", "a: b", "#c", "'q'", '"q"', " lead",
+                     "trail ", "two\nlines", "@at", "*star", "&amp", "!bang",
+                     "%pct", "{}", "[x]", "x" * 100]),
+)
+_IDS = st.integers(min_value=-10**12, max_value=10**12)
+
+
+@st.composite
+def _scenarios(draw):
+    ids = draw(st.lists(_IDS, unique=True, max_size=12))
+    positions = {nid: (draw(_COORDS), draw(_COORDS)) for nid in ids}
+    redundant = draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()))
+    redundant |= draw(st.sets(_IDS, max_size=2))  # spares the deployment lacks
+    paths = st.lists(st.lists(_IDS, min_size=1, max_size=5), max_size=3)
+    sources = [SourceDecl(draw(_IDS), draw(st.integers(0, 10**6)), draw(paths) or None)
+               for _ in range(draw(st.integers(0, 3)))]
+    times = st.floats(min_value=0.0, allow_infinity=False)
+    faults = [FaultDecl(draw(times), node=draw(_IDS)) if draw(st.booleans())
+              else FaultDecl(draw(times), link=(draw(_IDS), draw(_IDS)))
+              for _ in range(draw(st.integers(0, 3)))]
+    overrides = draw(st.dictionaries(st.tuples(_IDS, _IDS), st.tuples(_COORDS, _COORDS),
+                                     max_size=3))
+    return Scenario(
+        name=draw(_NAMES),
+        params=small_params(radio_range_m=draw(st.floats(1.0, 100.0))),
+        positions=positions,
+        sink=draw(_IDS),
+        sources=sources,
+        seed=draw(_IDS),
+        link_speed_bps=draw(_COORDS),
+        link_delay_s=draw(_COORDS),
+        link_overrides=overrides,
+        redundant=tuple(sorted(redundant)),
+        faults=faults,
+        engine=RunConfig(probe_times=draw(st.lists(
+            st.floats(min_value=0.0, allow_infinity=True), max_size=4))),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenario=_scenarios())
+@example(scenario=Scenario(name="empty", params=small_params(), positions={}, sink=1,
+                           sources=[]))
+def test_canonical_text_is_the_sorted_yaml_dump(scenario):
+    # scenario_hash writes the node list itself; the YAML dump it replaced
+    # stays the reference, byte for byte
+    reference = yaml.dump(scenario.to_dict(), Dumper=scenario_module._Dumper,
+                          sort_keys=True)
+    assert scenario_module._canonical(scenario) == reference
+    assert scenario_hash(scenario) == hashlib.sha256(reference.encode()).hexdigest()[:16]
