@@ -1,7 +1,7 @@
 """Golden outputs: SHA-256 digests of what the CLI writes for the shipped
-scenarios, and of traced runs of the fault-recovery fixtures, the
-pipelined meshes, the engine modes no shipped scenario runs and a
-1000-node deployment with a failure.
+scenarios (tables, summaries, traces and plot data), and of traced runs of
+the fault-recovery fixtures, the pipelined meshes, the engine modes no
+shipped scenario runs and a 1000-node deployment with a failure.
 
 The ROADMAP rule is that the shipped scenarios' outputs stay bit-identical
 from one change to the next. A rerun test only compares two runs of the
@@ -82,6 +82,38 @@ STDOUT_DIGESTS = {
         "c8f5612e6039ff4b171d78ae623eb9b6c827c7450d948446535a0a8e3e26c8b3",
 }
 
+# (command, scenario, file): the two-column series that `--plot-data`
+# writes beside a `run` and beside the schemes suite at D=100 and D=200;
+# the frameworks suite writes none
+PLOT_DIGESTS = {
+    ("run", "five-path-fan", "allocation_per_path.dat"):
+        "afcd69de88d7298bc325b530088fbcd37e321bd57739cfc54c76ed83364ef77c",
+    ("run", "five-path-fan", "delay_per_path.dat"):
+        "01409bb1d5b28ab49e96ec161c3da9bd53844a6e9f2813eacf52b4e4699f5935",
+    ("run", "three-source-mesh", "allocation_per_path.dat"):
+        "e8c96cf86f444f16ece999894e9cd8cbf74cc3eb91040f4f6bb250a471613a63",
+    ("run", "three-source-mesh", "delay_per_path.dat"):
+        "1475006b411a5052e6d1a78f623eb6bbdff8e715d03f1014ed98e809fd87babc",
+    ("schemes", "five-path-fan", "allocation_per_path_d100.dat"):
+        "afcd69de88d7298bc325b530088fbcd37e321bd57739cfc54c76ed83364ef77c",
+    ("schemes", "five-path-fan", "allocation_per_path_d200.dat"):
+        "4d86bcf1df0740492723eadca81487b11d07930360e0e62e27a46a13c550a769",
+    ("schemes", "five-path-fan", "delay_per_path_d100.dat"):
+        "01409bb1d5b28ab49e96ec161c3da9bd53844a6e9f2813eacf52b4e4699f5935",
+    ("schemes", "five-path-fan", "delay_per_path_d200.dat"):
+        "948beae7fc85cf5ea088de76da76bd3ba27e9c40587f87289d4491e746acdf43",
+    ("schemes", "five-path-fan", "delay_vs_scheme_d100.dat"):
+        "c0c782472570d426a4bdd6d63bb37a9220d281ad11fcafa214c1f34557772f01",
+    ("schemes", "five-path-fan", "delay_vs_scheme_d200.dat"):
+        "12c4ae54e2f2d2c8798f4d1225fac1f34cb273c430f7d3af69aede189a41fed6",
+    ("schemes", "five-path-fan", "energy_vs_scheme_d100.dat"):
+        "c728c39b91611a25d0aa738dccf37399df7dd0a94adb47939350489109f3c5c4",
+    ("schemes", "five-path-fan", "energy_vs_scheme_d200.dat"):
+        "ba686f3efab82eb33530b8d73e561f953c64658dc5226c59ea3a8b6efc71ddce",
+}
+PLOT_RUNS = (("frameworks", "three-source-mesh"), ("run", "five-path-fan"),
+             ("run", "three-source-mesh"), ("schemes", "five-path-fan"))
+
 
 # (fixture, fragmented): the beacon and watchdog fixtures with their
 # spares in both queue disciplines, and a line whose last link dies
@@ -152,6 +184,14 @@ def suite_output(name: str, suite: str, out: Path) -> str:
     return _sha((out / f"{suite}.csv").read_bytes())
 
 
+def plot_outputs(command: str, name: str, out: Path) -> dict[str, str]:
+    args = (["run"] if command == "run" else
+            ["experiment", "--suite", command, "--packets", "100", "200"])
+    assert main([*args, "--scenario", _scenario(name), "--plot-data",
+                 "--out", str(out)]) == 0
+    return {f.name: _sha(f.read_bytes()) for f in sorted(out.glob("*.dat"))}
+
+
 def stdout_output(command: str, fmt: str, capsys) -> str:
     capsys.readouterr()
     assert main([command, "--scenario", _scenario("three-source-mesh"),
@@ -173,6 +213,12 @@ def test_suite_csv_matches_golden(name, suite, tmp_path):
 @pytest.mark.parametrize("command,fmt", sorted(STDOUT_DIGESTS))
 def test_stdout_tables_match_golden(command, fmt, capsys):
     assert stdout_output(command, fmt, capsys) == STDOUT_DIGESTS[(command, fmt)]
+
+
+@pytest.mark.parametrize("command,name", PLOT_RUNS)
+def test_plot_data_matches_golden(command, name, tmp_path):
+    assert plot_outputs(command, name, tmp_path) == {
+        f: digest for (c, n, f), digest in PLOT_DIGESTS.items() if (c, n) == (command, name)}
 
 
 def _fault_scenario(name: str, fragmented: bool):
