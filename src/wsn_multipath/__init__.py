@@ -6,7 +6,6 @@ from .allocator import (
     AllocationInput,
     PathParams,
     allocate_multi_source,
-    allocate_single_source,
     scheme_allocation,
     solve_quota_bound,
 )
@@ -17,7 +16,6 @@ from .metrics import (
     path_delay,
     path_edp,
     path_energy,
-    per_hop_latency,
     receive_energy_per_bit,
     transmit_energy_per_bit,
 )
@@ -36,10 +34,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Allocation", "AllocationInput", "Engine", "NetworkParams", "PathInfo",
     "PathParams", "RunMetrics", "Scenario", "SourceSpec", "Topology",
-    "allocate_multi_source", "allocate_single_source", "average_edp",
-    "build_scenario", "build_topology", "choke_probe", "discover_paths",
-    "load_scenario", "path_delay", "path_edp", "path_energy",
-    "per_hop_latency", "receive_energy_per_bit", "run_scenario",
+    "allocate_multi_source", "average_edp", "build_scenario",
+    "build_topology", "choke_probe", "discover_paths", "load_scenario",
+    "path_delay", "path_edp", "path_energy", "receive_energy_per_bit",
+    "run_scenario",
     "save_scenario", "scheme_allocation", "solve_quota_bound",
     "transmit_energy_per_bit", "validate_path",
 ]

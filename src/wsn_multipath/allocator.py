@@ -59,10 +59,6 @@ class Allocation:
     # so the EDP cap may no longer hold for that path post-normalization.
     exceeds_bound: list[bool] = field(default_factory=list)
 
-    @property
-    def total(self) -> int:
-        return sum(self.quotas)
-
 
 def solve_quota_bound(params: NetworkParams, hops: float, tau_s: float,
                       source_sink_dist_m: float, rhs_edp: float) -> float:
@@ -101,7 +97,11 @@ def apportion(weights: list[float], total: int) -> list[int]:
     return quotas
 
 
-def _raw_bounds(inp: AllocationInput) -> tuple[list[float], float]:
+def allocate_multi_source(inp: AllocationInput) -> Allocation:
+    """Strategic split: each path's EDP bound under the equal-split budget,
+    discounted by the fraction of its nodes a choke probe flagged as
+    congested, and normalized to the exact total. With zero contention
+    everywhere the weights are the bounds themselves."""
     n = len(inp.paths)
     h_avg = sum(p.hops for p in inp.paths) / n
     tau_avg = sum(p.tau_s for p in inp.paths) / n
@@ -110,31 +110,11 @@ def _raw_bounds(inp: AllocationInput) -> tuple[list[float], float]:
     raw = [solve_quota_bound(inp.params, p.hops, p.tau_s,
                              inp.source_sink_dist_m, rhs)
            for p in inp.paths]
-    return raw, rhs
-
-
-def _finish(raw: list[float], weights: list[float], total: int,
-            rhs: float) -> Allocation:
-    quotas = apportion(weights, total)
-    flags = [q > r + 1e-9 for q, r in zip(quotas, raw)]
-    return Allocation(quotas=quotas, raw_quotas=raw, budget_edp=rhs,
-                      exceeds_bound=flags)
-
-
-def allocate_single_source(inp: AllocationInput) -> Allocation:
-    """Strategic split: per-path EDP bounds normalized to the exact total."""
-    raw, rhs = _raw_bounds(inp)
-    return _finish(raw, list(raw), inp.total_packets, rhs)
-
-
-def allocate_multi_source(inp: AllocationInput) -> Allocation:
-    """Strategic split with each path's weight discounted by the fraction
-    of its nodes a choke probe flagged as congested. With zero contention
-    everywhere this reduces to the single-source allocation bit for bit."""
-    raw, rhs = _raw_bounds(inp)
     weights = [r * (1.0 - p.contention / (p.hops + 1))
                for r, p in zip(raw, inp.paths)]
-    return _finish(raw, weights, inp.total_packets, rhs)
+    quotas = apportion(weights, inp.total_packets)
+    return Allocation(quotas=quotas, raw_quotas=raw, budget_edp=rhs,
+                      exceeds_bound=[q > r + 1e-9 for q, r in zip(quotas, raw)])
 
 
 def scheme_allocation(scheme: int, inp: AllocationInput) -> Allocation:
@@ -159,6 +139,6 @@ def scheme_allocation(scheme: int, inp: AllocationInput) -> Allocation:
 __all__ = [
     "Allocation", "AllocationInput", "DegenerateAllocationError", "PathParams",
     "SCHEME_EQUAL", "SCHEME_MIN_HOP", "SCHEME_STRATEGIC",
-    "allocate_multi_source", "allocate_single_source", "apportion",
+    "allocate_multi_source", "apportion",
     "scheme_allocation", "solve_quota_bound",
 ]

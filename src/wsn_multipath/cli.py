@@ -197,7 +197,7 @@ def cmd_run(args) -> int:
             with open(os.path.join(out, "trace.txt"), "w") as fh:
                 fh.write("\n".join(metrics.trace) + ("\n" if metrics.trace else ""))
         if args.plot_data:
-            _run_plot_data(metrics, out)
+            write_plot_data(rows, out)
         if args.verbose:
             print(f"wrote {out}/metrics.csv")
     else:
@@ -222,18 +222,6 @@ def _summary_text(metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_plot_data(metrics, out: str) -> None:
-    alloc = [(idx + 1, stats["quota"])
-             for (_, idx), stats in sorted(metrics.per_path.items())]
-    delay = [(idx + 1, stats["sim_delay_s"])
-             for (_, idx), stats in sorted(metrics.per_path.items())]
-    for name, series in (("allocation_per_path.dat", alloc),
-                         ("delay_per_path.dat", delay)):
-        with open(os.path.join(out, name), "w") as fh:
-            for x, y in series:
-                fh.write(f"{x} {y!r}\n")
-
-
 def cmd_experiment(args) -> int:
     scenario = _load(args)
     if args.suite == "schemes":
@@ -246,7 +234,7 @@ def cmd_experiment(args) -> int:
         with open(os.path.join(out, f"{args.suite}.txt"), "w") as fh:
             fh.write(report.to_text())
         if args.plot_data:
-            write_plot_data(report, out)
+            write_plot_data(report.rows, out)
         if args.verbose:
             print(f"wrote {out}/{args.suite}.csv")
     else:

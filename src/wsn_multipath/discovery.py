@@ -15,6 +15,10 @@ from .model import (
 )
 
 
+# a node counts as congested once its queues are more than this full
+CHOKE_THRESHOLD = 0.5
+
+
 class ProbeFailedError(ValueError):
     """A choke probe crossed a failed node; the route is stale."""
 
@@ -50,8 +54,7 @@ def _lex_shortest_path(topology: Topology, source: int, sink: int,
     return tuple(path)
 
 
-def discover_paths(topology: Topology, source: int, sink: int,
-                   max_paths: int | None = None) -> list[PathInfo]:
+def discover_paths(topology: Topology, source: int, sink: int) -> list[PathInfo]:
     """Interior-node-disjoint paths by iterated shortest-path extraction.
 
     Each round takes the hop-count shortest path (lowest-node-id tie-break)
@@ -63,8 +66,6 @@ def discover_paths(topology: Topology, source: int, sink: int,
     if source == sink:
         raise DomainError("source and sink must differ")
     limit = len(topology.neighbors(source))
-    if max_paths is not None:
-        limit = min(limit, max_paths)
     blocked: set[int] = set()
     found: list[PathInfo] = []
     while len(found) < limit:
@@ -80,10 +81,9 @@ def discover_paths(topology: Topology, source: int, sink: int,
     return found
 
 
-def choke_probe(occupancy: dict[int, float], route: Sequence[int],
-                threshold: float = 0.5) -> int:
+def choke_probe(occupancy: dict[int, float], route: Sequence[int]) -> int:
     """Count of nodes along `route`, a node sequence, whose aggregate
-    queue occupancy exceeds `threshold`.
+    queue occupancy exceeds `CHOKE_THRESHOLD`.
 
     The probe visits every node after the probing source, sink included:
     one per hop, so the count lies in [0, hops]. `occupancy` maps each
@@ -94,7 +94,7 @@ def choke_probe(occupancy: dict[int, float], route: Sequence[int],
         fill = occupancy.get(node)
         if fill is None:
             raise ProbeFailedError(f"node {node} on route {route} has failed")
-        if fill > threshold:
+        if fill > CHOKE_THRESHOLD:
             count += 1
     return count
 

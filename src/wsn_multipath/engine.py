@@ -818,9 +818,10 @@ class Engine:
         self.metrics.final_time_s = self._now
         self._finalize()
 
-    def _sweep_unresolved(self) -> None:
-        """At quiescence every injected packet is delivered or dropped and
-        every backlog discarded; a flow that has not finished is stalled."""
+    def _check_quiescent(self) -> None:
+        """Raise SimulationError for the first flow, in key order, that has
+        not finished at quiescence: nothing is left to wake its backlog or
+        its packets in flight. Changes nothing."""
         for key in sorted(self.flows):
             flow = self.flows[key]
             if not flow.finished:
@@ -832,7 +833,7 @@ class Engine:
                     f"of node {source} and nothing is left to wake them")
 
     def _finalize(self) -> None:
-        self._sweep_unresolved()
+        self._check_quiescent()
         duration = self._now
         for nid in sorted(self._residual):
             alive_span = self._fault_time.get(nid, duration)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -81,15 +82,11 @@ def render_rows(rows: list[dict], fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _run_one(scenario: Scenario) -> RunMetrics:
-    return run_scenario(scenario)
-
-
 def _run_cells(cells: list[Scenario], jobs: int) -> list[RunMetrics]:
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_one, cells))
-    return [_run_one(c) for c in cells]
+            return list(pool.map(run_scenario, cells))
+    return [run_scenario(c) for c in cells]
 
 
 def run_scheme_comparison(scenario: Scenario, packet_counts: list[int],
@@ -223,34 +220,38 @@ def write_rows_csv(rows: list[dict], path: str) -> None:
         fh.write(render_rows(rows, "csv"))
 
 
-def write_plot_data(report: Report, out_dir: str) -> list[str]:
-    """Two-column numeric series for the standard figures."""
-    import os
-    written = []
+def write_plot_data(rows: list[dict], out_dir: str) -> None:
+    """Two-column numeric series for the standard figures, one ``.dat``
+    file each, from the rows of one run (`metrics_rows`) or of the schemes
+    suite; other rows give none.
 
-    def emit(name: str, pairs: list[tuple[float, float]]) -> None:
-        path = os.path.join(out_dir, name)
-        with open(path, "w") as fh:
-            for x, y in pairs:
-                fh.write(f"{_cell(x)} {_cell(y)}\n")
-        written.append(path)
-
-    if report.suite == "schemes":
-        net = {}
-        for row in report.rows:
-            net[(row["packets"], row["scheme"])] = (row["net_delay_s"], row["net_energy_j"])
-        for d in sorted({k[0] for k in net}):
-            emit(f"delay_vs_scheme_d{d}.dat",
-                 [(s, net[(d, s)][0]) for _, s in sorted(k for k in net if k[0] == d)])
-            emit(f"energy_vs_scheme_d{d}.dat",
-                 [(s, net[(d, s)][1]) for _, s in sorted(k for k in net if k[0] == d)])
-            path_rows = [r for r in report.rows
-                         if r["packets"] == d and r["scheme"] == 3]
-            emit(f"allocation_per_path_d{d}.dat",
-                 [(r["path"] + 1, r["quota"]) for r in path_rows])
-            emit(f"delay_per_path_d{d}.dat",
-                 [(r["path"] + 1, r["path_delay_sim_s"]) for r in path_rows])
-    return written
+    A run's path rows give their 1-based path index against quota and
+    simulated delay, in row order. The schemes suite gives the same for
+    its strategic runs and each scheme's net delay and energy, in files
+    suffixed ``_d{D}``."""
+    series: dict[str, list[tuple]] = {}
+    runs: dict[tuple[int, int], dict] = {}
+    for row in rows:
+        if "scheme" in row:
+            runs.setdefault((row["packets"], row["scheme"]), row)
+            if row["scheme"] != 3:
+                continue
+            tag, delay = f"_d{row['packets']}", row["path_delay_sim_s"]
+        elif row.get("record") == "path":
+            tag, delay = "", row["delay_sim_s"]
+        else:
+            continue
+        series.setdefault(f"allocation_per_path{tag}.dat", []).append(
+            (row["path"] + 1, row["quota"]))
+        series.setdefault(f"delay_per_path{tag}.dat", []).append((row["path"] + 1, delay))
+    for (d, scheme), row in sorted(runs.items()):
+        series.setdefault(f"delay_vs_scheme_d{d}.dat", []).append(
+            (scheme, row["net_delay_s"]))
+        series.setdefault(f"energy_vs_scheme_d{d}.dat", []).append(
+            (scheme, row["net_energy_j"]))
+    for name, pairs in series.items():
+        with open(os.path.join(out_dir, name), "w") as fh:
+            fh.writelines(f"{_cell(x)} {_cell(y)}\n" for x, y in pairs)
 
 
 __all__ = [

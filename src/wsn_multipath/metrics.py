@@ -10,16 +10,6 @@ from __future__ import annotations
 from .model import DomainError, NetworkParams, RangeExceededError
 
 
-def per_hop_latency(size_bits: float, speed_bps: float,
-                    link_delay_s: float = 0.0, queue_delay_s: float = 0.0) -> float:
-    """Seconds for one packet to cross one hop: transmit + propagation + queueing."""
-    if speed_bps <= 0:
-        raise DomainError(f"link speed must be positive, got {speed_bps!r}")
-    if size_bits < 0 or link_delay_s < 0 or queue_delay_s < 0:
-        raise DomainError("size and delays must be >= 0")
-    return size_bits / speed_bps + link_delay_s + queue_delay_s
-
-
 def path_delay(packets: float, tau_s: float, hops: float) -> float:
     """Total seconds to push `packets` over `hops` hops at tau seconds each."""
     if packets < 0 or tau_s < 0 or hops < 0:
@@ -95,6 +85,6 @@ def edp_coefficients(params: NetworkParams, hops: float, tau_s: float,
 
 __all__ = [
     "average_edp", "edp_coefficients", "path_delay", "path_edp",
-    "path_energy", "per_hop_latency", "receive_energy_per_bit",
+    "path_energy", "receive_energy_per_bit",
     "transmit_energy_per_bit",
 ]

@@ -1,7 +1,7 @@
 """Domain types shared by every other module: radio/energy parameters,
-nodes, links, topology, paths and per-source routing specs.
+links, topology, paths and per-source routing specs.
 
-Parameters, nodes, links, topologies, paths and specs are build-time
+Parameters, links, topologies, paths and specs are build-time
 facts: nothing writes them once `build_scenario` returns. The engine owns
 every per-run fact (residual energy, which nodes have failed, which spares
 are left, which links are down), and packets carry their own progress.
@@ -84,12 +84,6 @@ class NetworkParams:
 
 
 @dataclass(frozen=True)
-class Node:
-    id: int
-    position: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class Link:
     endpoints: tuple[int, int]  # ordered (low id, high id)
     speed_bps: float = 50000.0
@@ -151,12 +145,12 @@ class Packet:
 
 
 class Topology:
-    """Immutable radio-range adjacency over a fixed node deployment."""
+    """Immutable radio-range adjacency over a fixed node deployment:
+    `nodes` maps each node id to its position."""
 
-    def __init__(self, nodes: dict[int, Node], radio_range_m: float,
+    def __init__(self, nodes: dict[int, tuple[float, float]],
                  links: dict[tuple[int, int], Link]):
         self.nodes = nodes
-        self.radio_range_m = radio_range_m
         self.links = links
         self._adjacency: dict[int, tuple[int, ...]] = {}
         adj: dict[int, set[int]] = {nid: set() for nid in nodes}
@@ -179,7 +173,7 @@ class Topology:
             raise RoutingError(f"no link between {a} and {b}") from None
 
     def distance(self, a: int, b: int) -> float:
-        (ax, ay), (bx, by) = self.nodes[a].position, self.nodes[b].position
+        (ax, ay), (bx, by) = self.nodes[a], self.nodes[b]
         return math.hypot(ax - bx, ay - by)
 
     def reachable_from(self, start: int) -> set[int]:
@@ -245,14 +239,13 @@ def build_topology(positions: dict[int, tuple[float, float]],
     for nid, (x, y) in positions.items():
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"node {nid} has a non-finite position")
-    nodes = {nid: Node(id=nid, position=(float(x), float(y)))
-             for nid, (x, y) in positions.items()}
+    nodes = {nid: (float(x), float(y)) for nid, (x, y) in positions.items()}
     overrides = link_overrides or {}
     links: dict[tuple[int, int], Link] = {}
     for a, b in _pairs_in_range(positions, radio_range_m):
         speed, delay = overrides.get((a, b), (link_speed_bps, link_delay_s))
         links[(a, b)] = Link((a, b), speed, delay)
-    topo = Topology(nodes, radio_range_m, links)
+    topo = Topology(nodes, links)
     if sink is not None:
         for src in sources:
             if src == sink:
@@ -310,7 +303,7 @@ def annotate_source(topology: Topology, spec: SourceSpec, sink: int,
 
 __all__ = [
     "ConnectivityError", "DomainError", "DuplicateNodeError",
-    "InvalidPathError", "Link", "NetworkParams", "Node", "Packet",
+    "InvalidPathError", "Link", "NetworkParams", "Packet",
     "PathInfo", "RangeExceededError", "RoutingError", "ScenarioError",
     "SourceSpec", "Topology", "UnreachableError",
     "annotate_source", "build_topology", "path_tau", "validate_path",

@@ -280,10 +280,10 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
         sink=scenario.sink,
     )
     first_at: dict[tuple[float, float], int] = {}
-    for nid, node in topo.nodes.items():
-        other = first_at.setdefault(node.position, nid)
+    for nid, position in topo.nodes.items():
+        other = first_at.setdefault(position, nid)
         if other != nid:
-            raise ScenarioError(f"nodes {other} and {nid} share position {node.position}")
+            raise ScenarioError(f"nodes {other} and {nid} share position {position}")
     specs = []
     for decl in scenario.sources:
         if decl.paths:
@@ -298,8 +298,7 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
 
 
 def generate_random_scenario(count: int, area_m: float, radius_m: float,
-                             seed: int, packets: int = 100,
-                             params: NetworkParams | None = None) -> tuple[Scenario, bool]:
+                             seed: int, packets: int = 100) -> tuple[Scenario, bool]:
     """Seeded uniform deployment over a square area.
 
     Returns the scenario and whether the chosen source-sink pair is
@@ -314,11 +313,10 @@ def generate_random_scenario(count: int, area_m: float, radius_m: float,
     sink = min(positions, key=lambda n: (math.dist(positions[n], centre), n))
     source = max((n for n in positions if n != sink),
                  key=lambda n: (math.dist(positions[n], positions[sink]), -n))
-    base = params or NetworkParams()
     scenario = Scenario(
         name=f"uniform-{count}nodes-seed{seed}",
         seed=seed,
-        params=NetworkParams(**{**asdict(base), "radio_range_m": float(radius_m)}),
+        params=NetworkParams(radio_range_m=float(radius_m)),
         positions=positions,
         sink=sink,
         sources=[SourceDecl(id=source, packets=packets)],

@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+from wsn_multipath.allocator import Allocation, AllocationInput, apportion, solve_quota_bound
+from wsn_multipath.metrics import average_edp
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, RunConfig, Scenario, SourceDecl
 
@@ -26,6 +28,23 @@ def small_params(**overrides) -> NetworkParams:
     )
     base.update(overrides)
     return NetworkParams(**base)
+
+
+def allocate_single_source(inp: AllocationInput) -> Allocation:
+    """Oracle for the strategic split without contention, from the public
+    pieces: the equal-split EDP at the fleet-average hops and latency is
+    every path's budget, each path's bound is the largest real packet count
+    within it, and the bounds are apportioned to the exact total."""
+    n = len(inp.paths)
+    budget = average_edp(inp.params, inp.total_packets, n,
+                         sum(p.hops for p in inp.paths) / n,
+                         sum(p.tau_s for p in inp.paths) / n,
+                         inp.source_sink_dist_m)
+    bounds = [solve_quota_bound(inp.params, p.hops, p.tau_s, inp.source_sink_dist_m,
+                                budget)
+              for p in inp.paths]
+    return Allocation(quotas=apportion(bounds, inp.total_packets),
+                      raw_quotas=bounds, budget_edp=budget)
 
 
 def line_scenario(packets=20, hops=5, window=None, link_delay=0.0,

@@ -15,7 +15,6 @@ from wsn_multipath.allocator import (
     AllocationInput,
     PathParams,
     allocate_multi_source,
-    allocate_single_source,
     solve_quota_bound,
 )
 from wsn_multipath.engine import run_scenario
@@ -26,6 +25,7 @@ from wsn_multipath.scenario import FaultDecl, build_scenario, generate_random_sc
 from wsn_multipath.scenarios import five_path_fan, three_source_mesh, three_source_mesh_sim
 
 from conftest import (
+    allocate_single_source,
     crossing_fault_scenario,
     crossing_scenario,
     fault_beacon_scenario,
@@ -47,7 +47,7 @@ def _quotas_for(scenario, packets):
     _, specs = build_scenario(scenario)
     out = {}
     for spec in specs:
-        alloc = allocate_single_source(AllocationInput(
+        alloc = allocate_multi_source(AllocationInput(
             params=scenario.params, total_packets=packets,
             paths=[PathParams(p.hops, p.tau_s) for p in spec.paths],
             source_sink_dist_m=spec.source_sink_dist_m))
@@ -261,8 +261,9 @@ def faulted_runs(draw):
     else:
         base, connected = generate_random_scenario(
             draw(st.integers(10, 25)), 80.0, 30.0, seed=draw(st.integers(0, 999)),
-            packets=draw(st.integers(5, 40)), params=small_params(radio_range_m=30.0))
+            packets=draw(st.integers(5, 40)))
         assume(connected)
+        base = dataclasses.replace(base, params=small_params(radio_range_m=30.0))
     base = configured(base, fragmented=draw(st.booleans()),
                       window=draw(st.sampled_from((1, 3, None))), max_attempts=3,
                       fault_detection=draw(st.sampled_from(("auto", "on", "off"))))

@@ -9,13 +9,14 @@ from wsn_multipath.allocator import (
     DegenerateAllocationError,
     PathParams,
     allocate_multi_source,
-    allocate_single_source,
     apportion,
     scheme_allocation,
     solve_quota_bound,
 )
 from wsn_multipath.metrics import average_edp, path_edp
 from wsn_multipath.model import DomainError, NetworkParams
+
+from conftest import allocate_single_source
 
 PARAMS = NetworkParams()   # table-scale constants, sensing 81.2e-6 W
 
@@ -105,34 +106,34 @@ def test_apportion_degenerate():
     assert apportion([0.0, 0.0], 0) == [0, 0]
 
 
-# -------------------------------------------------------------- single source
+# ----------------------------------------------------------- zero contention
 
 def test_single_path_gets_everything():
-    alloc = allocate_single_source(make_input([4], 100))
+    alloc = allocate_multi_source(make_input([4], 100))
     assert alloc.quotas == [100]
 
 
 def test_identical_paths_split_evenly():
-    alloc = allocate_single_source(make_input([4, 4, 4], 100))
+    alloc = allocate_multi_source(make_input([4, 4, 4], 100))
     assert sum(alloc.quotas) == 100
     assert max(alloc.quotas) - min(alloc.quotas) <= 1
 
 
 def test_mesh_source_two_reproduction():
-    alloc = allocate_single_source(make_input([3, 4, 7], 100, dist=74.0))
+    alloc = allocate_multi_source(make_input([3, 4, 7], 100, dist=74.0))
     assert alloc.quotas == [45, 35, 20]
 
 
 def test_raw_bounds_satisfy_budget():
     inp = make_input([3, 4, 7], 100)
-    alloc = allocate_single_source(inp)
+    alloc = allocate_multi_source(inp)
     for raw, p in zip(alloc.raw_quotas, inp.paths):
         assert path_edp(PARAMS, raw, p.hops, p.tau_s, 74.0) <= (
             alloc.budget_edp * (1 + 1e-9))
 
 
 def test_exceeds_bound_flag_set_when_normalization_overshoots():
-    alloc = allocate_single_source(make_input([3, 4, 7], 100))
+    alloc = allocate_multi_source(make_input([3, 4, 7], 100))
     for quota, raw, flag in zip(alloc.quotas, alloc.raw_quotas, alloc.exceeds_bound):
         assert flag == (quota > raw + 1e-9)
 
@@ -237,8 +238,8 @@ def test_permutation_symmetry(paths, packets, dist, seed):
     shuffled = AllocationInput(params=PARAMS, total_packets=packets,
                                paths=[base.paths[i] for i in order],
                                source_sink_dist_m=dist)
-    a = allocate_single_source(base).raw_quotas
-    b = allocate_single_source(shuffled).raw_quotas
+    a = allocate_multi_source(base).raw_quotas
+    b = allocate_multi_source(shuffled).raw_quotas
     # the budget's hop/latency means re-sum in shuffled order, so the raw
     # bounds are equal only up to float summation noise
     for out_pos, in_pos in enumerate(order):

@@ -60,11 +60,6 @@ def test_direct_route_is_found_once():
     assert len(topo.neighbors(7)) == 4
 
 
-def test_discovery_respects_max_paths(mesh):
-    topo, _ = build_scenario(mesh)
-    assert len(discover_paths(topo, 1, 6, max_paths=2)) == 2
-
-
 def test_discovery_unreachable():
     topo = build_topology({1: (0, 0), 2: (100, 0)}, radio_range_m=5.0)
     with pytest.raises(UnreachableError):

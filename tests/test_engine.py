@@ -604,8 +604,8 @@ class _LeakyEngine(Engine):
         super().__init__(scenario)
         self._leak = leak
 
-    def _sweep_unresolved(self):
-        super()._sweep_unresolved()
+    def _check_quiescent(self):
+        super()._check_quiescent()
         if self._leak == "bucket":
             self.metrics.energy_breakdown_j["tx_data"] += 1.0
         else:

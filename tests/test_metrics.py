@@ -9,7 +9,6 @@ from wsn_multipath.metrics import (
     path_delay,
     path_edp,
     path_energy,
-    per_hop_latency,
     receive_energy_per_bit,
     transmit_energy_per_bit,
 )
@@ -17,23 +16,6 @@ from wsn_multipath.model import DomainError, NetworkParams, RangeExceededError
 
 
 PARAMS = NetworkParams()
-
-
-def test_per_hop_latency_table_rate():
-    assert per_hop_latency(1000, 50000) == pytest.approx(0.02)
-
-
-def test_per_hop_latency_empty_packet():
-    assert per_hop_latency(0, 50000) == 0.0
-
-
-def test_per_hop_latency_with_link_and_queue_delay():
-    assert per_hop_latency(1000, 50000, 0.001, 0.159) == pytest.approx(0.18)
-
-
-def test_per_hop_latency_rejects_zero_speed():
-    with pytest.raises(DomainError):
-        per_hop_latency(1000, 0)
 
 
 def test_path_delay_zero_packets():

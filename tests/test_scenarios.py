@@ -100,14 +100,15 @@ def test_mesh_hop_counts():
 
 
 def test_fan_structure():
-    topo, specs = build_scenario(five_path_fan())
+    fan = five_path_fan()
+    _topo, specs = build_scenario(fan)
     (spec,) = specs
     assert [p.hops for p in spec.paths] == [9, 22, 5, 20, 7]
     spec.check_locally_disjoint()
     assert spec.source_sink_dist_m == pytest.approx(100.0)
     for p in spec.paths:
         assert p.tau_s == pytest.approx(0.02)
-        assert p.hop_dist_m <= topo.radio_range_m
+        assert p.hop_dist_m <= fan.params.radio_range_m
 
 
 def test_scenario_yaml_round_trip(tmp_path):
