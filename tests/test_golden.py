@@ -1,5 +1,6 @@
 """Golden outputs: SHA-256 digests of what the CLI writes for the shipped
-scenarios (tables, summaries, traces and plot data), and of traced runs of
+scenarios (tables, summaries, suite reports, traces and plot data) and
+prints for them, and of traced runs of
 the fault-recovery fixtures, the pipelined meshes, the engine modes no
 shipped scenario runs and a 1000-node deployment with a failure.
 
@@ -67,17 +68,34 @@ SUITE_DIGESTS = {
         "6bfd0d812d952e1569e1ad1e7d520a5555e5c1967d5acdcde2c329db56000a2c",
 }
 
+# the text report of each suite run above, with its [PASS]/[FAIL] lines:
+# `{suite}.txt` under `--out`, and stdout without it
+SUITE_TEXT_DIGESTS = {
+    ("three-source-mesh", "frameworks"):
+        "5bd673f439f2d57ccc21aaa3f779df86230cf8ecc88e20d8d14d518bdc760651",
+    ("three-source-mesh-sim", "frameworks"):
+        "fa50b9fb8d65ff5a0056e1d513499d54fd54d9b05344fa48f43a004ff26516f0",
+    ("five-path-fan", "schemes"):
+        "0907bb5f2a9b8f512e10e4c76d83c9c49de008587ba0678f30a527383889fe0d",
+}
+
 STDOUT_DIGESTS = {
     ("discover", "csv"):
         "4d603390779284f9c27cc297be0b24eacccfe486d65b2d7146ae4006d9dbd0e4",
+    ("discover", "json-lines"):
+        "92fa996bf290c58822ba5a0803a82de967513ab76a39863adfd401b5e590fe98",
     ("discover", "text"):
         "055877eac2ab6796f43068665ea66404af9f44dee871822e2ec7fa211de8ca1c",
     ("allocate", "csv"):
         "eabaee439e5dd5ed80ca850712a45ea4b7c5693511bfc53ca3e7ee7960d15462",
+    ("allocate", "json-lines"):
+        "07b7468ed079ca7519dc6a472a70e4861a555565c84c3b16780a3996498f201d",
     ("allocate", "text"):
         "d5ed0de2d888660a5c2d16654c49b2d20b348b64dccd65cb53d422f2109381b3",
     ("run", "csv"):
         "b5171ddb142dc06beaba4af511f4578b8389d6c6a66d8116569bee97e8cfe744",
+    ("run", "json-lines"):
+        "fb6214b8c82fcb73965a308759971b517c24d62c5a989b54cd24b3bbafe50d2d",
     ("run", "text"):
         "c8f5612e6039ff4b171d78ae623eb9b6c827c7450d948446535a0a8e3e26c8b3",
 }
@@ -184,6 +202,18 @@ def suite_output(name: str, suite: str, out: Path) -> str:
     return _sha((out / f"{suite}.csv").read_bytes())
 
 
+def suite_text_outputs(name: str, suite: str, out: Path, capsys) -> tuple[str, str]:
+    """Digests of a suite's text report as written under `--out` and as
+    printed without it."""
+    argv = ["experiment", "--scenario", _scenario(name), "--suite", suite,
+            "--packets", "100", "200"]
+    assert main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    return (_sha((out / f"{suite}.txt").read_bytes()),
+            _sha(capsys.readouterr().out.encode()))
+
+
 def plot_outputs(command: str, name: str, out: Path) -> dict[str, str]:
     args = (["run"] if command == "run" else
             ["experiment", "--suite", command, "--packets", "100", "200"])
@@ -208,6 +238,12 @@ def test_run_outputs_match_golden(name, tmp_path):
 @pytest.mark.parametrize("name,suite", sorted(SUITE_DIGESTS))
 def test_suite_csv_matches_golden(name, suite, tmp_path):
     assert suite_output(name, suite, tmp_path) == SUITE_DIGESTS[(name, suite)]
+
+
+@pytest.mark.parametrize("name,suite", sorted(SUITE_TEXT_DIGESTS))
+def test_suite_text_matches_golden(name, suite, tmp_path, capsys):
+    digest = SUITE_TEXT_DIGESTS[(name, suite)]
+    assert suite_text_outputs(name, suite, tmp_path, capsys) == (digest, digest)
 
 
 @pytest.mark.parametrize("command,fmt", sorted(STDOUT_DIGESTS))
