@@ -1,8 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: discover (each source's path set), allocate
+(per-path quotas), run (one simulation), experiment (scheme or framework
+suite) and gen-topology (seeded uniform deployment).
 
-Subcommands: discover (print each source's path set), allocate (per-path
-quotas), run (one simulation, metrics CSV + summary), experiment (scheme or
-framework suite), gen-topology (seeded uniform deployment).
+The first four print their rows in --format (text, csv or json-lines), or
+with --out DIR write them to DIR as CSV beside their companion files
+(summary, trace, suite report, plot data) and print nothing. --trace and
+--plot-data need --out.
 
 Exit codes: 0 success, 1 usage error, 2 scenario error (loading, building
 or discovering a scenario, or constructing its engine), 3 simulation error
@@ -12,6 +15,7 @@ or discovering a scenario, or constructing its engine), 3 simulation error
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import traceback
@@ -19,6 +23,7 @@ import traceback
 from .allocator import AllocationInput, PathParams, scheme_allocation
 from .engine import Engine, SimulationError
 from .experiments import (
+    Report,
     configured,
     metrics_rows,
     render_rows,
@@ -53,14 +58,14 @@ def _build_parser() -> _Parser:
                      description="multi-source multipath routing simulator")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario YAML file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "text", "json-lines"),
-                       default="text")
+    def common(p):
+        p.add_argument("--scenario", required=True, help="scenario YAML file")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("-v", "--verbose", action="count", default=0)
+        output = p.add_mutually_exclusive_group()
+        output.add_argument("--out", default=None,
+                            help="write the CSV and its companion files here; print nothing")
+        output.add_argument("--format", choices=("csv", "text", "json-lines"),
+                            default=None, help="stdout format without --out (default text)")
 
     p = sub.add_parser("discover", help="print discovered/declared path sets")
     common(p)
@@ -83,7 +88,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("experiment", help="run a packaged suite")
     common(p)
     p.add_argument("--suite", choices=("schemes", "frameworks"), required=True)
-    p.add_argument("--packets", type=int, nargs="+", default=[100, 200])
+    p.add_argument("--packets", dest="volumes", metavar="D", type=int, nargs="+",
+                   default=[100, 200])
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--plot-data", action="store_true")
 
@@ -97,28 +103,47 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _out_dir(args) -> str:
-    out = args.out or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _load(args):
+    """The scenario file with the command's --seed, --packets, --scheme and
+    --trace applied."""
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.seed = args.seed
-    return scenario
+    overrides = {"record_trace": True} if getattr(args, "trace", False) else {}
+    if getattr(args, "scheme", None) is not None:
+        overrides["scheme"] = args.scheme
+    return configured(scenario, packets=getattr(args, "packets", None), **overrides)
 
 
-def _emit_rows(rows: list[dict], args, name: str) -> None:
-    if args.format == "csv" and args.out:
-        write_rows_csv(rows, os.path.join(_out_dir(args), name))
-    elif args.format == "json-lines":
-        import json
-        for row in rows:
-            print(json.dumps(row, sort_keys=True))
+def _emit(args, name: str, rows: list[dict], files: dict[str, str] | None = None,
+          report: Report | None = None) -> int:
+    """The output rule. With --out, write the rows to `name` as CSV, each
+    of `files`, and with --plot-data the plot series, and print nothing; a
+    report writes its own CSV and its text as `{suite}.txt`. Without
+    --out, print the rows in --format; a report's text format is its own
+    table with its check lines."""
+    if args.out is None:
+        fmt = args.format or "text"
+        if fmt == "json-lines":
+            sys.stdout.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+        elif fmt == "text" and report is not None:
+            sys.stdout.write(report.to_text())
+        else:
+            sys.stdout.write(render_rows(rows, fmt))
+        return EXIT_OK
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    if report is None:
+        write_rows_csv(rows, path)
     else:
-        sys.stdout.write(render_rows(rows, args.format))
+        report.to_csv(path)
+        files = {f"{report.suite}.txt": report.to_text()}
+    for file_name, text in (files or {}).items():
+        with open(os.path.join(args.out, file_name), "w") as fh:
+            fh.write(text)
+    if getattr(args, "plot_data", False):
+        write_plot_data(rows, args.out)
+    return EXIT_OK
 
 
 def cmd_discover(args) -> int:
@@ -138,16 +163,17 @@ def cmd_discover(args) -> int:
                 "tx_bit_time_s": scenario.params.tx_bit_time_s,
                 "rx_bit_time_s": scenario.params.rx_bit_time_s,
             })
-    _emit_rows(rows, args, "paths.csv")
-    return EXIT_OK
+    return _emit(args, "paths.csv", rows)
 
 
 def cmd_allocate(args) -> int:
     scenario = _load(args)
-    if args.packets is not None or args.scheme is not None:
-        scenario = configured(scenario,
-                              packets=args.packets,
-                              **({"scheme": args.scheme} if args.scheme else {}))
+    sources = [s.id for s in scenario.sources]
+    if args.source is not None and args.source not in sources:
+        print(f"wsn-multipath allocate: error: node {args.source} is not a source; "
+              f"the sources of {scenario.name} are {', '.join(map(str, sources))}",
+              file=sys.stderr)
+        return EXIT_USAGE
     topology, specs = build_scenario(scenario)
     # the scenario's own probes, if it declares any, discount each route
     # by the last count they recorded
@@ -173,36 +199,15 @@ def cmd_allocate(args) -> int:
                 "budget_edp_js": alloc.budget_edp,
                 "exceeds_bound": alloc.exceeds_bound[idx],
             })
-    _emit_rows(rows, args, "allocation.csv")
-    return EXIT_OK
+    return _emit(args, "allocation.csv", rows)
 
 
 def cmd_run(args) -> int:
-    scenario = _load(args)
-    overrides = {}
+    metrics = Engine(_load(args)).run()
+    files = {"summary.txt": _summary_text(metrics)}
     if args.trace:
-        overrides["record_trace"] = True
-    if args.scheme is not None:
-        overrides["scheme"] = args.scheme
-    if args.packets is not None or overrides:
-        scenario = configured(scenario, packets=args.packets, **overrides)
-    metrics = Engine(scenario).run()
-    rows = metrics_rows(metrics)
-    out = _out_dir(args) if args.out else None
-    if out:
-        write_rows_csv(rows, os.path.join(out, "metrics.csv"))
-        with open(os.path.join(out, "summary.txt"), "w") as fh:
-            fh.write(_summary_text(metrics))
-        if args.trace:
-            with open(os.path.join(out, "trace.txt"), "w") as fh:
-                fh.write("\n".join(metrics.trace) + ("\n" if metrics.trace else ""))
-        if args.plot_data:
-            write_plot_data(rows, out)
-        if args.verbose:
-            print(f"wrote {out}/metrics.csv")
-    else:
-        _emit_rows(rows, args, "metrics.csv")
-    return EXIT_OK
+        files["trace.txt"] = "\n".join(metrics.trace) + ("\n" if metrics.trace else "")
+    return _emit(args, "metrics.csv", metrics_rows(metrics), files)
 
 
 def _summary_text(metrics) -> str:
@@ -223,23 +228,10 @@ def _summary_text(metrics) -> str:
 
 
 def cmd_experiment(args) -> int:
-    scenario = _load(args)
-    if args.suite == "schemes":
-        report = run_scheme_comparison(scenario, args.packets, jobs=args.jobs)
-    else:
-        report = run_multisource_frameworks(scenario, args.packets, jobs=args.jobs)
-    out = _out_dir(args) if args.out else None
-    if out:
-        report.to_csv(os.path.join(out, f"{args.suite}.csv"))
-        with open(os.path.join(out, f"{args.suite}.txt"), "w") as fh:
-            fh.write(report.to_text())
-        if args.plot_data:
-            write_plot_data(report.rows, out)
-        if args.verbose:
-            print(f"wrote {out}/{args.suite}.csv")
-    else:
-        sys.stdout.write(report.to_text())
-    return EXIT_OK
+    run_suite = (run_scheme_comparison if args.suite == "schemes"
+                 else run_multisource_frameworks)
+    report = run_suite(_load(args), args.volumes, jobs=args.jobs)
+    return _emit(args, f"{args.suite}.csv", report.rows, report=report)
 
 
 def cmd_gen_topology(args) -> int:
@@ -259,6 +251,9 @@ def cmd_gen_topology(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.out is None and (getattr(args, "trace", False)
+                             or getattr(args, "plot_data", False)):
+        parser.error("--trace and --plot-data write files, so they need --out")
     handlers = {
         "discover": cmd_discover,
         "allocate": cmd_allocate,

@@ -18,9 +18,6 @@ from dataclasses import dataclass, field
 from .engine import RunMetrics, run_scenario
 from .scenario import Scenario, scenario_hash
 
-FRAMEWORKS = ("traditional", "equal", "strategic")
-
-
 def configured(scenario: Scenario, packets: int | None = None,
                **engine_overrides) -> Scenario:
     """A copy of the scenario with adjusted traffic volume or run config."""
@@ -30,14 +27,17 @@ def configured(scenario: Scenario, packets: int | None = None,
     return dataclasses.replace(scenario, sources=sources, engine=engine)
 
 
-def _framework_config(name: str) -> dict:
-    if name == "traditional":
-        return {"replicate": True, "fragmented": False}
-    if name == "equal":
-        return {"replicate": False, "fragmented": True, "scheme": 2}
-    if name == "strategic":
-        return {"replicate": False, "fragmented": True, "scheme": 3}
-    raise ValueError(f"unknown framework {name!r}")
+# each suite's variants in row order: the name its rows carry and the run
+# config it overrides
+_VARIANTS = {
+    "schemes": {scheme: {"scheme": scheme} for scheme in (1, 2, 3)},
+    "frameworks": {
+        "traditional": {"replicate": True, "fragmented": False},
+        "equal": {"replicate": False, "fragmented": True, "scheme": 2},
+        "strategic": {"replicate": False, "fragmented": True, "scheme": 3},
+    },
+}
+FRAMEWORKS = tuple(_VARIANTS["frameworks"])
 
 
 @dataclass
@@ -82,100 +82,95 @@ def render_rows(rows: list[dict], fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _run_cells(cells: list[Scenario], jobs: int) -> list[RunMetrics]:
+def _run_suite(suite: str, scenario: Scenario, packet_counts: list[int], jobs: int,
+               rows) -> tuple[Report, dict[tuple, RunMetrics]]:
+    """Run the suite's cells, one per (traffic volume, variant) in that
+    order and `jobs` at a time, and tabulate them: `rows(d, variant,
+    metrics)` gives a cell's rows, which follow the provenance columns.
+    Returns the report, without checks, and the runs by cell."""
+    report = Report(suite=suite, scenario_name=scenario.name,
+                    scenario_hash=scenario_hash(scenario), seed=scenario.seed)
+    variants = _VARIANTS[suite]
+    keys = [(d, v) for d in packet_counts for v in variants]
+    cells = [configured(scenario, packets=d, **variants[v]) for d, v in keys]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_scenario, cells))
-    return [run_scenario(c) for c in cells]
+            results = list(pool.map(run_scenario, cells))
+    else:
+        results = [run_scenario(c) for c in cells]
+    base = {"suite": suite, "scenario": scenario.name, "scenario_hash": report.scenario_hash}
+    for (d, variant), metrics in zip(keys, results):
+        report.rows += [{**base, "seed": metrics.seed, **row}
+                        for row in rows(d, variant, metrics)]
+    return report, dict(zip(keys, results))
+
+
+def _ordering(label: str, ranked: list[tuple[str, float]]) -> tuple[str, bool]:
+    """The check that the values of `ranked` do not decrease along it,
+    labelled `label` and its names joined by " <= "."""
+    values = [value for _name, value in ranked]
+    return (f"{label} " + " <= ".join(name for name, _value in ranked),
+            all(a <= b for a, b in zip(values, values[1:])))
+
+
+def _scheme_rows(d: int, scheme: int, metrics: RunMetrics) -> list[dict]:
+    return [{"packets": d, "scheme": scheme, "source": src, "path": idx,
+             "hops": stats["hops"], "quota": stats["quota"],
+             "delivered": stats["delivered"], "dropped": stats["dropped"],
+             "path_delay_sim_s": stats["sim_delay_s"],
+             "path_delay_model_s": stats["model_delay_s"],
+             "path_energy_model_j": stats["model_energy_j"],
+             "mean_queue_wait_s": stats["mean_wait_s"],
+             "net_delay_s": metrics.completion_s,
+             "net_energy_j": metrics.energy_spent_j}
+            for (src, idx), stats in sorted(metrics.per_path.items())]
 
 
 def run_scheme_comparison(scenario: Scenario, packet_counts: list[int],
-                          schemes: tuple[int, ...] = (1, 2, 3),
                           jobs: int = 1) -> Report:
     """Run each distribution scheme at each traffic volume and tabulate
     per-scheme totals plus per-path delay and allocation."""
-    report = Report(suite="schemes", scenario_name=scenario.name,
-                    scenario_hash=scenario_hash(scenario), seed=scenario.seed)
-    cells = [configured(scenario, packets=d, scheme=s)
-             for d in packet_counts for s in schemes]
-    results = _run_cells(cells, jobs)
-    by_key: dict[tuple[int, int], RunMetrics] = {}
-    for cfg, metrics in zip(cells, results):
-        d = cfg.sources[0].packets
-        by_key[(d, cfg.engine.scheme)] = metrics
-        for (src, idx), stats in sorted(metrics.per_path.items()):
-            report.rows.append({
-                "suite": "schemes", "scenario": scenario.name,
-                "scenario_hash": report.scenario_hash, "seed": metrics.seed,
-                "packets": d, "scheme": cfg.engine.scheme, "source": src,
-                "path": idx, "hops": stats["hops"], "quota": stats["quota"],
-                "delivered": stats["delivered"], "dropped": stats["dropped"],
-                "path_delay_sim_s": stats["sim_delay_s"],
-                "path_delay_model_s": stats["model_delay_s"],
-                "path_energy_model_j": stats["model_energy_j"],
-                "mean_queue_wait_s": stats["mean_wait_s"],
-                "net_delay_s": metrics.completion_s,
-                "net_energy_j": metrics.energy_spent_j,
-            })
+    report, runs = _run_suite("schemes", scenario, packet_counts, jobs, _scheme_rows)
     for d in packet_counts:
-        delays = {s: by_key[(d, s)].completion_s for s in schemes}
-        energies = {s: by_key[(d, s)].energy_spent_j for s in schemes}
-        if {1, 2, 3} <= set(schemes):
-            report.checks.append((
-                f"D={d}: delay scheme3 <= scheme2 <= scheme1",
-                delays[3] <= delays[2] <= delays[1]))
-            report.checks.append((
-                f"D={d}: energy scheme1 <= scheme3 <= scheme2",
-                energies[1] <= energies[3] <= energies[2]))
+        report.checks += [
+            _ordering(f"D={d}: delay", [(f"scheme{s}", runs[(d, s)].completion_s)
+                                        for s in (3, 2, 1)]),
+            _ordering(f"D={d}: energy", [(f"scheme{s}", runs[(d, s)].energy_spent_j)
+                                         for s in (1, 3, 2)])]
     return report
+
+
+def _framework_rows(d: int, framework: str, metrics: RunMetrics) -> list[dict]:
+    return [{"framework": framework, "packets": d, "source": src,
+             "source_delay_s": metrics.per_source_completion_s[src],
+             "source_energy_j": metrics.per_source_comm_j[src],
+             "delivered": metrics.delivered[src],
+             "injected": metrics.injected[src],
+             "net_delay_s": metrics.completion_s,
+             "net_energy_j": metrics.energy_spent_j,
+             "dropped_overflow": metrics.dropped_overflow,
+             "dropped_fault": metrics.dropped_fault,
+             "duplicates": metrics.duplicates}
+            for src in sorted(metrics.per_source_completion_s)]
 
 
 def run_multisource_frameworks(scenario: Scenario, packet_counts: list[int],
                                jobs: int = 1) -> Report:
     """Compare replicated traditional delivery against the fragmented-queue
     machinery with equal and strategic splits."""
-    report = Report(suite="frameworks", scenario_name=scenario.name,
-                    scenario_hash=scenario_hash(scenario), seed=scenario.seed)
-    cells = [configured(scenario, packets=d, **_framework_config(f))
-             for d in packet_counts for f in FRAMEWORKS]
-    labels = [(d, f) for d in packet_counts for f in FRAMEWORKS]
-    results = _run_cells(cells, jobs)
-    by_key = dict(zip(labels, results))
-    for (d, framework), metrics in zip(labels, results):
-        for src in sorted(metrics.per_source_completion_s):
-            report.rows.append({
-                "suite": "frameworks", "scenario": scenario.name,
-                "scenario_hash": report.scenario_hash, "seed": metrics.seed,
-                "framework": framework, "packets": d, "source": src,
-                "source_delay_s": metrics.per_source_completion_s[src],
-                "source_energy_j": metrics.per_source_comm_j[src],
-                "delivered": metrics.delivered[src],
-                "injected": metrics.injected[src],
-                "net_delay_s": metrics.completion_s,
-                "net_energy_j": metrics.energy_spent_j,
-                "dropped_overflow": metrics.dropped_overflow,
-                "dropped_fault": metrics.dropped_fault,
-                "duplicates": metrics.duplicates,
-            })
+    report, runs = _run_suite("frameworks", scenario, packet_counts, jobs,
+                              _framework_rows)
     for d in packet_counts:
-        delay = {f: by_key[(d, f)].completion_s for f in FRAMEWORKS}
-        energy = {f: by_key[(d, f)].energy_spent_j for f in FRAMEWORKS}
-        report.checks.append((
-            f"D={d}: net delay strategic <= equal <= traditional",
-            delay["strategic"] <= delay["equal"] <= delay["traditional"]))
-        report.checks.append((
-            f"D={d}: net energy strategic <= equal <= traditional",
-            energy["strategic"] <= energy["equal"] <= energy["traditional"]))
-        sources = sorted(by_key[(d, "strategic")].per_source_completion_s)
-        for src in sources:
-            sd = {f: by_key[(d, f)].per_source_completion_s[src] for f in FRAMEWORKS}
-            se = {f: by_key[(d, f)].per_source_comm_j[src] for f in FRAMEWORKS}
-            report.checks.append((
-                f"D={d} source {src}: delay strategic <= equal <= traditional",
-                sd["strategic"] <= sd["equal"] <= sd["traditional"]))
-            report.checks.append((
-                f"D={d} source {src}: energy strategic <= equal <= traditional",
-                se["strategic"] <= se["equal"] <= se["traditional"]))
+        ranked = [(f, runs[(d, f)]) for f in reversed(FRAMEWORKS)]
+        report.checks += [
+            _ordering(f"D={d}: net delay", [(f, m.completion_s) for f, m in ranked]),
+            _ordering(f"D={d}: net energy", [(f, m.energy_spent_j) for f, m in ranked])]
+        for src in sorted(ranked[0][1].per_source_completion_s):
+            report.checks += [
+                _ordering(f"D={d} source {src}: delay",
+                          [(f, m.per_source_completion_s[src]) for f, m in ranked]),
+                _ordering(f"D={d} source {src}: energy",
+                          [(f, m.per_source_comm_j[src]) for f, m in ranked])]
     return report
 
 

@@ -306,6 +306,8 @@ def generate_random_scenario(count: int, area_m: float, radius_m: float,
     """
     if count < 2:
         raise ScenarioError("need at least a source and a sink")
+    if not (math.isfinite(area_m) and area_m > 0):
+        raise ScenarioError(f"area must be positive and finite, got {area_m!r}")
     rng = random.Random(seed)
     positions = {i: (rng.uniform(0.0, area_m), rng.uniform(0.0, area_m))
                  for i in range(1, count + 1)}

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
@@ -115,6 +118,79 @@ def test_allocate_without_probes_runs_no_engine(mesh_file, monkeypatch, capsys):
     monkeypatch.setattr(Engine, "run", no_run)
     assert main(["allocate", "--scenario", mesh_file, "--scheme", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+def test_allocate_unknown_source_is_usage_error(mesh_file, capsys):
+    for fmt in ("text", "csv"):
+        assert main(["allocate", "--scenario", mesh_file, "--source", "7",
+                     "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "7 is not a source" in err and "1, 3, 10" in err
+
+
+# command: (its arguments, the CSV it writes under --out, the flags that
+# write files of their own)
+OUTPUT_COMMANDS = {
+    "discover": ([], "paths.csv", ()),
+    "allocate": (["--packets", "10"], "allocation.csv", ()),
+    "run": (["--packets", "10"], "metrics.csv", ("--trace", "--plot-data")),
+    "experiment": (["--suite", "schemes", "--packets", "10"], "schemes.csv",
+                   ("--plot-data",)),
+}
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("fmt", ["csv", "text", "json-lines"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_one_output_rule(command, fmt, fan_file, tmp_path, monkeypatch, capsys):
+    extra, csv_name, file_flags = OUTPUT_COMMANDS[command]
+    argv = [command, "--scenario", fan_file, *extra]
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+
+    # without --out: stdout carries the rows in the chosen format, and
+    # nothing is written
+    assert main([*argv, "--format", "csv"]) == 0
+    csv_out = capsys.readouterr().out
+    header, *rows = list(csv.reader(io.StringIO(csv_out)))
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert main([*argv, "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json-lines":
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [list(r) for r in records] == [sorted(r) for r in records]
+        assert len(records) == len(rows)
+        assert all(set(r) <= set(header) for r in records)
+    elif fmt == "text":
+        table, _, checks = out.partition("\n\n")
+        assert table.splitlines()[0].split() == header
+        assert len(table.splitlines()) == len(rows) + 1
+        assert all(line[:6] in ("[PASS]", "[FAIL]") for line in checks.splitlines())
+        assert bool(checks) == (command == "experiment")
+    else:
+        assert out == csv_out
+    assert os.listdir(work) == []
+
+    # with --out: nothing printed, and the CSV is the csv format's stdout
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out" / csv_name).read_bytes() == csv_out.encode()
+
+    # --format with --out, and a file-writing flag without --out, are
+    # usage errors that write nothing
+    assert _exit_code([*argv, "--format", fmt, "--out", str(tmp_path / "both")]) == 1
+    assert not (tmp_path / "both").exists()
+    for flag in file_flags:
+        assert _exit_code([*argv, flag]) == 1
+    assert os.listdir(work) == []
 
 
 def test_run_writes_outputs(fan_file, tmp_path):
@@ -311,10 +387,14 @@ def test_unparseable_scenario_is_scenario_error(tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err.lower()
 
 
-def test_gen_topology_nonpositive_radius_is_scenario_error(tmp_path, capsys):
+@pytest.mark.parametrize("area,radius", [
+    ("100", "0"), ("0", "30"), ("-5", "30"), ("nan", "30"), ("inf", "30"),
+])
+def test_gen_topology_nonpositive_radius_is_scenario_error(tmp_path, area, radius,
+                                                          capsys):
     out = tmp_path / "none.yaml"
-    assert main(["gen-topology", "--count", "10", "--area", "100",
-                 "--radius", "0", "--seed", "1", "--out", str(out)]) == 2
+    assert main(["gen-topology", "--count", "10", "--area", area,
+                 "--radius", radius, "--seed", "1", "--out", str(out)]) == 2
     assert "scenario error" in capsys.readouterr().err.lower()
     assert not out.exists()
 
