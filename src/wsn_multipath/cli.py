@@ -254,6 +254,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is None and (getattr(args, "trace", False)
                              or getattr(args, "plot_data", False)):
         parser.error("--trace and --plot-data write files, so they need --out")
+    if getattr(args, "jobs", 1) < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     handlers = {
         "discover": cmd_discover,
         "allocate": cmd_allocate,

@@ -90,10 +90,10 @@ class Link:
     delay_s: float = 0.0
 
     def __post_init__(self):
-        if self.speed_bps <= 0:
-            raise DomainError(f"link speed must be positive, got {self.speed_bps!r}")
-        if self.delay_s < 0:
-            raise DomainError(f"link delay must be >= 0, got {self.delay_s!r}")
+        if not 0 < self.speed_bps < math.inf:
+            raise DomainError(f"link speed must be finite and > 0, got {self.speed_bps!r}")
+        if not 0 <= self.delay_s < math.inf:
+            raise DomainError(f"link delay must be finite and >= 0, got {self.delay_s!r}")
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,13 @@ class RunConfig:
     def __post_init__(self):
         if self.energy_mode not in ("per_bit", "per_packet"):
             raise ScenarioError(f"unknown energy mode {self.energy_mode!r}")
-        for name in ("window", "max_attempts", "queue_packets_per_subqueue"):
+        for name in ("scheme", "window", "max_attempts", "queue_packets_per_subqueue",
+                     "max_events"):
             value = getattr(self, name)  # a bool is not an integer here
             if type(value) is not int and not (name == "window" and value is None):
                 raise ScenarioError(f"{name} must be an integer, got {value!r}")
+        if self.scheme not in (1, 2, 3):
+            raise ScenarioError(f"unknown scheme {self.scheme}; expected 1, 2 or 3")
         if self.max_attempts < 1:
             raise ScenarioError("max_attempts must be >= 1")
         if self.window is not None and self.window < 1:
@@ -91,14 +94,16 @@ class RunConfig:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {self.loss_prob!r}")
         if self.max_events < 1:
             raise ScenarioError("max_events must be >= 1")
-        if not self.control_size_bits > 0:
+        if not 0 < self.control_size_bits < math.inf:
             raise ScenarioError(
-                f"control_size_bits must be > 0, got {self.control_size_bits!r}")
+                f"control_size_bits must be finite and > 0, got {self.control_size_bits!r}")
         for name in ("tx_power_w", "rx_power_w", "idle_power_w"):
-            if not getattr(self, name) >= 0:
-                raise ScenarioError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if not all(t >= 0 for t in self.probe_times):
-            raise ScenarioError(f"probe_times must be >= 0, got {self.probe_times!r}")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ScenarioError(
+                    f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
+        if not all(0 <= t < math.inf for t in self.probe_times):
+            raise ScenarioError(
+                f"probe_times must be finite and >= 0, got {self.probe_times!r}")
 
 
 @dataclass
@@ -164,6 +169,8 @@ class Scenario:
                 if entry.get("redundant"):
                     redundant.append(int(entry["id"]))
             links = data.get("links", {})
+            if not isinstance(links, dict):
+                raise ScenarioError(f"links must be a mapping, got {links!r}")
             overrides = {}
             for o in links.get("overrides", []) or []:
                 key = (min(o["a"], o["b"]), max(o["a"], o["b"]))

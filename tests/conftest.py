@@ -4,13 +4,23 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from wsn_multipath.allocator import Allocation, AllocationInput, apportion, solve_quota_bound
+from wsn_multipath.experiments import configured
 from wsn_multipath.metrics import average_edp
 from wsn_multipath.model import NetworkParams
-from wsn_multipath.scenario import FaultDecl, RunConfig, Scenario, SourceDecl
+from wsn_multipath.scenario import FaultDecl, RunConfig, Scenario, SourceDecl, load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def shipped(name: str, packets: int | None = None) -> Scenario:
+    """The shipped scenario `scenarios/{name}.yaml`, freshly loaded, with
+    `packets` per source when given."""
+    return configured(load_scenario(str(SCENARIOS / f"{name}.yaml")), packets=packets)
 
 
 def small_params(**overrides) -> NetworkParams:
@@ -311,17 +321,14 @@ def uniform_fault_scenario(count: int, area_m: float, radius_m: float, seed: int
 
 @pytest.fixture
 def mesh():
-    from wsn_multipath.scenarios import three_source_mesh
-    return three_source_mesh()
+    return shipped("three-source-mesh")
 
 
 @pytest.fixture
 def mesh_sim():
-    from wsn_multipath.scenarios import three_source_mesh_sim
-    return three_source_mesh_sim()
+    return shipped("three-source-mesh-sim")
 
 
 @pytest.fixture
 def fan():
-    from wsn_multipath.scenarios import five_path_fan
-    return five_path_fan()
+    return shipped("five-path-fan")

@@ -22,7 +22,6 @@ from wsn_multipath.experiments import configured, run_multisource_frameworks
 from wsn_multipath.metrics import average_edp, path_edp
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, build_scenario, generate_random_scenario
-from wsn_multipath.scenarios import five_path_fan, three_source_mesh, three_source_mesh_sim
 
 from conftest import (
     allocate_single_source,
@@ -32,6 +31,7 @@ from conftest import (
     fault_timer_scenario,
     line_scenario,
     random_scenario,
+    shipped,
     small_params,
 )
 from test_engine import _line_link_fault, _star_scenario
@@ -57,7 +57,7 @@ def _quotas_for(scenario, packets):
 
 def test_criterion_01_mesh_allocation_reproduction():
     targets = {1: (30, 40, 30), 3: (45, 35, 20), 10: (37, 37, 26)}
-    quotas = _quotas_for(three_source_mesh(), packets=100)
+    quotas = _quotas_for(shipped("three-source-mesh"), packets=100)
     for src, want in targets.items():
         got = quotas[src]
         for g, w in zip(got, want):
@@ -70,7 +70,7 @@ def test_criterion_02_large_volume_quota_reproduction():
         1000: {1: (310, 380, 310), 3: (434, 336, 230), 10: (372, 372, 256)},
         2000: {1: (620, 760, 620), 3: (866, 672, 462), 10: (743, 743, 514)},
     }
-    scenario = three_source_mesh_sim()
+    scenario = shipped("three-source-mesh-sim")
     for packets, by_source in targets.items():
         quotas = _quotas_for(scenario, packets)
         for src, want in by_source.items():
@@ -132,7 +132,7 @@ def _cov(values):
 
 
 def test_criterion_05_scheme_orderings_and_dispersion():
-    fan = five_path_fan()
+    fan = shipped("five-path-fan")
     for packets in (100, 200):
         runs = {s: run_scenario(configured(fan, packets=packets, scheme=s))
                 for s in (1, 2, 3)}
@@ -150,7 +150,7 @@ def test_criterion_05_scheme_orderings_and_dispersion():
 
 
 def test_criterion_06_framework_orderings():
-    report = run_multisource_frameworks(three_source_mesh_sim(), [1000, 2000])
+    report = run_multisource_frameworks(shipped("three-source-mesh-sim"), [1000, 2000])
     net_checks = [ok for label, ok in report.checks if "net" in label]
     assert all(net_checks), report.checks
     source_delay = [ok for label, ok in report.checks
@@ -166,7 +166,7 @@ def test_criterion_06_framework_orderings():
 def test_criterion_07_determinism(tmp_path):
     from wsn_multipath.cli import main
     from wsn_multipath.scenario import save_scenario
-    sc = three_source_mesh()
+    sc = shipped("three-source-mesh")
     sc_path = tmp_path / "mesh.yaml"
     save_scenario(sc, str(sc_path))
     outs = []
@@ -185,7 +185,7 @@ def _conservation_cases():
         yield f"random-{seed}", random_scenario(seed)
     # pipelined multi-source traffic: sources relay for one another, so a
     # source's first-hop sub-queue fills with foreign packets
-    for mesh in (three_source_mesh(), three_source_mesh_sim()):
+    for mesh in (shipped("three-source-mesh"), shipped("three-source-mesh-sim")):
         yield f"{mesh.name}-pipelined", configured(mesh, packets=2000, window=None)
     for seed in range(12):
         yield f"crossing-{seed}", crossing_scenario(seed)
@@ -287,7 +287,7 @@ def faulted_runs(draw):
 @example(scenario=configured(_line_link_fault(), fault_detection="off",
                              fragmented=False))
 # random losses on a live hop to the sink were taken for a fault
-@example(scenario=configured(three_source_mesh_sim(), packets=100, window=None,
+@example(scenario=configured(shipped("three-source-mesh-sim"), packets=100, window=None,
                              max_attempts=3, loss_prob=0.2, fault_detection="on"))
 # the link from node 2 into the sink 3 dies: the spare beside the sink
 # takes the end of every route, while packets still fly to the sink

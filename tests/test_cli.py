@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,20 +14,21 @@ from wsn_multipath.engine import Engine
 from wsn_multipath.experiments import configured
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, Scenario, SourceDecl, save_scenario
-from wsn_multipath.scenarios import five_path_fan, three_source_mesh, three_source_mesh_sim
+
+from conftest import shipped
 
 
 @pytest.fixture
 def mesh_file(tmp_path):
     path = tmp_path / "mesh.yaml"
-    save_scenario(three_source_mesh(), str(path))
+    save_scenario(shipped("three-source-mesh"), str(path))
     return str(path)
 
 
 @pytest.fixture
 def fan_file(tmp_path):
     path = tmp_path / "fan.yaml"
-    save_scenario(five_path_fan(), str(path))
+    save_scenario(shipped("five-path-fan"), str(path))
     return str(path)
 
 
@@ -46,7 +48,7 @@ def test_discover_csv_format(mesh_file, capsys):
 
 
 def test_discover_disconnected_source(tmp_path, capsys):
-    sc = three_source_mesh()
+    sc = shipped("three-source-mesh")
     sc.positions[99] = (500.0, 500.0)
     sc.sources[0].paths = None
     sc.sources = [type(sc.sources[0])(id=99, packets=10, paths=None)]
@@ -77,7 +79,7 @@ def test_allocate_choke_shifts_quotas(tmp_path, capsys):
     # pipelined run with small buffers, probed halfway through the
     # transfer: the sources' own queues sit near capacity, so routes
     # crossing another source get flagged
-    sc = three_source_mesh(packets=99)
+    sc = shipped("three-source-mesh", packets=99)
     sc.engine.window = None
     sc.engine.queue_packets_per_subqueue = 10
     path = tmp_path / "mesh-loaded.yaml"
@@ -240,6 +242,15 @@ def test_experiment_schemes_suite(fan_file, tmp_path):
     assert "[PASS]" in text
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_jobs_below_one_is_usage_error(fan_file, jobs, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--scenario", fan_file, "--suite", "schemes",
+              "--packets", "10", "--jobs", jobs])
+    assert err.value.code == 1
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_experiment_frameworks_suite(mesh_file, tmp_path):
     out = tmp_path / "exp"
     assert main(["experiment", "--scenario", mesh_file, "--suite", "frameworks",
@@ -284,7 +295,7 @@ def test_gen_topology_tiny_pair_connected(tmp_path, capsys):
 
 
 def test_run_livelock_exit_code(tmp_path, capsys):
-    sc = five_path_fan(packets=50)
+    sc = shipped("five-path-fan", packets=50)
     sc.engine.max_events = 10
     path = tmp_path / "capped.yaml"
     save_scenario(sc, str(path))
@@ -304,7 +315,8 @@ def test_run_error_mid_simulation_exit_code(mesh_file, monkeypatch, capsys):
 
 def test_run_stall_exit_code(tmp_path, monkeypatch, capsys):
     path = tmp_path / "pipelined.yaml"
-    save_scenario(configured(three_source_mesh(), packets=1000, window=None), str(path))
+    save_scenario(configured(shipped("three-source-mesh", packets=1000), window=None),
+                  str(path))
     monkeypatch.setattr(Engine, "_slot_freed", lambda self, node_id, key: None)
     assert main(["run", "--scenario", str(path)]) == 3
     err = capsys.readouterr().err
@@ -315,7 +327,7 @@ def test_block_that_never_lifts_is_a_stall(tmp_path, monkeypatch, capsys):
     # lossy hops block while their self-check beacons are out; if ending
     # a self-check lifted nothing, flows would strand at quiescence
     path = tmp_path / "lossy.yaml"
-    save_scenario(configured(three_source_mesh_sim(), packets=100, window=None,
+    save_scenario(configured(shipped("three-source-mesh-sim"), packets=100, window=None,
                              max_attempts=3, loss_prob=0.2, fault_detection="on"),
                   str(path))
     monkeypatch.setattr(Engine, "_end_self_check", lambda self, origin, suspect: None)
@@ -325,7 +337,7 @@ def test_block_that_never_lifts_is_a_stall(tmp_path, monkeypatch, capsys):
 
 
 def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):
-    sc = three_source_mesh()
+    sc = shipped("three-source-mesh")
     sc.faults = [FaultDecl(1.0, node=99)]
     path = tmp_path / "bad-fault.yaml"
     save_scenario(sc, str(path))
@@ -335,7 +347,7 @@ def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("time_s", [-1.0, float("nan")])
 def test_fault_time_out_of_range_is_scenario_error(tmp_path, time_s, capsys):
-    sc = three_source_mesh(packets=20)
+    sc = shipped("three-source-mesh", packets=20)
     sc.faults = [FaultDecl(1.0, node=8)]
     path = tmp_path / "fault-time.yaml"
     save_scenario(sc, str(path))
@@ -369,11 +381,31 @@ def test_colocated_nodes_are_scenario_error(tmp_path, capsys):
     ("probe_times", [0.5, -0.1]),
     ("queue_packets_per_subqueue", 1.5), ("queue_packets_per_subqueue", True),
     ("window", 1.5), ("window", True), ("max_attempts", 2.5),
+    ("scheme", True), ("scheme", 3.0), ("scheme", 7),
+    ("max_events", True), ("max_events", 2.5e6),
+    ("tx_power_w", math.inf), ("rx_power_w", math.inf), ("idle_power_w", math.inf),
+    ("control_size_bits", math.inf), ("probe_times", [0.5, math.inf]),
 ])
 def test_out_of_range_run_config_is_scenario_error(mesh_file, field, value, capsys):
     with open(mesh_file) as fh:
         data = yaml.safe_load(fh)
     data["engine"][field] = value
+    with open(mesh_file, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main(["run", "--scenario", mesh_file]) == 2
+    assert "scenario error" in capsys.readouterr().err.lower()
+
+
+# with scheme 2 the quotas need no path latency, so nothing but the link
+# check stands between a non-finite link value and a finished run
+@pytest.mark.parametrize("links", [
+    None, [1], {"speed_bps": math.nan}, {"delay_s": math.nan}, {"delay_s": math.inf},
+])
+def test_malformed_links_are_scenario_error(mesh_file, links, capsys):
+    with open(mesh_file) as fh:
+        data = yaml.safe_load(fh)
+    data["links"] = links
+    data["engine"]["scheme"] = 2
     with open(mesh_file, "w") as fh:
         yaml.safe_dump(data, fh)
     assert main(["run", "--scenario", mesh_file]) == 2

@@ -29,13 +29,13 @@ from wsn_multipath.scenario import (
 )
 
 from conftest import (
+    SCENARIOS,
     fault_beacon_scenario,
     fault_timer_scenario,
     line_scenario,
     uniform_fault_scenario,
 )
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 MESHES = ("three-source-mesh", "three-source-mesh-sim")
 
 RUN_DIGESTS = {

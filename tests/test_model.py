@@ -16,7 +16,6 @@ from wsn_multipath.model import (
     validate_path,
 )
 from wsn_multipath.scenario import build_scenario
-from wsn_multipath.scenarios import three_source_mesh
 
 
 def test_params_reject_nonpositive_fields():

@@ -3,7 +3,6 @@ import importlib.util
 import math
 import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 import yaml
@@ -22,17 +21,10 @@ from wsn_multipath.scenario import (
     save_scenario,
     scenario_hash,
 )
-from wsn_multipath.scenarios import (
-    BUILTIN,
-    five_path_fan,
-    three_source_mesh,
-    three_source_mesh_sim,
-    write_all,
-)
 
-from conftest import small_params
+from conftest import SCENARIOS, shipped, small_params
 
-SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.yaml"))
+SHIPPED = sorted(SCENARIOS.glob("*.yaml"))
 
 # scenario_hash values recorded before the hash wrote the node list itself;
 # they must never move
@@ -63,16 +55,16 @@ def _edges(scenario):
 
 
 def test_mesh_adjacency_is_exact():
-    assert _edges(three_source_mesh()) == MESH_EDGES
+    assert _edges(shipped("three-source-mesh")) == MESH_EDGES
 
 
 def test_mesh_sim_adjacency_is_exact():
-    assert _edges(three_source_mesh_sim()) == MESH_SIM_EDGES
+    assert _edges(shipped("three-source-mesh-sim")) == MESH_SIM_EDGES
 
 
 def test_mesh_adjacency_margins():
     # keep a safety margin so float wobble can never flip an edge
-    sc = three_source_mesh()
+    sc = shipped("three-source-mesh")
     r = sc.params.radio_range_m
     for a, b in combinations(sorted(sc.positions), 2):
         d = math.dist(sc.positions[a], sc.positions[b])
@@ -80,27 +72,27 @@ def test_mesh_adjacency_margins():
 
 
 def test_mesh_declared_paths_validate():
-    for builder in (three_source_mesh, three_source_mesh_sim):
-        topo, specs = build_scenario(builder())
+    for name in ("three-source-mesh", "three-source-mesh-sim"):
+        topo, specs = build_scenario(shipped(name))
         assert sum(len(s.paths) for s in specs) == 9
         for spec in specs:
             spec.check_locally_disjoint()
 
 
 def test_mesh_sim_hop_counts():
-    _, specs = build_scenario(three_source_mesh_sim())
+    _, specs = build_scenario(shipped("three-source-mesh-sim"))
     hops = {s.node_id: [p.hops for p in s.paths] for s in specs}
     assert hops == {1: [5, 4, 5], 3: [3, 4, 6], 10: [4, 4, 6]}
 
 
 def test_mesh_hop_counts():
-    _, specs = build_scenario(three_source_mesh())
+    _, specs = build_scenario(shipped("three-source-mesh"))
     hops = {s.node_id: [p.hops for p in s.paths] for s in specs}
     assert hops == {1: [5, 4, 5], 3: [3, 4, 7], 10: [4, 4, 6]}
 
 
 def test_fan_structure():
-    fan = five_path_fan()
+    fan = shipped("five-path-fan")
     _topo, specs = build_scenario(fan)
     (spec,) = specs
     assert [p.hops for p in spec.paths] == [9, 22, 5, 20, 7]
@@ -112,7 +104,7 @@ def test_fan_structure():
 
 
 def test_scenario_yaml_round_trip(tmp_path):
-    sc = three_source_mesh_sim()
+    sc = shipped("three-source-mesh-sim")
     sc.faults = [FaultDecl(1.5, node=8), FaultDecl(2.0, link=(7, 8))]
     sc.link_overrides = {(1, 2): (25000.0, 0.001)}
     path = tmp_path / "mesh.yaml"
@@ -139,14 +131,6 @@ def test_fault_decl_requires_exactly_one_target():
         FaultDecl(1.0)
     with pytest.raises(ScenarioError):
         FaultDecl(1.0, node=1, link=(1, 2))
-
-
-def test_write_all_builders(tmp_path):
-    written = write_all(str(tmp_path))
-    assert len(written) == len(BUILTIN)
-    for path in written:
-        loaded = load_scenario(path)
-        build_scenario(loaded)
 
 
 def test_generate_random_scenario_deterministic():
@@ -185,7 +169,8 @@ def test_pure_python_yaml_fallback(monkeypatch, tmp_path):
     monkeypatch.setitem(sys.modules, name, pure)
     spec.loader.exec_module(pure)
     assert (pure._Loader, pure._Dumper) == (yaml.SafeLoader, yaml.SafeDumper)
-    assert [p.name for p in SHIPPED] == sorted(f"{b}.yaml" for b in BUILTIN)
+    assert [p.name for p in SHIPPED] == ["five-path-fan.yaml", "three-source-mesh-sim.yaml",
+                                         "three-source-mesh.yaml"]
     for path in SHIPPED:
         native, fallback = load_scenario(str(path)), pure.load_scenario(str(path))
         assert fallback.to_dict() == native.to_dict()
@@ -254,7 +239,7 @@ def _scenarios(draw):
         redundant=tuple(sorted(redundant)),
         faults=faults,
         engine=RunConfig(probe_times=draw(st.lists(
-            st.floats(min_value=0.0, allow_infinity=True), max_size=4))),
+            st.floats(min_value=0.0, allow_infinity=False), max_size=4))),
     )
 
 
