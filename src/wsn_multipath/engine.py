@@ -300,8 +300,8 @@ class Engine:
         self._tracing = self.config.record_trace
         self._rx_per_bit = receive_energy_per_bit(self.params)
         # (sender, receiver) -> (link, per-bit transmit energy or None in
-        # per_packet mode), filled by the hop's first frame; nothing writes
-        # the topology, so an entry never goes stale
+        # per_packet mode, (low id, high id)), filled by the hop's first
+        # frame; nothing writes the topology, so an entry never goes stale
         self._hops: dict[tuple[int, int], tuple] = {}
         # run state; the topology and specs are never written. A node is
         # dead exactly when it has a fault time, a link down exactly when
@@ -394,7 +394,8 @@ class Engine:
             hop = self._hops[(sender, receiver)] = (
                 link, None if self.config.energy_mode == "per_packet"
                 else transmit_energy_per_bit(
-                    self.params, self.topology.distance(sender, receiver)))
+                    self.params, self.topology.distance(sender, receiver)),
+                (min(sender, receiver), max(sender, receiver)))
         return hop
 
     # -------------------------------------------------------------- injection
@@ -499,7 +500,7 @@ class Engine:
                 self._slot_freed(node_id, key)
         else:
             next_hop = pkt.destination
-        link, tx_per_bit = self._hop(node_id, next_hop)
+        link, tx_per_bit, _pair = self._hop(node_id, next_hop)
         occupancy = pkt.size_bits / link.speed_bps
         bucket = "tx_data" if pkt.kind == "data" else "tx_control"
         source = pkt.source if pkt.kind == "data" else None
@@ -514,12 +515,12 @@ class Engine:
 
     def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int) -> None:
         self._busy[node_id] = False
-        link = self._hops[(node_id, next_hop)][0]
+        link, _tx_per_bit, pair = self._hops[(node_id, next_hop)]
         lost = (self.config.loss_prob > 0.0
                 and self.rng.random() < self.config.loss_prob)
         if node_id in self._fault_time:
             self._lose(pkt)  # the transmitter died mid-send
-        elif (next_hop in self._fault_time or link.endpoints in self._down_links
+        elif (next_hop in self._fault_time or pair in self._down_links
               or lost):
             self._on_attempt_failed(node_id, next_hop, pkt)
         else:
@@ -561,7 +562,7 @@ class Engine:
         if node_id in self._fault_time:
             self._lose(pkt)
             return
-        link, tx_per_bit = self._hops[(sender, node_id)]
+        link, tx_per_bit, _pair = self._hops[(sender, node_id)]
         occupancy = pkt.size_bits / link.speed_bps
         bucket = "rx_data" if pkt.kind == "data" else "rx_control"
         source = pkt.source if pkt.kind == "data" else None

@@ -85,7 +85,9 @@ class NetworkParams:
 
 @dataclass(frozen=True)
 class Link:
-    endpoints: tuple[int, int]  # ordered (low id, high id)
+    """A radio link's speed and delay; every pair without an override
+    shares one record."""
+
     speed_bps: float = 50000.0
     delay_s: float = 0.0
 
@@ -230,7 +232,8 @@ def build_topology(positions: dict[int, tuple[float, float]],
                    sink: int | None = None) -> Topology:
     """Build the adjacency containing exactly the node pairs within radio range.
 
-    `links` holds them in ascending (low id, high id) order. Raises
+    `links` holds them in ascending (low id, high id) order; an override
+    of a pair out of range is ignored. Raises
     ConnectivityError naming the offending source if the sink is declared
     and unreachable from any declared source.
     """
@@ -241,10 +244,15 @@ def build_topology(positions: dict[int, tuple[float, float]],
             raise DomainError(f"node {nid} has a non-finite position")
     nodes = {nid: (float(x), float(y)) for nid, (x, y) in positions.items()}
     overrides = link_overrides or {}
-    links: dict[tuple[int, int], Link] = {}
-    for a, b in _pairs_in_range(positions, radio_range_m):
-        speed, delay = overrides.get((a, b), (link_speed_bps, link_delay_s))
-        links[(a, b)] = Link((a, b), speed, delay)
+    links: dict[tuple[int, int], Link] = dict.fromkeys(
+        _pairs_in_range(positions, radio_range_m))
+    own = sorted(pair for pair in overrides if pair in links)
+    # one shared default, built only when some pair takes it, so that an
+    # invalid default raises where a record per pair would have raised
+    if len(own) < len(links):
+        links = dict.fromkeys(links, Link(link_speed_bps, link_delay_s))
+    for pair in own:
+        links[pair] = Link(*overrides[pair])
     topo = Topology(nodes, links)
     if sink is not None:
         for src in sources:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from dataclasses import asdict, dataclass, field
 
 import yaml
@@ -73,6 +74,10 @@ class RunConfig:
     probe_times: list[float] = field(default_factory=list)
 
     def __post_init__(self):
+        for name in ("include_idle", "fragmented", "replicate", "record_trace"):
+            if type(getattr(self, name)) is not bool:
+                raise ScenarioError(
+                    f"{name} must be true or false, got {getattr(self, name)!r}")
         if self.energy_mode not in ("per_bit", "per_packet"):
             raise ScenarioError(f"unknown energy mode {self.energy_mode!r}")
         for name in ("scheme", "window", "max_attempts", "queue_packets_per_subqueue",
@@ -90,7 +95,7 @@ class RunConfig:
             raise ScenarioError("queue_packets_per_subqueue must be >= 1")
         if self.fault_detection not in ("auto", "on", "off"):
             raise ScenarioError(f"unknown fault detection {self.fault_detection!r}")
-        if not 0.0 <= self.loss_prob <= 1.0:
+        if type(self.loss_prob) not in (int, float) or not 0.0 <= self.loss_prob <= 1.0:
             raise ScenarioError(f"loss_prob must lie in [0, 1], got {self.loss_prob!r}")
         if self.max_events < 1:
             raise ScenarioError("max_events must be >= 1")
@@ -214,14 +219,55 @@ def save_scenario(scenario: Scenario, path: str) -> None:
         yaml.dump(scenario.to_dict(), fh, Dumper=_Dumper, sort_keys=False)
 
 
+# The node list as `save_scenario` writes it: a top-level `nodes:` key, then
+# one entry per node with a decimal id, two finite floats as YAML's safe
+# representer writes them and `redundant: true` when set. The block ends at
+# the first line that starts with neither "-" nor a space.
+_NODE_BLOCK = re.compile(r"^nodes:\n((?:[- ].*\n?)*)", re.MULTILINE)
+_FLOAT = r"(-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?)"
+_NODE = re.compile(r"- id: (-?(?:0|[1-9][0-9]*))\n"
+                   rf"  x: {_FLOAT}\n  y: {_FLOAT}\n(  redundant: true\n)?")
+_NODES_TAKEN = "wsn-multipath-node-table"
+
+
+def _read_node_table(text: str) -> dict | None:
+    """The document, parsed with the node list read by `_NODE` and the
+    rest by PyYAML; None when the text holds no such node list or the
+    rest does not put it at the top-level `nodes` key, where PyYAML
+    alone would have put it."""
+    block = _NODE_BLOCK.search(text)
+    if block is None or _NODES_TAKEN in text:
+        return None
+    entries = block.group(1)
+    if not entries or _NODE.sub("", entries):
+        return None
+    # a block scalar: a flow collection that holds the key cannot parse it
+    rest = f"{text[:block.start()]}nodes: |-\n  {_NODES_TAKEN}\n{text[block.end():]}"
+    try:
+        data = yaml.load(rest, Loader=_Loader)
+    except yaml.YAMLError:
+        return None
+    if not isinstance(data, dict) or data.get("nodes") != _NODES_TAKEN:
+        return None
+    data["nodes"] = [{"id": int(nid), "x": float(x), "y": float(y), "redundant": bool(spare)}
+                     for nid, x, y, spare in _NODE.findall(entries)]
+    return data
+
+
 def load_scenario(path: str) -> Scenario:
+    """Read a scenario file. The node list, in the form `save_scenario`
+    writes it, is read in one pass; anything else goes to PyYAML."""
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=_Loader)
-    except FileNotFoundError:
-        raise ScenarioError(f"scenario file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"unparseable scenario {path}: {exc}") from exc
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc.strerror or exc}") from None
+    data = _read_node_table(text)
+    if data is None:
+        try:
+            data = yaml.load(text, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"unparseable scenario {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario {path} is not a mapping")
     return Scenario.from_dict(data)

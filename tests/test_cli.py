@@ -224,6 +224,13 @@ def test_run_missing_scenario_no_partial_outputs(tmp_path, capsys):
     assert "scenario" in capsys.readouterr().err.lower()
 
 
+def test_run_on_a_directory_is_scenario_error(tmp_path, capsys):
+    assert main(["run", "--scenario", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario error" in err and str(tmp_path) in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["run"])  # missing required --scenario
@@ -385,6 +392,8 @@ def test_colocated_nodes_are_scenario_error(tmp_path, capsys):
     ("max_events", True), ("max_events", 2.5e6),
     ("tx_power_w", math.inf), ("rx_power_w", math.inf), ("idle_power_w", math.inf),
     ("control_size_bits", math.inf), ("probe_times", [0.5, math.inf]),
+    ("fragmented", "no"), ("replicate", "no"), ("include_idle", 1),
+    ("record_trace", "yes"), ("loss_prob", True),
 ])
 def test_out_of_range_run_config_is_scenario_error(mesh_file, field, value, capsys):
     with open(mesh_file) as fh:

@@ -526,6 +526,19 @@ def test_link_fault_triggers_retries():
     assert found["latency_s"] == found["since_fault_s"] == pytest.approx(0.07128)
 
 
+def test_link_fault_on_an_overridden_link_is_detected():
+    # the failed hop has its own link record, not the shared default one
+    sc = _line_link_fault()
+    sc.link_overrides = {(2, 11): (25000.0, 0.001)}
+    engine = Engine(sc)
+    assert engine.topology.link(11, 2) is not engine.topology.link(1, 11)
+    metrics = engine.run()
+    assert metrics.retransmissions >= 3
+    assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
+    [found] = metrics.detections
+    assert found["kind"] == "sender_beacon" and found["since_fault_s"] > 0
+
+
 @pytest.mark.parametrize("make", [fault_beacon_scenario, _line_link_fault],
                          ids=["node-failure-replacement", "link-fault"])
 def test_faulted_run_leaves_the_build_untouched(make):

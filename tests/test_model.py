@@ -72,7 +72,7 @@ def _all_pairs_links(positions, radio_range_m, overrides):
             bx, by = positions[b]
             if math.hypot(ax - bx, ay - by) <= radio_range_m:
                 speed, delay = overrides.get((a, b), (50000.0, 0.0))
-                links[(a, b)] = Link((a, b), speed, delay)
+                links[(a, b)] = Link(speed, delay)
     return links
 
 
@@ -106,6 +106,9 @@ def _deployments(draw):
 # in range, yet in cells -1 and 1 if the cells were exactly 30 wide
 @example(({1: (-1e-15, 0.0), 2: (30.0, 0.0)}, 30.0, {}))
 @example(({1: (0.3, 0.0), 2: (0.4, 0.0), 3: (0.2, 0.1)}, 0.1, {(1, 3): (1e6, 0.0)}))
+# overrides on pairs in range, (1, 2) and (2, 3), and out of range, (1, 4)
+@example(({1: (0, 0), 2: (10, 0), 3: (20, 0), 4: (50, 0)}, 12.0,
+          {(1, 2): (25000.0, 0.002), (2, 3): (1e6, 0.0), (1, 4): (1e6, 0.003)}))
 def test_grid_build_equals_all_pairs_build(deployment):
     positions, radius, overrides = deployment
     topo = build_topology(positions, radius, link_overrides=overrides)
@@ -176,3 +179,33 @@ def test_link_overrides_apply():
     link = topo.link(1, 2)
     assert link.speed_bps == 25000.0
     assert link.delay_s == 0.002
+
+
+def test_pairs_without_override_share_one_link():
+    positions = {n: (10.0 * n, 0.0) for n in range(1, 7)}
+    topo = build_topology(positions, 12.0,
+                          link_overrides={(3, 4): (1e6, 0.0), (1, 6): (1e6, 0.0)})
+    assert len({id(link) for link in topo.links.values()}) == 2
+    assert topo.link(1, 2) is topo.link(6, 5) == Link(50000.0, 0.0)
+    assert topo.link(3, 4) == Link(1e6, 0.0)
+
+
+@pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
+def test_invalid_default_speed_raises_only_when_a_pair_takes_it(speed):
+    with pytest.raises(DomainError, match="link speed must be finite and > 0"):
+        build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4, link_speed_bps=speed)
+    # no pair in range, or none without an override: no link takes the default
+    assert build_topology({1: (0, 0), 2: (3, 0)}, radio_range_m=2.4,
+                          link_speed_bps=speed).links == {}
+    topo = build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4,
+                          link_speed_bps=speed, link_overrides={(1, 2): (1e6, 0.0)})
+    assert topo.link(2, 1) == Link(1e6, 0.0)
+
+
+def test_invalid_override_in_range_raises():
+    with pytest.raises(DomainError, match="link delay"):
+        build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4,
+                       link_overrides={(1, 2): (1e6, -1.0)})
+    # out of range, an override is ignored, as the all-pairs build ignored it
+    build_topology({1: (0, 0), 2: (3, 0)}, radio_range_m=2.4,
+                   link_overrides={(1, 2): (1e6, -1.0)})

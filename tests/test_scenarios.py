@@ -2,7 +2,9 @@ import hashlib
 import importlib.util
 import math
 import sys
+import tempfile
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 import yaml
@@ -117,6 +119,11 @@ def test_scenario_yaml_round_trip(tmp_path):
 def test_scenario_load_missing_file(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(str(tmp_path / "missing.yaml"))
+
+
+def test_scenario_load_directory_names_the_path(tmp_path):
+    with pytest.raises(ScenarioError, match=f"cannot read scenario {tmp_path}"):
+        load_scenario(str(tmp_path))
 
 
 def test_scenario_malformed(tmp_path):
@@ -254,3 +261,100 @@ def test_canonical_text_is_the_sorted_yaml_dump(scenario):
                           sort_keys=True)
     assert scenario_module._canonical(scenario) == reference
     assert scenario_hash(scenario) == hashlib.sha256(reference.encode()).hexdigest()[:16]
+
+
+def _load_outcome(text: str, reader) -> str:
+    """The repr of the Scenario `reader` makes of `text`, or "error"."""
+    try:
+        return repr(reader(text))
+    except (ScenarioError, yaml.YAMLError):
+        return "error"
+
+
+def _pyyaml_alone(text: str) -> Scenario:
+    data = yaml.load(text, Loader=scenario_module._Loader)
+    if not isinstance(data, dict):
+        raise ScenarioError("not a mapping")
+    return Scenario.from_dict(data)
+
+
+def _through_file(text: str) -> Scenario:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(text, newline="")
+        return load_scenario(str(path))
+
+
+def _saved_text(scenario: Scenario) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        save_scenario(scenario, str(path))
+        return path.read_text()
+
+
+# a saved scenario with a spare, negative zero and an exponent, and the
+# hand-edited forms of its node list that only PyYAML may read
+_SAVED = _saved_text(Scenario(
+    name="edited", params=small_params(), sink=3, sources=[SourceDecl(1, 5)],
+    positions={1: (0.0, -0.0), 2: (10.0, 1e-300), 3: (20.5, 3.0)}, redundant=(2,)))
+_ENTRY_1 = "- id: 1\n  x: 0.0\n  y: -0.0\n"
+_HAND_EDITED = {
+    "comment": _SAVED.replace(_ENTRY_1, _ENTRY_1 + "# the source\n"),
+    "crlf": _SAVED.replace("\n", "\r\n"),
+    "reordered": _SAVED.replace(_ENTRY_1, "- id: 1\n  y: -0.0\n  x: 0.0\n"),
+    "flow": _SAVED.replace(_ENTRY_1, "- {id: 1, x: 0.0, y: -0.0}\n"),
+    "quoted-id": _SAVED.replace("- id: 1\n", "- id: '1'\n"),
+    "octal-id": _SAVED.replace("- id: 1\n", "- id: 010\n"),
+    "underscore": _SAVED.replace("  x: 20.5\n", "  x: 1_0.5\n"),
+    "second-nodes": _SAVED + "nodes:\n- id: 7\n  x: 1.0\n  y: 2.0\n",
+    "quoted-name": _SAVED.replace("name: edited\n",
+                                  'name: "a\nnodes:\n- id: 9\n  x: 1.0\n  y: 2.0\n"\n'),
+    "alias": _SAVED.replace(_ENTRY_1, "- id: 1\n  x: &zero 0.0\n  y: *zero\n"),
+    # no entry: PyYAML reads `nodes:` as null
+    "empty": _SAVED[:_SAVED.index("- id: 1")] + _SAVED[_SAVED.index("links:"):],
+    "flow-root": "{name: a,\nnodes:\n- id: 1\n  x: 1.0\n  y: 1.0\n,sink: 1}\n",
+    "placeholder": f"{_SAVED}nodes: {scenario_module._NODES_TAKEN}\n",
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scenario=_scenarios())
+@example(scenario=Scenario(name="spares", params=small_params(), sink=2,
+                           sources=[SourceDecl(1, 3)], redundant=(2, 3),
+                           positions={1: (-0.0, 5e-324), 2: (1.7976931348623157e308, -1e17),
+                                      3: (0.1, -2.5e-300)}))
+def test_node_table_reader_equals_pyyaml(scenario):
+    text = _saved_text(scenario)
+    assert _load_outcome(text, _through_file) == _load_outcome(text, _pyyaml_alone)
+    # the writer's node list is always read in one pass; a non-finite
+    # coordinate has a form only PyYAML reads
+    fast = bool(scenario.positions) and all(
+        math.isfinite(v) for xy in scenario.positions.values() for v in xy)
+    assert (scenario_module._read_node_table(text) is not None) == fast
+
+
+@pytest.mark.parametrize("edit", sorted(_HAND_EDITED))
+def test_hand_edited_node_lists_fall_back_to_pyyaml(edit):
+    text = _HAND_EDITED[edit]
+    assert scenario_module._read_node_table(text) is None
+    assert _load_outcome(text, _through_file) == _load_outcome(text, _pyyaml_alone)
+
+
+def test_saved_node_list_never_reaches_pyyaml(tmp_path, monkeypatch):
+    # if the writer and the one-pass reader drift apart, every load would
+    # silently fall back to PyYAML; this pins that the fast path is taken
+    generated = _uniform_2000()
+    path = tmp_path / "uniform.yaml"
+    save_scenario(generated, str(path))
+    texts = []
+    load = yaml.load
+
+    def recording_load(stream, Loader):
+        texts.append(stream)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", recording_load)
+    loaded = load_scenario(str(path))
+    assert loaded.to_dict() == generated.to_dict()
+    [rest] = texts
+    assert "\n  x: " not in rest and len(rest) < 2000
