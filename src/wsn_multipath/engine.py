@@ -26,7 +26,7 @@ from .metrics import (
     receive_energy_per_bit,
     transmit_energy_per_bit,
 )
-from .model import Packet, RoutingError, ScenarioError, SourceSpec
+from .model import Packet, RoutingError, SourceSpec
 from .scenario import RunConfig, Scenario, build_scenario, scenario_hash
 
 
@@ -274,11 +274,6 @@ class Engine:
         self.params = scenario.params
         self.rng = random.Random(scenario.seed)
         self.topology, self.specs = build_scenario(scenario)
-        for fault in scenario.faults:
-            if (fault.node not in self.topology.nodes if fault.link is None
-                    else not self.topology.are_adjacent(*fault.link)):
-                raise ScenarioError(
-                    f"fault at t={fault.time_s}s names no node or link of the topology")
         self.detection = (self.config.fault_detection == "on"
                           or (self.config.fault_detection == "auto"
                               and bool(scenario.faults)))
@@ -309,7 +304,7 @@ class Engine:
         self._residual = dict.fromkeys(self.topology.nodes,
                                        self.params.initial_energy_j)
         self._fault_time: dict[int, float] = {}
-        self._spares = set(scenario.redundant) & self.topology.nodes.keys()
+        self._spares = set(scenario.redundant)
         self._down_links: dict[tuple[int, int], float] = {}
         self._fault_resolved: set[int] = set()
         # (flow key, node) -> seq of the flow's last packet to arrive there

@@ -10,7 +10,7 @@ are left, which links are down), and packets carry their own progress.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 class DomainError(ValueError):
@@ -148,19 +148,20 @@ class Packet:
 
 class Topology:
     """Immutable radio-range adjacency over a fixed node deployment:
-    `nodes` maps each node id to its position."""
+    `nodes` maps each node id to its position, and `links` holds each
+    pair (low id, high id) in ascending order."""
 
     def __init__(self, nodes: dict[int, tuple[float, float]],
                  links: dict[tuple[int, int], Link]):
         self.nodes = nodes
         self.links = links
-        self._adjacency: dict[int, tuple[int, ...]] = {}
-        adj: dict[int, set[int]] = {nid: set() for nid in nodes}
+        # in ascending pair order, a node meets its lower neighbours in
+        # ascending order before any pair it leads, so every list is sorted
+        adj: dict[int, list[int]] = {nid: [] for nid in nodes}
         for a, b in links:
-            adj[a].add(b)
-            adj[b].add(a)
-        for nid in nodes:
-            self._adjacency[nid] = tuple(sorted(adj[nid]))
+            adj[a].append(b)
+            adj[b].append(a)
+        self._adjacency = {nid: tuple(ids) for nid, ids in adj.items()}
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         return self._adjacency[node_id]
@@ -223,19 +224,14 @@ def _pairs_in_range(positions: dict[int, tuple[float, float]],
     return pairs
 
 
-def build_topology(positions: dict[int, tuple[float, float]],
-                   radio_range_m: float,
-                   link_speed_bps: float = 50000.0,
-                   link_delay_s: float = 0.0,
-                   link_overrides: dict[tuple[int, int], tuple[float, float]] | None = None,
-                   sources: tuple[int, ...] = (),
-                   sink: int | None = None) -> Topology:
+def build_topology(positions: dict[int, tuple[float, float]], radio_range_m: float,
+                   link_speed_bps: float = 50000.0, link_delay_s: float = 0.0,
+                   link_overrides: dict[tuple[int, int], tuple[float, float]] | None = None
+                   ) -> Topology:
     """Build the adjacency containing exactly the node pairs within radio range.
 
     `links` holds them in ascending (low id, high id) order; an override
-    of a pair out of range is ignored. Raises
-    ConnectivityError naming the offending source if the sink is declared
-    and unreachable from any declared source.
+    of a pair out of range is ignored.
     """
     if not radio_range_m > 0:
         raise DomainError("radio range must be positive")
@@ -253,15 +249,7 @@ def build_topology(positions: dict[int, tuple[float, float]],
         links = dict.fromkeys(links, Link(link_speed_bps, link_delay_s))
     for pair in own:
         links[pair] = Link(*overrides[pair])
-    topo = Topology(nodes, links)
-    if sink is not None:
-        for src in sources:
-            if src == sink:
-                continue
-            if sink not in topo.reachable_from(src):
-                raise ConnectivityError(
-                    f"sink {sink} is unreachable from source {src}", source=src)
-    return topo
+    return Topology(nodes, links)
 
 
 def validate_path(topology: Topology, sequence: tuple[int, ...] | list[int]) -> PathInfo:
@@ -297,22 +285,10 @@ def path_tau(topology: Topology, path: PathInfo, packet_size_bits: float) -> flo
     return total / path.hops
 
 
-def annotate_source(topology: Topology, spec: SourceSpec, sink: int,
-                    params: NetworkParams) -> SourceSpec:
-    """Replace a source's paths with copies that carry their tau and hop
-    distance, and record the source-sink distance."""
-    dist = topology.distance(spec.node_id, sink)
-    spec.paths = [replace(p, tau_s=path_tau(topology, p, params.packet_size_bits),
-                          hop_dist_m=dist / p.hops)
-                  for p in spec.paths]
-    spec.source_sink_dist_m = dist
-    return spec
-
-
 __all__ = [
     "ConnectivityError", "DomainError", "DuplicateNodeError",
     "InvalidPathError", "Link", "NetworkParams", "Packet",
     "PathInfo", "RangeExceededError", "RoutingError", "ScenarioError",
     "SourceSpec", "Topology", "UnreachableError",
-    "annotate_source", "build_topology", "path_tau", "validate_path",
+    "build_topology", "path_tau", "validate_path",
 ]

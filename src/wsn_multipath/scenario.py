@@ -9,17 +9,18 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import yaml
 
 from .model import (
+    ConnectivityError,
     NetworkParams,
     ScenarioError,
     SourceSpec,
     Topology,
-    annotate_source,
     build_topology,
+    path_tau,
     validate_path,
 )
 from .discovery import discover_paths
@@ -127,15 +128,11 @@ class Scenario:
     engine: RunConfig = field(default_factory=RunConfig)
 
     def to_dict(self) -> dict:
-        nodes = []
         redundant = set(self.redundant)
-        for nid in sorted(self.positions):
-            x, y = self.positions[nid]
-            entry = {"id": nid, "x": float(x), "y": float(y)}
-            if nid in redundant:
-                entry["redundant"] = True
-            nodes.append(entry)
-        data = {
+        nodes = [{"id": nid, **({"redundant": True} if nid in redundant else {}),
+                  "x": float(x), "y": float(y)}
+                 for nid, (x, y) in sorted(self.positions.items())]
+        return {
             "name": self.name,
             "seed": self.seed,
             "params": asdict(self.params),
@@ -161,7 +158,6 @@ class Scenario:
             ],
             "engine": asdict(self.engine),
         }
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
@@ -170,36 +166,42 @@ class Scenario:
             positions = {}
             redundant = []
             for entry in data["nodes"]:
-                positions[int(entry["id"])] = (float(entry["x"]), float(entry["y"]))
+                nid = _integer(entry["id"], "node id")
+                if nid in positions:
+                    raise ScenarioError(f"node id {nid} is declared twice")
+                positions[nid] = (float(entry["x"]), float(entry["y"]))
                 if entry.get("redundant"):
-                    redundant.append(int(entry["id"]))
+                    redundant.append(nid)
             links = data.get("links", {})
             if not isinstance(links, dict):
                 raise ScenarioError(f"links must be a mapping, got {links!r}")
             overrides = {}
             for o in links.get("overrides", []) or []:
-                key = (min(o["a"], o["b"]), max(o["a"], o["b"]))
-                overrides[key] = (float(o["speed_bps"]), float(o["delay_s"]))
+                a, b = _integer(o["a"], "override end"), _integer(o["b"], "override end")
+                overrides[(min(a, b), max(a, b))] = (float(o["speed_bps"]),
+                                                     float(o["delay_s"]))
             sources = [
-                SourceDecl(id=int(s["id"]), packets=int(s["packets"]),
-                           paths=[[int(n) for n in p] for p in s["paths"]]
+                SourceDecl(id=_integer(s["id"], "source id"),
+                           packets=_integer(s["packets"], "packets"),
+                           paths=[[_integer(n, "route node") for n in p] for p in s["paths"]]
                            if s.get("paths") else None)
                 for s in data["sources"]
             ]
             faults = []
             for f in data.get("faults", []) or []:
                 if "node" in f:
-                    faults.append(FaultDecl(float(f["time"]), node=int(f["node"])))
+                    node = _integer(f["node"], "fault node")
+                    faults.append(FaultDecl(float(f["time"]), node=node))
                 else:
-                    a, b = f["link"]
-                    faults.append(FaultDecl(float(f["time"]), link=(int(a), int(b))))
+                    a, b = (_integer(end, "fault link end") for end in f["link"])
+                    faults.append(FaultDecl(float(f["time"]), link=(a, b)))
             engine = RunConfig(**data.get("engine", {}))
             return cls(
                 name=str(data.get("name", "scenario")),
-                seed=int(data.get("seed", 0)),
+                seed=_integer(data.get("seed", 0), "seed"),
                 params=params,
                 positions=positions,
-                sink=int(data["sink"]),
+                sink=_integer(data["sink"], "sink"),
                 sources=sources,
                 link_speed_bps=float(links.get("speed_bps", 50000.0)),
                 link_delay_s=float(links.get("delay_s", 0.0)),
@@ -214,19 +216,26 @@ class Scenario:
             raise ScenarioError(f"malformed scenario: {exc}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """`value` when it is an int; a float or a bool is no id or count."""
+    if type(value) is not int:
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def save_scenario(scenario: Scenario, path: str) -> None:
     with open(path, "w") as fh:
-        yaml.dump(scenario.to_dict(), fh, Dumper=_Dumper, sort_keys=False)
+        fh.write(_text(scenario, sort_keys=False))
 
 
 # The node list as `save_scenario` writes it: a top-level `nodes:` key, then
-# one entry per node with a decimal id, two finite floats as YAML's safe
-# representer writes them and `redundant: true` when set. The block ends at
+# one entry per node with a decimal id, `redundant: true` when set and two
+# finite floats as YAML's safe representer writes them. The block ends at
 # the first line that starts with neither "-" nor a space.
 _NODE_BLOCK = re.compile(r"^nodes:\n((?:[- ].*\n?)*)", re.MULTILINE)
 _FLOAT = r"(-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?)"
-_NODE = re.compile(r"- id: (-?(?:0|[1-9][0-9]*))\n"
-                   rf"  x: {_FLOAT}\n  y: {_FLOAT}\n(  redundant: true\n)?")
+_NODE = re.compile(r"- id: (-?(?:0|[1-9][0-9]*))\n(  redundant: true\n)?"
+                   rf"  x: {_FLOAT}\n  y: {_FLOAT}\n")
 _NODES_TAKEN = "wsn-multipath-node-table"
 
 
@@ -250,7 +259,7 @@ def _read_node_table(text: str) -> dict | None:
     if not isinstance(data, dict) or data.get("nodes") != _NODES_TAKEN:
         return None
     data["nodes"] = [{"id": int(nid), "x": float(x), "y": float(y), "redundant": bool(spare)}
-                     for nid, x, y, spare in _NODE.findall(entries)]
+                     for nid, spare, x, y in _NODE.findall(entries)]
     return data
 
 
@@ -285,27 +294,25 @@ def _yaml_float(value: float) -> str:
     return text
 
 
-def _canonical(scenario: Scenario) -> str:
-    """The text of `yaml.dump(scenario.to_dict(), sort_keys=True)`.
+def _text(scenario: Scenario, sort_keys: bool) -> str:
+    """The text of `yaml.dump(scenario.to_dict(), sort_keys=sort_keys)`.
 
-    Each top-level key is dumped on its own, in sorted order, except the
-    node list, whose entries are written here: a block sequence of
-    mappings with sorted keys, an int id, `redundant: true` when set and
-    two floats. That skips building and resolving a YAML node for every
-    entry of a large deployment."""
+    Each top-level key is dumped on its own, in the dump's order, except
+    the node list, whose entries are written here: a block sequence of
+    mappings with an int id, `redundant: true` when set and two floats,
+    in the same order with sorted keys or without. That skips building
+    and resolving a YAML node for every entry of a large deployment."""
     data = scenario.to_dict()
     parts = []
-    for key in sorted(data):
+    for key in sorted(data) if sort_keys else data:
         value = data[key]
         if key != "nodes" or not value:
-            parts.append(yaml.dump({key: value}, Dumper=_Dumper, sort_keys=True))
+            parts.append(yaml.dump({key: value}, Dumper=_Dumper, sort_keys=sort_keys))
             continue
         parts.append("nodes:\n")
         for entry in value:
-            parts.append(f"- id: {entry['id']}\n")
-            if entry.get("redundant"):
-                parts.append("  redundant: true\n")
-            parts.append(f"  x: {_yaml_float(entry['x'])}\n"
+            spare = "  redundant: true\n" if entry.get("redundant") else ""
+            parts.append(f"- id: {entry['id']}\n{spare}  x: {_yaml_float(entry['x'])}\n"
                          f"  y: {_yaml_float(entry['y'])}\n")
     return "".join(parts)
 
@@ -313,15 +320,19 @@ def _canonical(scenario: Scenario) -> str:
 def scenario_hash(scenario: Scenario) -> str:
     """First 16 hex digits of the SHA-256 of the scenario's YAML dump with
     sorted keys."""
-    return hashlib.sha256(_canonical(scenario).encode()).hexdigest()[:16]
+    return hashlib.sha256(_text(scenario, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
-    """Materialize the topology and each source's annotated path set.
+    """Materialize the topology and check the scenario against it, then
+    build each source's finished path set.
 
-    Explicit path lists are validated against the topology; sources without
-    one get discovered interior-disjoint paths. Two nodes may not share a
-    position: no energy model covers a hop of zero length.
+    The sink, every source and every spare must name a node, the sink must
+    reach every source, every fault must name a node or a link, and no two
+    nodes may share a position: no energy model covers a hop of zero
+    length. Explicit path lists are validated against the topology;
+    sources without one get discovered interior-disjoint paths. Each path
+    carries its tau and hop distance, each spec its source-sink distance.
     """
     topo = build_topology(
         scenario.positions,
@@ -329,9 +340,23 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
         link_speed_bps=scenario.link_speed_bps,
         link_delay_s=scenario.link_delay_s,
         link_overrides=scenario.link_overrides,
-        sources=tuple(s.id for s in scenario.sources),
-        sink=scenario.sink,
     )
+    for role, nid in [("sink", scenario.sink),
+                      *(("source", s.id) for s in scenario.sources),
+                      *(("spare", n) for n in scenario.redundant)]:
+        if nid not in topo.nodes:
+            raise ScenarioError(f"{role} {nid} names no node of the deployment")
+    reached = topo.reachable_from(scenario.sink)
+    for decl in scenario.sources:
+        if decl.id not in reached:
+            raise ConnectivityError(
+                f"sink {scenario.sink} is unreachable from source {decl.id}",
+                source=decl.id)
+    for fault in scenario.faults:
+        if (fault.node not in topo.nodes if fault.link is None
+                else not topo.are_adjacent(*fault.link)):
+            raise ScenarioError(
+                f"fault at t={fault.time_s}s names no node or link of the topology")
     first_at: dict[tuple[float, float], int] = {}
     for nid, position in topo.nodes.items():
         other = first_at.setdefault(position, nid)
@@ -343,9 +368,12 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
             paths = [validate_path(topo, p) for p in decl.paths]
         else:
             paths = discover_paths(topo, decl.id, scenario.sink)
-        spec = SourceSpec(node_id=decl.id, packets=decl.packets, paths=paths)
+        dist = topo.distance(decl.id, scenario.sink)
+        spec = SourceSpec(
+            node_id=decl.id, packets=decl.packets, source_sink_dist_m=dist,
+            paths=[replace(p, tau_s=path_tau(topo, p, scenario.params.packet_size_bits),
+                           hop_dist_m=dist / p.hops) for p in paths])
         spec.check_locally_disjoint()
-        annotate_source(topo, spec, scenario.sink, scenario.params)
         specs.append(spec)
     return topo, specs
 
@@ -376,8 +404,7 @@ def generate_random_scenario(count: int, area_m: float, radius_m: float,
         sink=sink,
         sources=[SourceDecl(id=source, packets=packets)],
     )
-    topo = build_topology(positions, radius_m)
-    return scenario, sink in topo.reachable_from(source)
+    return scenario, sink in build_topology(positions, radius_m).reachable_from(source)
 
 
 __all__ = [

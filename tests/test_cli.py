@@ -343,13 +343,30 @@ def test_block_that_never_lifts_is_a_stall(tmp_path, monkeypatch, capsys):
     assert "stalled" in err and "in flight" in err
 
 
-def test_fault_on_unknown_node_is_scenario_error(tmp_path, capsys):
-    sc = shipped("three-source-mesh")
-    sc.faults = [FaultDecl(1.0, node=99)]
-    path = tmp_path / "bad-fault.yaml"
-    save_scenario(sc, str(path))
-    assert main(["run", "--scenario", str(path)]) == 2
-    assert "scenario error" in capsys.readouterr().err.lower()
+# each names what the deployment lacks; a file declares a spare on its
+# node's entry, so no file can name a spare without a node
+_UNKNOWN_NAMES = {
+    "fault-node": ("faults", [{"time": 1.0, "node": 999}],
+                   "fault at t=1.0s names no node or link of the topology"),
+    "fault-link": ("faults", [{"time": 1.0, "link": [1, 6]}],
+                   "fault at t=1.0s names no node or link of the topology"),
+    "source": ("sources", [{"id": 999, "packets": 10}],
+               "source 999 names no node of the deployment"),
+    "sink": ("sink", 999, "sink 999 names no node of the deployment"),
+}
+
+
+@pytest.mark.parametrize("command", ["discover", "allocate", "run"])
+@pytest.mark.parametrize("case", sorted(_UNKNOWN_NAMES))
+def test_unknown_name_is_one_scenario_error(mesh_file, case, command, capsys):
+    key, value, message = _UNKNOWN_NAMES[case]
+    with open(mesh_file) as fh:
+        data = yaml.safe_load(fh)
+    data[key] = value
+    with open(mesh_file, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main([command, "--scenario", mesh_file]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message}\n"
 
 
 @pytest.mark.parametrize("time_s", [-1.0, float("nan")])

@@ -453,6 +453,73 @@ def test_degree_one_sender_defers_to_watchdog_then_abandons():
     assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
 
 
+def _conserves_and_balances(metrics):
+    assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
+    spent = sum(metrics.initial_j.values()) - sum(metrics.residual_j.values())
+    assert metrics.energy_spent_j == pytest.approx(
+        spent, abs=1e-12 * sum(metrics.initial_j.values()))
+
+
+def test_frame_landing_on_a_dead_receiver_is_a_fault_drop():
+    # the first frame leaves the source at 0.02 s and lands at 0.07 s on
+    # node 11, dead since 0.05 s; the source has no third neighbor to
+    # beacon, so every later frame is dropped at the hop's retry limit
+    sc = line_scenario(packets=5, hops=3, window=1, link_delay=0.05)
+    sc.faults = [FaultDecl(0.05, node=11)]
+    sc.engine.record_trace = True
+    metrics = run_scenario(sc)
+    assert "0.070000000,arrival,11,1" in metrics.trace
+    assert (metrics.total_delivered, metrics.dropped_fault) == (0, 5)
+    _conserves_and_balances(metrics)
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_beacon_lost_mid_send(fragmented, monkeypatch):
+    # node 2 dies at 0.3405 s while it sends its self-check beacon about
+    # the dead node 3: the beacon is lost, no detection follows, and the
+    # packets not yet past node 2 are fault drops
+    lost = []
+    lose = Engine._lose
+    monkeypatch.setattr(Engine, "_lose",
+                        lambda self, pkt: (lost.append(pkt.kind), lose(self, pkt)))
+    sc = fault_beacon_scenario(packets=5)
+    sc.faults.append(FaultDecl(0.3405, node=2))
+    sc.engine.fragmented = fragmented
+    metrics = run_scenario(sc)
+    assert "beacon" in lost
+    assert metrics.detections == [] and metrics.replacements == []
+    assert (metrics.total_delivered, metrics.total_dropped) == (2, 3)
+    _conserves_and_balances(metrics)
+
+
+def test_second_fault_of_a_dead_node_is_ignored():
+    once, twice = fault_beacon_scenario(), fault_beacon_scenario()
+    twice.faults.append(FaultDecl(0.2, node=3))
+    for sc in (once, twice):
+        sc.engine.record_trace = True
+    a, b = run_scenario(once), run_scenario(twice)
+    assert b.event_count == a.event_count + 1
+    assert b.trace == a.trace
+    assert (b.detections, b.replacements, b.energy_spent_j, b.completion_s) == (
+        a.detections, a.replacements, a.energy_spent_j, a.completion_s)
+
+
+@pytest.mark.parametrize("spare", [True, False], ids=["replaced", "abandoned"])
+def test_probes_skip_failed_routes_and_abandoned_flows(spare):
+    # node 3 fails at 0.125 s and is found at 0.341 s. The probe at 0.2 s
+    # meets it on the route and records nothing; the one at 1.0 s samples
+    # the replaced route, or skips the flow abandoned without a spare
+    sc = fault_beacon_scenario(packets=20)
+    if not spare:
+        sc.redundant = ()
+    sc.engine.probe_times = [0.1, 0.2, 1.0]
+    metrics = run_scenario(sc)
+    assert [d["time_s"] for d in metrics.detections] == [pytest.approx(0.34128)]
+    assert (bool(metrics.replacements), bool(metrics.abandoned)) == (spare, not spare)
+    assert metrics.contention_history == {(1, 0): [0, 0] if spare else [0]}
+    _conserves_and_balances(metrics)
+
+
 def test_mid_run_probes_record_contention():
     sc = line_scenario(packets=30, hops=3, window=None)
     assert run_scenario(sc).contention_history == {}  # no probe scheduled

@@ -10,12 +10,13 @@ from wsn_multipath.model import (
     InvalidPathError,
     Link,
     NetworkParams,
+    RoutingError,
     SourceSpec,
     build_topology,
     path_tau,
     validate_path,
 )
-from wsn_multipath.scenario import build_scenario
+from wsn_multipath.scenario import Scenario, SourceDecl, build_scenario
 
 
 def test_params_reject_nonpositive_fields():
@@ -44,9 +45,12 @@ def test_two_nodes_in_range():
 def test_two_nodes_out_of_range():
     topo = build_topology({1: (0, 0), 2: (3, 0)}, radio_range_m=2.4)
     assert not topo.are_adjacent(1, 2)
+    with pytest.raises(RoutingError, match="no link between 1 and 2"):
+        topo.link(1, 2)
     with pytest.raises(ConnectivityError) as err:
-        build_topology({1: (0, 0), 2: (3, 0)}, radio_range_m=2.4,
-                       sources=(1,), sink=2)
+        build_scenario(Scenario(name="apart", params=NetworkParams(radio_range_m=2.4),
+                                positions={1: (0, 0), 2: (3, 0)}, sink=2,
+                                sources=[SourceDecl(1, 5)]))
     assert err.value.source == 1
     assert "1" in str(err.value)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import math
@@ -254,12 +255,13 @@ def _scenarios(draw):
 @given(scenario=_scenarios())
 @example(scenario=Scenario(name="empty", params=small_params(), positions={}, sink=1,
                            sources=[]))
-def test_canonical_text_is_the_sorted_yaml_dump(scenario):
-    # scenario_hash writes the node list itself; the YAML dump it replaced
-    # stays the reference, byte for byte
-    reference = yaml.dump(scenario.to_dict(), Dumper=scenario_module._Dumper,
-                          sort_keys=True)
-    assert scenario_module._canonical(scenario) == reference
+def test_text_is_the_yaml_dump(scenario):
+    # save_scenario and scenario_hash write the node list themselves; the
+    # YAML dumps they replaced stay the reference, byte for byte
+    for sort_keys in (False, True):  # the hash digests the sorted one
+        reference = yaml.dump(scenario.to_dict(), Dumper=scenario_module._Dumper,
+                              sort_keys=sort_keys)
+        assert scenario_module._text(scenario, sort_keys) == reference
     assert scenario_hash(scenario) == hashlib.sha256(reference.encode()).hexdigest()[:16]
 
 
@@ -302,6 +304,9 @@ _HAND_EDITED = {
     "comment": _SAVED.replace(_ENTRY_1, _ENTRY_1 + "# the source\n"),
     "crlf": _SAVED.replace("\n", "\r\n"),
     "reordered": _SAVED.replace(_ENTRY_1, "- id: 1\n  y: -0.0\n  x: 0.0\n"),
+    # a spare's entry in the key order that older saved files have
+    "spare-last": _SAVED.replace("  redundant: true\n  x: 10.0\n  y: 1.0e-300\n",
+                                 "  x: 10.0\n  y: 1.0e-300\n  redundant: true\n"),
     "flow": _SAVED.replace(_ENTRY_1, "- {id: 1, x: 0.0, y: -0.0}\n"),
     "quoted-id": _SAVED.replace("- id: 1\n", "- id: '1'\n"),
     "octal-id": _SAVED.replace("- id: 1\n", "- id: 010\n"),
@@ -343,7 +348,7 @@ def test_hand_edited_node_lists_fall_back_to_pyyaml(edit):
 def test_saved_node_list_never_reaches_pyyaml(tmp_path, monkeypatch):
     # if the writer and the one-pass reader drift apart, every load would
     # silently fall back to PyYAML; this pins that the fast path is taken
-    generated = _uniform_2000()
+    generated = dataclasses.replace(_uniform_2000(), redundant=tuple(range(3, 2001, 7)))
     path = tmp_path / "uniform.yaml"
     save_scenario(generated, str(path))
     texts = []
@@ -358,3 +363,40 @@ def test_saved_node_list_never_reaches_pyyaml(tmp_path, monkeypatch):
     assert loaded.to_dict() == generated.to_dict()
     [rest] = texts
     assert "\n  x: " not in rest and len(rest) < 2000
+
+
+@pytest.mark.parametrize("reader", [_through_file, _pyyaml_alone], ids=["one-pass", "pyyaml"])
+def test_duplicate_node_id_is_scenario_error(reader):
+    text = (SCENARIOS / "three-source-mesh.yaml").read_text().replace(
+        "- id: 2\n  x: 10.0\n", "- id: 1\n  x: 10.0\n")
+    assert scenario_module._read_node_table(text) is not None  # the file takes the one pass
+    with pytest.raises(ScenarioError, match="node id 1 is declared twice"):
+        reader(text)
+
+
+@pytest.mark.parametrize("where,value", [
+    (("nodes", 1, "id"), 2.7), (("nodes", 1, "id"), True), (("sources", 0, "packets"), 2.5),
+    (("sink",), 6.0), (("seed",), True), (("sources", 0, "id"), 1.0),
+    (("sources", 0, "paths", 0, 1), 2.5), (("faults", 0, "node"), 8.0),
+    (("faults", 1, "link", 0), True), (("links", "overrides", 0, "b"), 2.0),
+])
+def test_every_id_and_count_is_an_integer(where, value):
+    sc = shipped("three-source-mesh")
+    sc.faults = [FaultDecl(1.5, node=8), FaultDecl(2.0, link=(7, 8))]
+    sc.link_overrides = {(1, 2): (25000.0, 0.001)}
+    data = sc.to_dict()
+    *parents, last = where
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ScenarioError, match=f"must be an integer, got {value!r}"):
+        Scenario.from_dict(data)
+
+
+def test_spare_that_names_no_node_is_scenario_error():
+    # a file declares a spare on its node's entry; only a built scenario
+    # can name a spare the deployment lacks
+    sc = dataclasses.replace(shipped("three-source-mesh"), redundant=(999,))
+    with pytest.raises(ScenarioError, match="spare 999 names no node of the deployment"):
+        build_scenario(sc)
