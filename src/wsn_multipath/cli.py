@@ -256,6 +256,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trace and --plot-data write files, so they need --out")
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
+    packets = min(getattr(args, "volumes", None) or [getattr(args, "packets", None) or 0])
+    if packets < 0:
+        parser.error(f"--packets must be >= 0, got {packets}")
     handlers = {
         "discover": cmd_discover,
         "allocate": cmd_allocate,

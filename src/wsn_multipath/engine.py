@@ -554,16 +554,17 @@ class Engine:
     def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
         if self._tracing:
             self._trace("arrival", node_id, pkt.uid)
-        if node_id in self._fault_time:
+        if node_id not in self._fault_time:  # a dead node spends nothing
+            link, tx_per_bit, _pair = self._hops[(sender, node_id)]
+            occupancy = pkt.size_bits / link.speed_bps
+            bucket = "rx_data" if pkt.kind == "data" else "rx_control"
+            source = pkt.source if pkt.kind == "data" else None
+            self._debit(node_id, self.config.rx_power_w * occupancy if tx_per_bit is None
+                        else self._rx_per_bit * pkt.size_bits, bucket, source)
+            self._busy_time[node_id] += occupancy
+        if node_id in self._fault_time:  # dead before this frame or by its receive debit
             self._lose(pkt)
             return
-        link, tx_per_bit, _pair = self._hops[(sender, node_id)]
-        occupancy = pkt.size_bits / link.speed_bps
-        bucket = "rx_data" if pkt.kind == "data" else "rx_control"
-        source = pkt.source if pkt.kind == "data" else None
-        self._debit(node_id, self.config.rx_power_w * occupancy if tx_per_bit is None
-                    else self._rx_per_bit * pkt.size_bits, bucket, source)
-        self._busy_time[node_id] += occupancy
         if pkt.kind != "data":
             self._on_beacon_arrived(pkt)
             return
@@ -792,7 +793,7 @@ class Engine:
     def _simulate(self) -> None:
         for fault in self.scenario.faults:
             node = fault.node if fault.node is not None else 0
-            self._push(fault.time_s, _RANK_FAULT, node, self._on_fault, (fault.link,))
+            self._push(fault.time, _RANK_FAULT, node, self._on_fault, (fault.link,))
         for when in self.config.probe_times:
             self._push(when, _RANK_PROBE, 0, self._on_probe, ())
         for key in sorted(self.flows):

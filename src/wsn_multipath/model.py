@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class DomainError(ValueError):
@@ -49,6 +50,51 @@ class ScenarioError(ValueError):
     """A scenario file or its contents are invalid."""
 
 
+# A rule is the words that name what a value must be and a predicate that
+# holds when it is; a bool is no number.
+POSITIVE = ("a finite number > 0", lambda v: type(v) in (int, float) and 0 < v < math.inf)
+NONNEGATIVE = ("a finite number >= 0", lambda v: type(v) in (int, float) and 0 <= v < math.inf)
+
+
+class Table(NamedTuple):
+    """The rules of one mapping: a rule per key, the keys it `requires`,
+    and a rule that judges it `whole`."""
+
+    rules: dict
+    requires: tuple = ()
+    whole: tuple | None = None
+
+
+def check(mapping, table: Table, path: str, error: type = ScenarioError) -> dict:
+    """`mapping`, once it is a mapping that `table` accepts. Otherwise
+    `error` names the path of the first key that breaks a rule, as in
+    `faults[0].time must be a finite number >= 0, got -1.0`."""
+    if type(mapping) is not dict:
+        raise error(f"{path or 'a scenario'} must be a mapping, got {mapping!r}")
+    at = f"{path}." if path else ""
+    for key, value in mapping.items():
+        if key not in table.rules:
+            raise error(f"{at}{key} is an unknown key; expected one of {', '.join(table.rules)}")
+        words, holds = table.rules[key]
+        if not holds(value):
+            raise error(f"{at}{key} must be {words}, got {value!r}")
+    for key in table.requires:
+        if key not in mapping:
+            raise error(f"{at}{key} is missing")
+    if table.whole is not None and not table.whole[1](mapping):
+        raise error(f"{path} must be {table.whole[0]}, got {mapping!r}")
+    return mapping
+
+
+PARAMS_TABLE = Table({
+    **dict.fromkeys(("tx_electronics_w", "tx_amp_w_per_mk", "rx_electronics_w",
+                     "tx_bit_time_s", "rx_bit_time_s", "sensing_w", "packet_size_bits",
+                     "radio_range_m", "initial_energy_j"), POSITIVE),
+    "path_loss_exp": ("a number in [2, 4]", lambda v: type(v) in (int, float) and 2 <= v <= 4),
+})
+LINK_TABLE = Table({"speed_bps": POSITIVE, "delay_s": NONNEGATIVE})
+
+
 @dataclass(frozen=True)
 class NetworkParams:
     """Global radio, energy and timing constants.
@@ -70,17 +116,7 @@ class NetworkParams:
     initial_energy_j: float = 23760.0
 
     def __post_init__(self):
-        for name in (
-            "tx_electronics_w", "tx_amp_w_per_mk", "rx_electronics_w",
-            "tx_bit_time_s", "rx_bit_time_s", "sensing_w",
-            "packet_size_bits", "radio_range_m", "initial_energy_j",
-        ):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be strictly positive, got {value!r}")
-        if not 2.0 <= self.path_loss_exp <= 4.0:
-            raise DomainError(
-                f"path_loss_exp must lie in [2.0, 4.0], got {self.path_loss_exp!r}")
+        check(vars(self), PARAMS_TABLE, "params", DomainError)
 
 
 @dataclass(frozen=True)
@@ -92,10 +128,7 @@ class Link:
     delay_s: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.speed_bps < math.inf:
-            raise DomainError(f"link speed must be finite and > 0, got {self.speed_bps!r}")
-        if not 0 <= self.delay_s < math.inf:
-            raise DomainError(f"link delay must be finite and >= 0, got {self.delay_s!r}")
+        check(vars(self), LINK_TABLE, "link", DomainError)
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,24 @@ import hashlib
 import math
 import random
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 
 import yaml
 
 from .model import (
+    LINK_TABLE,
+    NONNEGATIVE,
+    PARAMS_TABLE,
+    POSITIVE,
     ConnectivityError,
     NetworkParams,
     ScenarioError,
     SourceSpec,
+    Table,
     Topology,
     build_topology,
+    check,
     path_tau,
     validate_path,
 )
@@ -34,6 +41,59 @@ except AttributeError:
     _Loader, _Dumper = yaml.SafeLoader, yaml.SafeDumper
 
 
+# the rules of the scenario file, one table per mapping; `params` and a
+# link's speed and delay share theirs with the model
+INTEGER = ("an integer", lambda v: type(v) is int)
+BOOLEAN = ("true or false", lambda v: type(v) is bool)
+FINITE = ("a finite number", lambda v: type(v) in (int, float) and -math.inf < v < math.inf)
+LIST = ("a list", lambda v: isinstance(v, list))  # `_ReadNodes` included
+MAPPING = ("a mapping", lambda v: type(v) is dict)
+AT_LEAST_ONE = ("an integer >= 1", lambda v: type(v) is int and v >= 1)
+
+
+def _or_null(rule: tuple) -> tuple:
+    return (f"{rule[0]} or null", lambda v: v is None or rule[1](v))
+
+
+_SCENARIO_TABLE = Table({
+    "name": ("a string", lambda v: type(v) is str), "seed": INTEGER, "params": MAPPING,
+    "nodes": LIST, "links": MAPPING, "sink": INTEGER, "sources": LIST,
+    "faults": _or_null(LIST), "engine": MAPPING,
+}, requires=("params", "nodes", "sink", "sources"))
+_NODE_TABLE = Table({"id": INTEGER, "redundant": BOOLEAN, "x": FINITE, "y": FINITE},
+                    requires=("id", "x", "y"))
+_LINKS_TABLE = Table({**LINK_TABLE.rules, "overrides": _or_null(LIST)})
+_OVERRIDE_TABLE = Table(
+    {"a": INTEGER, "b": INTEGER, **LINK_TABLE.rules}, requires=("a", "b", "speed_bps", "delay_s"),
+    whole=("an override between two different nodes", lambda o: o["a"] != o["b"]))
+_SOURCE_TABLE = Table({
+    "id": INTEGER,
+    "packets": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "paths": _or_null(("a list of node-id lists", lambda v: type(v) is list and all(
+        type(p) is list and all(type(n) is int for n in p) for p in v))),
+}, requires=("id", "packets"))
+_FAULT_TABLE = Table({
+    "time": NONNEGATIVE,
+    "node": _or_null(INTEGER),
+    "link": _or_null(("a pair of node ids", lambda v: type(v) in (list, tuple)
+                      and len(v) == 2 and all(type(n) is int for n in v))),
+}, requires=("time",), whole=("a fault on exactly one of node or link",
+                              lambda f: (f.get("node") is None) != (f.get("link") is None)))
+_ENGINE_TABLE = Table({
+    "scheme": ("1, 2 or 3", lambda v: type(v) is int and v in (1, 2, 3)),
+    "window": _or_null(AT_LEAST_ONE),
+    "energy_mode": ("per_bit or per_packet", lambda v: v in ("per_bit", "per_packet")),
+    "fault_detection": ("auto, on or off", lambda v: v in ("auto", "on", "off")),
+    "loss_prob": ("a number in [0, 1]", lambda v: type(v) in (int, float) and 0 <= v <= 1),
+    **dict.fromkeys(("queue_packets_per_subqueue", "max_events", "max_attempts"), AT_LEAST_ONE),
+    **dict.fromkeys(("include_idle", "fragmented", "replicate", "record_trace"), BOOLEAN),
+    **dict.fromkeys(("tx_power_w", "rx_power_w", "idle_power_w"), NONNEGATIVE),
+    "control_size_bits": POSITIVE,
+    "probe_times": ("a list of finite numbers >= 0",
+                    lambda v: type(v) is list and all(map(NONNEGATIVE[1], v))),
+})
+
+
 @dataclass
 class SourceDecl:
     id: int
@@ -43,15 +103,12 @@ class SourceDecl:
 
 @dataclass
 class FaultDecl:
-    time_s: float
+    time: float
     node: int | None = None
     link: tuple[int, int] | None = None
 
     def __post_init__(self):
-        if (self.node is None) == (self.link is None):
-            raise ScenarioError("a fault names exactly one of node or link")
-        if not (math.isfinite(self.time_s) and self.time_s >= 0):
-            raise ScenarioError(f"fault time must be finite and >= 0, got {self.time_s!r}")
+        check(vars(self), _FAULT_TABLE, "fault")
 
 
 @dataclass
@@ -75,41 +132,7 @@ class RunConfig:
     probe_times: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        for name in ("include_idle", "fragmented", "replicate", "record_trace"):
-            if type(getattr(self, name)) is not bool:
-                raise ScenarioError(
-                    f"{name} must be true or false, got {getattr(self, name)!r}")
-        if self.energy_mode not in ("per_bit", "per_packet"):
-            raise ScenarioError(f"unknown energy mode {self.energy_mode!r}")
-        for name in ("scheme", "window", "max_attempts", "queue_packets_per_subqueue",
-                     "max_events"):
-            value = getattr(self, name)  # a bool is not an integer here
-            if type(value) is not int and not (name == "window" and value is None):
-                raise ScenarioError(f"{name} must be an integer, got {value!r}")
-        if self.scheme not in (1, 2, 3):
-            raise ScenarioError(f"unknown scheme {self.scheme}; expected 1, 2 or 3")
-        if self.max_attempts < 1:
-            raise ScenarioError("max_attempts must be >= 1")
-        if self.window is not None and self.window < 1:
-            raise ScenarioError("window must be >= 1 or null")
-        if self.queue_packets_per_subqueue < 1:
-            raise ScenarioError("queue_packets_per_subqueue must be >= 1")
-        if self.fault_detection not in ("auto", "on", "off"):
-            raise ScenarioError(f"unknown fault detection {self.fault_detection!r}")
-        if type(self.loss_prob) not in (int, float) or not 0.0 <= self.loss_prob <= 1.0:
-            raise ScenarioError(f"loss_prob must lie in [0, 1], got {self.loss_prob!r}")
-        if self.max_events < 1:
-            raise ScenarioError("max_events must be >= 1")
-        if not 0 < self.control_size_bits < math.inf:
-            raise ScenarioError(
-                f"control_size_bits must be finite and > 0, got {self.control_size_bits!r}")
-        for name in ("tx_power_w", "rx_power_w", "idle_power_w"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ScenarioError(
-                    f"{name} must be finite and >= 0, got {getattr(self, name)!r}")
-        if not all(0 <= t < math.inf for t in self.probe_times):
-            raise ScenarioError(
-                f"probe_times must be finite and >= 0, got {self.probe_times!r}")
+        check(vars(self), _ENGINE_TABLE, "engine")
 
 
 @dataclass
@@ -152,8 +175,8 @@ class Scenario:
                 for s in self.sources
             ],
             "faults": [
-                ({"time": f.time_s, "node": f.node} if f.node is not None
-                 else {"time": f.time_s, "link": list(f.link)})
+                ({"time": f.time, "node": f.node} if f.node is not None
+                 else {"time": f.time, "link": list(f.link)})
                 for f in self.faults
             ],
             "engine": asdict(self.engine),
@@ -161,66 +184,39 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        try:
-            params = NetworkParams(**data["params"])
-            positions = {}
-            redundant = []
-            for entry in data["nodes"]:
-                nid = _integer(entry["id"], "node id")
-                if nid in positions:
-                    raise ScenarioError(f"node id {nid} is declared twice")
-                positions[nid] = (float(entry["x"]), float(entry["y"]))
-                if entry.get("redundant"):
-                    redundant.append(nid)
-            links = data.get("links", {})
-            if not isinstance(links, dict):
-                raise ScenarioError(f"links must be a mapping, got {links!r}")
-            overrides = {}
-            for o in links.get("overrides", []) or []:
-                a, b = _integer(o["a"], "override end"), _integer(o["b"], "override end")
-                overrides[(min(a, b), max(a, b))] = (float(o["speed_bps"]),
-                                                     float(o["delay_s"]))
-            sources = [
-                SourceDecl(id=_integer(s["id"], "source id"),
-                           packets=_integer(s["packets"], "packets"),
-                           paths=[[_integer(n, "route node") for n in p] for p in s["paths"]]
-                           if s.get("paths") else None)
-                for s in data["sources"]
-            ]
-            faults = []
-            for f in data.get("faults", []) or []:
-                if "node" in f:
-                    node = _integer(f["node"], "fault node")
-                    faults.append(FaultDecl(float(f["time"]), node=node))
-                else:
-                    a, b = (_integer(end, "fault link end") for end in f["link"])
-                    faults.append(FaultDecl(float(f["time"]), link=(a, b)))
-            engine = RunConfig(**data.get("engine", {}))
-            return cls(
-                name=str(data.get("name", "scenario")),
-                seed=_integer(data.get("seed", 0), "seed"),
-                params=params,
-                positions=positions,
-                sink=_integer(data["sink"], "sink"),
-                sources=sources,
-                link_speed_bps=float(links.get("speed_bps", 50000.0)),
-                link_delay_s=float(links.get("delay_s", 0.0)),
-                link_overrides=overrides,
-                redundant=tuple(sorted(redundant)),
-                faults=faults,
-                engine=engine,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ScenarioError):
-                raise
-            raise ScenarioError(f"malformed scenario: {exc}") from exc
-
-
-def _integer(value, what: str) -> int:
-    """`value` when it is an int; a float or a bool is no id or count."""
-    if type(value) is not int:
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return value
+        """The scenario `data` describes, once each of its mappings has
+        passed its table."""
+        check(data, _SCENARIO_TABLE, "")
+        links = check(data.get("links", {}), _LINKS_TABLE, "links")
+        nodes, overrides = data["nodes"], links.get("overrides") or []
+        faults = data.get("faults") or []
+        for path, entries, table in [
+                ("nodes", [] if type(nodes) is _ReadNodes else nodes, _NODE_TABLE),
+                ("links.overrides", overrides, _OVERRIDE_TABLE),
+                ("sources", data["sources"], _SOURCE_TABLE), ("faults", faults, _FAULT_TABLE)]:
+            for i, entry in enumerate(entries):
+                check(entry, table, f"{path}[{i}]")
+        positions = {n["id"]: (float(n["x"]), float(n["y"])) for n in nodes}
+        if len(positions) < len(nodes):
+            twice = Counter(n["id"] for n in nodes).most_common(1)[0][0]
+            raise ScenarioError(f"node id {twice} is declared twice")
+        return cls(
+            name=data.get("name", "scenario"),
+            seed=data.get("seed", 0),
+            params=NetworkParams(**check(data["params"], PARAMS_TABLE, "params")),
+            positions=positions,
+            sink=data["sink"],
+            sources=[SourceDecl(**s) for s in data["sources"]],
+            link_speed_bps=float(links.get("speed_bps", 50000.0)),
+            link_delay_s=float(links.get("delay_s", 0.0)),
+            link_overrides={(min(o["a"], o["b"]), max(o["a"], o["b"])):
+                            (float(o["speed_bps"]), float(o["delay_s"])) for o in overrides},
+            redundant=tuple(sorted(n["id"] for n in nodes if n.get("redundant"))),
+            faults=[FaultDecl(float(f["time"]), f.get("node"),
+                              None if f.get("link") is None else tuple(f["link"]))
+                    for f in faults],
+            engine=RunConfig(**check(data.get("engine", {}), _ENGINE_TABLE, "engine")),
+        )
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
@@ -237,6 +233,10 @@ _FLOAT = r"(-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?)"
 _NODE = re.compile(r"- id: (-?(?:0|[1-9][0-9]*))\n(  redundant: true\n)?"
                    rf"  x: {_FLOAT}\n  y: {_FLOAT}\n")
 _NODES_TAKEN = "wsn-multipath-node-table"
+
+
+class _ReadNodes(list):
+    """Node entries as `_NODE` reads them, which the node table accepts."""
 
 
 def _read_node_table(text: str) -> dict | None:
@@ -258,8 +258,10 @@ def _read_node_table(text: str) -> dict | None:
         return None
     if not isinstance(data, dict) or data.get("nodes") != _NODES_TAKEN:
         return None
-    data["nodes"] = [{"id": int(nid), "x": float(x), "y": float(y), "redundant": bool(spare)}
-                     for nid, spare, x, y in _NODE.findall(entries)]
+    # `_NODE` admits only int ids, finite floats and `redundant: true`
+    data["nodes"] = _ReadNodes(
+        {"id": int(nid), "x": float(x), "y": float(y), "redundant": bool(spare)}
+        for nid, spare, x, y in _NODE.findall(entries))
     return data
 
 
@@ -277,8 +279,6 @@ def load_scenario(path: str) -> Scenario:
             data = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ScenarioError(f"unparseable scenario {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ScenarioError(f"scenario {path} is not a mapping")
     return Scenario.from_dict(data)
 
 
@@ -327,12 +327,13 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
     """Materialize the topology and check the scenario against it, then
     build each source's finished path set.
 
-    The sink, every source and every spare must name a node, the sink must
-    reach every source, every fault must name a node or a link, and no two
-    nodes may share a position: no energy model covers a hop of zero
-    length. Explicit path lists are validated against the topology;
-    sources without one get discovered interior-disjoint paths. Each path
-    carries its tau and hop distance, each spec its source-sink distance.
+    The sink, every source and every spare must name a node, no source may
+    be declared twice, the sink must reach every source, every fault must
+    name a node or a link, and no two nodes may share a position: no
+    energy model covers a hop of zero length. Explicit path lists are
+    validated against the topology; sources without one get discovered
+    interior-disjoint paths. Each path carries its tau and hop distance,
+    each spec its source-sink distance.
     """
     topo = build_topology(
         scenario.positions,
@@ -346,6 +347,9 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
                       *(("spare", n) for n in scenario.redundant)]:
         if nid not in topo.nodes:
             raise ScenarioError(f"{role} {nid} names no node of the deployment")
+    for i, decl in enumerate(scenario.sources):
+        if any(s.id == decl.id for s in scenario.sources[:i]):
+            raise ScenarioError(f"sources[{i}].id declares source {decl.id} twice")
     reached = topo.reachable_from(scenario.sink)
     for decl in scenario.sources:
         if decl.id not in reached:
@@ -356,7 +360,7 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
         if (fault.node not in topo.nodes if fault.link is None
                 else not topo.are_adjacent(*fault.link)):
             raise ScenarioError(
-                f"fault at t={fault.time_s}s names no node or link of the topology")
+                f"fault at t={fault.time}s names no node or link of the topology")
     first_at: dict[tuple[float, float], int] = {}
     for nid, position in topo.nodes.items():
         other = first_at.setdefault(position, nid)

@@ -23,6 +23,12 @@ def shipped(name: str, packets: int | None = None) -> Scenario:
     return configured(load_scenario(str(SCENARIOS / f"{name}.yaml")), packets=packets)
 
 
+def key_path(where: tuple) -> str:
+    """`where` as a scenario error names it: ("faults", 0, "time") is
+    faults[0].time."""
+    return "".join(f"[{k}]" if type(k) is int else f".{k}" for k in where).lstrip(".")
+
+
 def small_params(**overrides) -> NetworkParams:
     base = dict(
         tx_electronics_w=1.024e-3,

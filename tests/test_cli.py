@@ -15,7 +15,7 @@ from wsn_multipath.experiments import configured
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, Scenario, SourceDecl, save_scenario
 
-from conftest import shipped
+from conftest import key_path, shipped
 
 
 @pytest.fixture
@@ -258,6 +258,36 @@ def test_experiment_jobs_below_one_is_usage_error(fan_file, jobs, capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--suite", "frameworks", "--packets", "-5"],
+    ["experiment", "--suite", "schemes", "--packets", "10", "-5"],
+    ["run", "--packets", "-5"],
+    ["allocate", "--packets", "-5"],
+    ["gen-topology", "--count", "10", "--area", "100", "--radius", "30", "--packets", "-5"],
+])
+def test_negative_packets_is_usage_error(mesh_file, tmp_path, argv, capsys):
+    where = ["--out", str(tmp_path / "gen.yaml")] if argv[0] == "gen-topology" else [
+        "--scenario", mesh_file]
+    with pytest.raises(SystemExit) as err:
+        main(argv + where)
+    assert err.value.code == 1
+    assert "--packets must be >= 0, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "gen.yaml").exists()
+
+
+def test_negative_packets_in_a_file_is_scenario_error(mesh_file, capsys):
+    # replicated, the count reached the engine without an allocator's check
+    with open(mesh_file) as fh:
+        data = yaml.safe_load(fh)
+    data["sources"][0]["packets"] = -5
+    data["engine"]["replicate"] = True
+    with open(mesh_file, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main(["run", "--scenario", mesh_file]) == 2
+    assert capsys.readouterr().err == (
+        "scenario error: sources[0].packets must be an integer >= 0, got -5\n")
+
+
 def test_experiment_frameworks_suite(mesh_file, tmp_path):
     out = tmp_path / "exp"
     assert main(["experiment", "--scenario", mesh_file, "--suite", "frameworks",
@@ -381,8 +411,8 @@ def test_fault_time_out_of_range_is_scenario_error(tmp_path, time_s, capsys):
     with open(path, "w") as fh:
         yaml.safe_dump(data, fh)
     assert main(["run", "--scenario", str(path)]) == 2
-    err = capsys.readouterr().err.lower()
-    assert "scenario error" in err and "fault time" in err
+    assert capsys.readouterr().err == (
+        f"scenario error: faults[0].time must be a finite number >= 0, got {time_s!r}\n")
 
 
 def test_colocated_nodes_are_scenario_error(tmp_path, capsys):
@@ -411,15 +441,35 @@ def test_colocated_nodes_are_scenario_error(tmp_path, capsys):
     ("control_size_bits", math.inf), ("probe_times", [0.5, math.inf]),
     ("fragmented", "no"), ("replicate", "no"), ("include_idle", 1),
     ("record_trace", "yes"), ("loss_prob", True),
+    # a tuple is a key's path from the top of the file; an unknown key at
+    # each level of the file, then inputs that each used to run to the end
+    *((where, True) for where in [
+        ("fault",), ("params", "packet_size"), ("nodes", 0, "redundnt"), ("links", "speed"),
+        ("links", "overrides", 0, "delay"), ("sources", 0, "path"), ("faults", 0, "nod"),
+        ("engine", "windw"),
+        ("params", "packet_size_bits"), ("links", "speed_bps"), ("faults", 0, "time")]),
+    (("nodes", 0, "redundant"), "no"), (("nodes", 0, "x"), "3"), (("name",), 5),
+    (("sources", 1, "id"), 1),
+    (("links", "overrides", 0), {"a": 2, "b": 2, "delay_s": 0.0, "speed_bps": 1e6}),
 ])
 def test_out_of_range_run_config_is_scenario_error(mesh_file, field, value, capsys):
+    where = ("engine", field) if type(field) is str else field
     with open(mesh_file) as fh:
         data = yaml.safe_load(fh)
-    data["engine"][field] = value
+    data["faults"] = [{"time": 1.0, "node": 8}]
+    data["links"]["overrides"] = [{"a": 1, "b": 2, "speed_bps": 1e6, "delay_s": 0.0}]
+    *parents, last = where
+    target = data
+    for key in parents:
+        target = target[key]
+    target[last] = value
     with open(mesh_file, "w") as fh:
         yaml.safe_dump(data, fh)
     assert main(["run", "--scenario", mesh_file]) == 2
-    assert "scenario error" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {key_path(where)} ")
+    assert (" is an unknown key; " in err or err.endswith(f", got {value!r}\n")
+            or err.endswith(" declares source 1 twice\n"))
 
 
 # with scheme 2 the quotas need no path latency, so nothing but the link

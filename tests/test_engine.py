@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -21,6 +22,7 @@ from conftest import (
     late_spare_scenario,
     line_scenario,
     random_scenario,
+    shipped,
     small_params,
     uniform_fault_scenario,
     y_scenario,
@@ -246,6 +248,17 @@ def test_battery_exhaustion_kills_node():
     sc.engine = RunConfig(scheme=2, fault_detection="off")
     metrics = run_scenario(sc)
     assert metrics.total_delivered < 10
+    assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_frame_that_exhausts_its_receiver_is_lost(fragmented):
+    # at 3 mJ per node, some relay dies on the receive debit of a frame;
+    # that frame used to wait in the dead node's buffer until the run stalled
+    sc = configured(shipped("three-source-mesh"), fragmented=fragmented)
+    sc.params = dataclasses.replace(sc.params, initial_energy_j=0.003)
+    metrics = run_scenario(sc)
+    assert metrics.dropped_fault > 0
     assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
 
 

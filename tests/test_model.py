@@ -196,7 +196,7 @@ def test_pairs_without_override_share_one_link():
 
 @pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
 def test_invalid_default_speed_raises_only_when_a_pair_takes_it(speed):
-    with pytest.raises(DomainError, match="link speed must be finite and > 0"):
+    with pytest.raises(DomainError, match=r"^link\.speed_bps must be a finite number > 0, got "):
         build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4, link_speed_bps=speed)
     # no pair in range, or none without an override: no link takes the default
     assert build_topology({1: (0, 0), 2: (3, 0)}, radio_range_m=2.4,
@@ -207,7 +207,8 @@ def test_invalid_default_speed_raises_only_when_a_pair_takes_it(speed):
 
 
 def test_invalid_override_in_range_raises():
-    with pytest.raises(DomainError, match="link delay"):
+    with pytest.raises(DomainError,
+                       match=r"^link\.delay_s must be a finite number >= 0, got -1\.0$"):
         build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4,
                        link_overrides={(1, 2): (1e6, -1.0)})
     # out of range, an override is ignored, as the all-pairs build ignored it

@@ -25,7 +25,7 @@ from wsn_multipath.scenario import (
     scenario_hash,
 )
 
-from conftest import SCENARIOS, shipped, small_params
+from conftest import SCENARIOS, key_path, shipped, small_params
 
 SHIPPED = sorted(SCENARIOS.glob("*.yaml"))
 
@@ -379,6 +379,8 @@ def test_duplicate_node_id_is_scenario_error(reader):
     (("sink",), 6.0), (("seed",), True), (("sources", 0, "id"), 1.0),
     (("sources", 0, "paths", 0, 1), 2.5), (("faults", 0, "node"), 8.0),
     (("faults", 1, "link", 0), True), (("links", "overrides", 0, "b"), 2.0),
+    (("links", "overrides", 0, "a"), True), (("sink",), "6"), (("faults", 0, "node"), "8"),
+    (("nodes", 1, "id"), None),
 ])
 def test_every_id_and_count_is_an_integer(where, value):
     sc = shipped("three-source-mesh")
@@ -390,8 +392,16 @@ def test_every_id_and_count_is_an_integer(where, value):
     for key in parents:
         target = target[key]
     target[last] = value
-    with pytest.raises(ScenarioError, match=f"must be an integer, got {value!r}"):
+    while type(where[-1]) is int:  # a route or a fault's link is judged whole
+        where = where[:-1]
+    named = data
+    for key in where:
+        named = named[key]
+    with pytest.raises(ScenarioError) as err:
         Scenario.from_dict(data)
+    message = str(err.value)
+    assert message.startswith(f"{key_path(where)} must be ")
+    assert message.endswith(f", got {named!r}")
 
 
 def test_spare_that_names_no_node_is_scenario_error():
@@ -400,3 +410,18 @@ def test_spare_that_names_no_node_is_scenario_error():
     sc = dataclasses.replace(shipped("three-source-mesh"), redundant=(999,))
     with pytest.raises(ScenarioError, match="spare 999 names no node of the deployment"):
         build_scenario(sc)
+
+
+def test_readme_example_passes_the_tables():
+    # the README's example names every key a scenario file may hold, so a
+    # key the tables lack, or a rule they break, fails here
+    readme = (SCENARIOS.parent / "README.md").read_text()
+    example = readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+    data = yaml.safe_load(example)
+    assert set(data["engine"]) == set(vars(RunConfig()))
+    assert set(data["params"]) == set(vars(small_params()))
+    scenario = Scenario.from_dict(data)
+    assert (scenario.name, scenario.sink, scenario.redundant) == ("example", 6, (2,))
+    assert scenario.engine.window == 1 and scenario.link_overrides == {(1, 2): (25000.0, 0.001)}
+    assert [(f.time, f.node, f.link) for f in scenario.faults] == [(1.5, 4, None),
+                                                                  (2.0, None, (7, 8))]
