@@ -97,9 +97,11 @@ class _NodeQueues:
       hop ids and the shared key is never one, so blocking a hop never
       stops the FIFO.
     Methods that take a data packet out of a sub-queue report its key, so
-    that the engine can wake the flows injecting there. A fragmented
-    buffer has no sub-queue toward a `replaced` neighbor until a frame is
-    queued for it, as if `retarget` had taken that sub-queue away.
+    that the engine can wake the flows injecting there. `queued` counts the
+    data frames under every key, so an empty buffer answers `dispatch_next`
+    at once. A fragmented buffer has no sub-queue toward a `replaced`
+    neighbor until a frame is queued for it, as if `retarget` had taken
+    that sub-queue away.
     """
 
     def __init__(self, owner: int, neighbors: tuple[int, ...],
@@ -110,19 +112,21 @@ class _NodeQueues:
         self.control: deque[Packet] = deque()
         self.blocked: set[int] = set()
         self.cursor = None  # last-served key
+        self.queued = 0
         self.evicts = fragmented
         if fragmented:
-            self.key = lambda hop: hop
             self.capacity_pkts = capacity_pkts
             self.data = {n: deque() for n in neighbors if n not in replaced}
         else:
-            self.key = lambda hop: _SHARED
             self.capacity_pkts = capacity_pkts * max(1, len(neighbors))
             self.data = {_SHARED: deque()}
         self.order = sorted(self.data)  # round-robin order of the keys
 
+    def key(self, hop: int):  # of the sub-queue holding frames bound for `hop`
+        return hop if self.evicts else _SHARED
+
     def _queue(self, hop: int) -> deque[Packet]:
-        key = self.key(hop)
+        key = hop if self.evicts else _SHARED
         queue = self.data.get(key)
         if queue is None:
             if hop not in self.neighbors:
@@ -148,7 +152,7 @@ class _NodeQueues:
         self.blocked.discard(hop)
 
     def has_space(self, hop: int) -> bool:
-        key = self.key(hop)
+        key = hop if self.evicts else _SHARED
         return (key not in self.blocked
                 and len(self.data.get(key, ())) < self.capacity_pkts)
 
@@ -160,6 +164,7 @@ class _NodeQueues:
         queue = self._queue(hop)
         if len(queue) < self.capacity_pkts:
             queue.append(pkt)
+            self.queued += 1
             return True, None
         if not self.evicts:
             return False, None
@@ -173,6 +178,7 @@ class _NodeQueues:
     def requeue(self, pkt: Packet, hop: int) -> None:
         """A packet whose transmission failed goes back to the head."""
         self._queue(hop).appendleft(pkt)
+        self.queued += 1
 
     def dispatch_next(self) -> tuple[Packet | None, object]:
         """(packet, key it left). Control queue first; otherwise advance the
@@ -180,6 +186,8 @@ class _NodeQueues:
         persists."""
         if self.control:
             return self.control.popleft(), None
+        if not self.queued:
+            return None, None
         order, data = self.order, self.data
         n = len(order)
         start = order.index(self.cursor) + 1 if n > 1 and self.cursor in data else 0
@@ -188,6 +196,7 @@ class _NodeQueues:
             queue = data[key]
             if queue and key not in self.blocked:
                 self.cursor = key
+                self.queued -= 1
                 return queue.popleft(), key
         return None, None
 
@@ -198,6 +207,7 @@ class _NodeQueues:
             gone = [p for p in queue if p.flow_key == flow_key]
             if gone:
                 removed[key] = gone
+                self.queued -= len(gone)
                 kept = [p for p in queue if p.flow_key != flow_key]
                 queue.clear()
                 queue.extend(kept)
@@ -224,6 +234,7 @@ class _NodeQueues:
         for queue in self.data.values():
             packets.extend(queue)
             queue.clear()
+        self.queued = 0
         return packets
 
 
@@ -293,9 +304,9 @@ class Engine:
         self._busy_time = dict.fromkeys(self.topology.nodes, 0.0)
         self._attempts: dict[tuple[int, int], int] = {}
         self._tracing = self.config.record_trace
+        self._loss_prob = self.config.loss_prob
         self._rx_per_bit = receive_energy_per_bit(self.params)
-        # (sender, receiver) -> (link, per-bit transmit energy or None in
-        # per_packet mode, (low id, high id)), filled by the hop's first
+        # (sender, receiver) -> `_hop`'s record, filled by the hop's first
         # frame; nothing writes the topology, so an entry never goes stale
         self._hops: dict[tuple[int, int], tuple] = {}
         # run state; the topology and specs are never written. A node is
@@ -383,24 +394,25 @@ class Engine:
         return queues
 
     def _hop(self, sender: int, receiver: int) -> tuple:
-        hop = self._hops.get((sender, receiver))
-        if hop is None:
-            link = self.topology.link(sender, receiver)
-            hop = self._hops[(sender, receiver)] = (
-                link, None if self.config.energy_mode == "per_packet"
-                else transmit_energy_per_bit(
-                    self.params, self.topology.distance(sender, receiver)),
-                (min(sender, receiver), max(sender, receiver)))
-        return hop
+        """Build the hop's record for its first frame: (link delay, (low id,
+        high id) for link faults, {frame kind: (service seconds, transmit
+        joules, receive joules)}). The link is looked up first, so that a
+        missing one raises RoutingError before any energy error."""
+        link, config = self.topology.link(sender, receiver), self.config
+        tx_per_bit = None if config.energy_mode == "per_packet" else transmit_energy_per_bit(
+            self.params, self.topology.distance(sender, receiver))
+        costs = {}
+        for kind, bits in (("data", self.params.packet_size_bits),
+                           ("beacon", config.control_size_bits)):
+            occupancy = bits / link.speed_bps
+            costs[kind] = ((occupancy, config.tx_power_w * occupancy, config.rx_power_w * occupancy)
+                           if tx_per_bit is None
+                           else (occupancy, tx_per_bit * bits, self._rx_per_bit * bits))
+        record = self._hops[(sender, receiver)] = (
+            link.delay_s, (min(sender, receiver), max(sender, receiver)), costs)
+        return record
 
     # -------------------------------------------------------------- injection
-
-    def _may_inject(self, flow: _Flow) -> bool:
-        """The flow has backlog, a live source and an open window."""
-        limit = self.config.window
-        return (flow.backlog > 0 and not flow.abandoned
-                and flow.route[0] not in self._fault_time
-                and (limit is None or flow.outstanding < limit))
 
     def _inject(self, flow: _Flow) -> bool:
         """Move one backlog packet into the source's first-hop sub-queue,
@@ -417,8 +429,7 @@ class Engine:
                else next(self._source_seq[flow.key[0]]))
         pkt = Packet(kind="data", source=flow.key[0],
                      destination=flow.route[-1], flow_key=flow.key, seq=seq,
-                     size_bits=self.params.packet_size_bits, uid=next(self._uid),
-                     enq_s=self._now)
+                     uid=next(self._uid), enq_s=self._now)
         flow.next_seq += 1
         flow.outstanding += 1
         accepted, victim = queues.enqueue_data(pkt, next_hop)
@@ -431,7 +442,11 @@ class Engine:
         return True
 
     def _fill_source(self, flow: _Flow) -> None:
-        while self._may_inject(flow) and self._inject(flow):
+        """Inject while the flow has backlog, a live source and an open window."""
+        limit = self.config.window
+        while (flow.next_seq < flow.quota and not flow.abandoned
+               and flow.route[0] not in self._fault_time
+               and (limit is None or flow.outstanding < limit) and self._inject(flow)):
             pass
 
     def _slot_freed(self, node_id: int, key) -> None:
@@ -486,41 +501,42 @@ class Engine:
         pkt, key = queues.dispatch_next()
         if pkt is None:
             return
-        if pkt.kind == "data":
+        kind = pkt.kind
+        if kind == "data":
             flow = self.flows[pkt.flow_key]
             next_hop = flow.route[pkt.hop + 1]
             flow.wait_total_s += self._now - pkt.enq_s
             flow.wait_hops += 1
             if self._parked:
                 self._slot_freed(node_id, key)
+            bucket, source = "tx_data", pkt.source
         else:
             next_hop = pkt.destination
-        link, tx_per_bit, _pair = self._hop(node_id, next_hop)
-        occupancy = pkt.size_bits / link.speed_bps
-        bucket = "tx_data" if pkt.kind == "data" else "tx_control"
-        source = pkt.source if pkt.kind == "data" else None
-        self._debit(node_id, self.config.tx_power_w * occupancy if tx_per_bit is None
-                    else tx_per_bit * pkt.size_bits, bucket, source)
+            bucket, source = "tx_control", None
+        hop = self._hops.get((node_id, next_hop)) or self._hop(node_id, next_hop)
+        occupancy, tx_j, _rx_j = hop[2][kind]
+        self._debit(node_id, tx_j, bucket, source)
         self._busy[node_id] = True
         self._busy_time[node_id] += occupancy
         if self._tracing:
             self._trace("service", node_id, pkt.uid)
-        self._push(self._now + occupancy, _RANK_SERVICE, node_id,
-                   self._on_service_end, (pkt, next_hop))
+        heapq.heappush(self._events, (self._now + occupancy, _RANK_SERVICE, node_id,
+                                      next(self._event_counter), self._on_service_end,
+                                      (pkt, next_hop)))
 
     def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int) -> None:
         self._busy[node_id] = False
-        link, _tx_per_bit, pair = self._hops[(node_id, next_hop)]
-        lost = (self.config.loss_prob > 0.0
-                and self.rng.random() < self.config.loss_prob)
+        delay_s, pair, _costs = self._hops[(node_id, next_hop)]
+        lost = self._loss_prob > 0.0 and self.rng.random() < self._loss_prob
         if node_id in self._fault_time:
             self._lose(pkt)  # the transmitter died mid-send
         elif (next_hop in self._fault_time or pair in self._down_links
               or lost):
             self._on_attempt_failed(node_id, next_hop, pkt)
         else:
-            self._push(self._now + link.delay_s, _RANK_ARRIVAL, next_hop,
-                       self._on_arrival, (pkt, node_id))
+            heapq.heappush(self._events, (self._now + delay_s, _RANK_ARRIVAL, next_hop,
+                                          next(self._event_counter), self._on_arrival,
+                                          (pkt, node_id)))
         self._try_start(node_id)
 
     def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet) -> None:
@@ -554,23 +570,22 @@ class Engine:
     def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
         if self._tracing:
             self._trace("arrival", node_id, pkt.uid)
+        data = pkt.kind == "data"
         if node_id not in self._fault_time:  # a dead node spends nothing
-            link, tx_per_bit, _pair = self._hops[(sender, node_id)]
-            occupancy = pkt.size_bits / link.speed_bps
-            bucket = "rx_data" if pkt.kind == "data" else "rx_control"
-            source = pkt.source if pkt.kind == "data" else None
-            self._debit(node_id, self.config.rx_power_w * occupancy if tx_per_bit is None
-                        else self._rx_per_bit * pkt.size_bits, bucket, source)
+            occupancy, _tx_j, rx_j = self._hops[(sender, node_id)][2][pkt.kind]
+            self._debit(node_id, rx_j, "rx_data" if data else "rx_control",
+                        pkt.source if data else None)
             self._busy_time[node_id] += occupancy
         if node_id in self._fault_time:  # dead before this frame or by its receive debit
             self._lose(pkt)
             return
-        if pkt.kind != "data":
+        if not data:
             self._on_beacon_arrived(pkt)
             return
         flow = self.flows[pkt.flow_key]
         pkt.hop += 1
-        self._attempts.pop((sender, node_id), None)  # success resets the counter
+        if self._attempts:
+            self._attempts.pop((sender, node_id), None)  # success resets the counter
         # the last hop delivers, by position: after a link fault into the
         # sink, a spare may hold the route's end while this packet flew on
         if pkt.hop == len(flow.route) - 1:
@@ -661,9 +676,8 @@ class Engine:
         if not candidates:
             return False
         target = candidates[0]
-        pkt = Packet(kind="beacon", source=origin,
-                     destination=target, flow_key=(origin, -1), seq=0,
-                     size_bits=self.config.control_size_bits, uid=next(self._uid))
+        pkt = Packet(kind="beacon", source=origin, destination=target,
+                     flow_key=(origin, -1), seq=0, uid=next(self._uid))
         self._beacons[pkt.uid] = (suspect, tried)
         self._queues_at(origin).enqueue_control(pkt)
         self._try_start(origin)
@@ -817,17 +831,23 @@ class Engine:
 
     def _check_quiescent(self) -> None:
         """Raise SimulationError for the first flow, in key order, that has
-        not finished at quiescence: nothing is left to wake its backlog or
-        its packets in flight. Changes nothing."""
+        not finished at quiescence, naming the sub-queue its backlog waits on
+        and every sub-queue that holds one of its frames: nothing is left to
+        wake them. Changes nothing."""
         for key in sorted(self.flows):
             flow = self.flows[key]
             if not flow.finished:
                 source, hop = flow.route[0], flow.route[1]
+                held = ", ".join(
+                    f"sub-queue {qkey} of node {nid} ({count} frames)"
+                    for nid in sorted(self.queues)
+                    for qkey, queue in self.queues[nid].data.items()
+                    if (count := sum(p.flow_key == key for p in queue)))
                 raise SimulationError(
-                    f"flow {flow.key} stalled at t={self._now:.9f}s: "
-                    f"{flow.backlog} packets of backlog and {flow.outstanding} "
-                    f"in flight wait on sub-queue {self._queues_at(source).key(hop)} "
-                    f"of node {source} and nothing is left to wake them")
+                    f"flow {flow.key} stalled at t={self._now:.9f}s: {flow.backlog} "
+                    f"packets of backlog wait on sub-queue {self._queues_at(source).key(hop)} "
+                    f"of node {source}, {flow.outstanding} in flight sit in "
+                    f"{held or 'no sub-queue'}, and nothing is left to wake them")
 
     def _finalize(self) -> None:
         self._check_quiescent()

@@ -173,7 +173,6 @@ class Packet:
     destination: int
     flow_key: tuple[int, int]   # (source id, path index)
     seq: int
-    size_bits: float
     uid: int = 0                # global injection order; larger = newer
     hop: int = 0                # route index of the node holding the packet
     enq_s: float = 0.0          # when it last entered a sub-queue

@@ -328,8 +328,9 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
     build each source's finished path set.
 
     The sink, every source and every spare must name a node, no source may
-    be declared twice, the sink must reach every source, every fault must
-    name a node or a link, and no two nodes may share a position: no
+    be declared twice, the sink must reach every source, every link
+    override and every fault must name a link of the topology (an override
+    as (low id, high id)), and no two nodes may share a position: no
     energy model covers a hop of zero length. Explicit path lists are
     validated against the topology; sources without one get discovered
     interior-disjoint paths. Each path carries its tau and hop distance,
@@ -356,6 +357,14 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
             raise ConnectivityError(
                 f"sink {scenario.sink} is unreachable from source {decl.id}",
                 source=decl.id)
+    for i, (a, b) in enumerate(scenario.link_overrides):
+        problem = ("pairs a node with itself" if a == b
+                   else "names no node of the deployment" if not {a, b} <= topo.nodes.keys()
+                   else "names its pair high id first" if a > b
+                   else "joins nodes out of radio range" if not topo.are_adjacent(a, b)
+                   else None)
+        if problem:
+            raise ScenarioError(f"links.overrides[{i}]: the override of ({a}, {b}) {problem}")
     for fault in scenario.faults:
         if (fault.node not in topo.nodes if fault.link is None
                 else not topo.are_adjacent(*fault.link)):

@@ -383,6 +383,13 @@ _UNKNOWN_NAMES = {
     "source": ("sources", [{"id": 999, "packets": 10}],
                "source 999 names no node of the deployment"),
     "sink": ("sink", 999, "sink 999 names no node of the deployment"),
+    "override-node": ("links", {"overrides": [
+        {"a": 1, "b": 99, "speed_bps": 1000.0, "delay_s": 0.5}]},
+        "links.overrides[0]: the override of (1, 99) names no node of the deployment"),
+    # node 6 is 100 m from node 1, out of its 30 m radio range
+    "override-range": ("links", {"overrides": [
+        {"a": 1, "b": 6, "speed_bps": 1000.0, "delay_s": 0.5}]},
+        "links.overrides[0]: the override of (1, 6) joins nodes out of radio range"),
 }
 
 

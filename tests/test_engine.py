@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsn_multipath.engine import Engine, LivelockError, SimulationError, run_scenario
 from wsn_multipath.experiments import configured, metrics_rows, render_rows
+from wsn_multipath.metrics import receive_energy_per_bit, transmit_energy_per_bit
 from wsn_multipath.model import Packet, RoutingError
 from wsn_multipath.engine import _NodeQueues
 from wsn_multipath.scenario import (
@@ -30,8 +33,7 @@ from conftest import (
 
 
 def _pkt(uid, kind="data", seq=0):
-    return Packet(kind=kind, source=1, destination=2, flow_key=(1, 0), seq=seq,
-                  size_bits=1000.0, uid=uid)
+    return Packet(kind=kind, source=1, destination=2, flow_key=(1, 0), seq=seq, uid=uid)
 
 
 def _served(q):
@@ -157,6 +159,48 @@ def test_shared_fifo_never_blocked_by_failing_hop():
     assert _served(split) is None
 
 
+_QUEUE_OPS = st.lists(st.tuples(
+    st.sampled_from(["enqueue", "requeue", "dispatch", "block", "unblock",
+                     "remove_flow", "retarget", "drain", "control"]),
+    st.sampled_from((2, 3, 4)), st.integers(0, 2)), max_size=60)
+
+
+@pytest.mark.parametrize("fragmented", [True, False])
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ops=_QUEUE_OPS)
+def test_queued_counts_every_held_frame(fragmented, ops):
+    # `queued` is what lets an empty buffer skip its key walk, so it must
+    # track every way a data frame enters or leaves a sub-queue
+    q = _NodeQueues(owner=1, neighbors=(2, 3, 4), capacity_pkts=2, fragmented=fragmented)
+    uids = itertools.count(1)
+    for op, hop, path in ops:
+        pkt = Packet(kind="data", source=1, destination=9, flow_key=(1, path), seq=0,
+                     uid=next(uids))
+        if op == "enqueue":
+            q.enqueue_data(pkt, hop)
+        elif op == "requeue":
+            q.requeue(pkt, hop)
+        elif op == "dispatch":
+            ready = bool(q.control) or any(queue and key not in q.blocked
+                                           for key, queue in q.data.items())
+            served, key = q.dispatch_next()
+            assert (served is not None) == ready
+            assert served is not None or key is None
+        elif op == "block":
+            q.block(hop)
+        elif op == "unblock":
+            q.unblock(hop)
+        elif op == "remove_flow":
+            q.remove_flow((1, path))
+        elif op == "retarget":
+            q.retarget(hop, 2 + (hop - 1) % 3)  # 2 -> 3 -> 4 -> 2
+        elif op == "drain":
+            q.drain()
+        else:
+            q.enqueue_control(dataclasses.replace(pkt, kind="beacon"))
+        assert q.queued == sum(len(queue) for queue in q.data.values())
+
+
 # ------------------------------------------------------------- service timing
 
 def test_lone_packet_delay():
@@ -219,6 +263,34 @@ def test_energy_per_bit_mode_matches_table_scale():
     metrics = run_scenario(line_scenario(packets=1, hops=1))
     assert metrics.energy_breakdown_j["tx_data"] == pytest.approx(2.048e-5, rel=1e-4)
     assert metrics.energy_breakdown_j["rx_data"] == pytest.approx(1.6384e-5, rel=1e-6)
+
+
+@pytest.mark.parametrize("energy_mode", ["per_bit", "per_packet"])
+def test_hop_record_matches_the_per_frame_expressions(energy_mode):
+    # the record holds what each frame used to compute, bit for bit; hop
+    # (1, 11) has its own speed and delay, hop (11, 2) the shared default
+    sc = line_scenario(packets=3, hops=2, energy_mode=energy_mode)
+    sc.link_overrides = {(1, 11): (25000.0, 0.003)}
+    engine = Engine(sc)
+    engine.run()
+    config, params, topology = engine.config, engine.params, engine.topology
+    assert topology.link(1, 11).speed_bps != topology.link(11, 2).speed_bps
+    for sender, receiver in ((1, 11), (11, 2)):
+        link = topology.link(sender, receiver)
+        delay_s, pair, costs = engine._hops[(sender, receiver)]
+        assert delay_s == link.delay_s and pair == (min(sender, receiver), max(sender, receiver))
+        assert set(costs) == {"data", "beacon"}
+        for kind, size_bits in (("data", params.packet_size_bits),
+                                ("beacon", config.control_size_bits)):
+            occupancy = size_bits / link.speed_bps
+            if energy_mode == "per_packet":
+                expected = (occupancy, config.tx_power_w * occupancy,
+                            config.rx_power_w * occupancy)
+            else:
+                tx_per_bit = transmit_energy_per_bit(params, topology.distance(sender, receiver))
+                expected = (occupancy, tx_per_bit * size_bits,
+                            receive_energy_per_bit(params) * size_bits)
+            assert costs[kind] == expected
 
 
 def test_zero_traffic_costs_nothing_but_sensing():
@@ -458,6 +530,7 @@ def test_degree_one_sender_defers_to_watchdog_then_abandons():
     # fault and the path is abandoned with its remaining quota
     sc = fault_timer_scenario()
     sc.positions.pop(7)
+    sc.link_overrides.pop((1, 7))  # an override must name a link
     sc.redundant = ()
     metrics = run_scenario(sc)
     assert metrics.replacements == []
@@ -687,6 +760,37 @@ def test_stall_at_quiescence_names_flow_and_subqueue(mesh):
     with pytest.raises(SimulationError,
                        match=r"flow \(1, 0\) stalled .* sub-queue 2 of node 1"):
         _NoWakeEngine(sc).run()
+
+
+class _MuteRelayEngine(Engine):
+    """An engine whose relay 12 never starts a transmission."""
+
+    def _try_start(self, node_id):
+        if node_id != 12:
+            super()._try_start(node_id)
+
+
+@pytest.mark.parametrize("fragmented, key", [(True, "2"), (False, "shared")])
+def test_stall_names_the_subqueues_that_hold_the_frames(fragmented, key):
+    # the frames strand two hops past the source, at the mute relay
+    sc = line_scenario(packets=5, hops=3, window=None, fragmented=fragmented)
+    with pytest.raises(SimulationError, match=(
+            r"flow \(1, 0\) stalled at t=\S+: 0 packets of backlog wait on sub-queue "
+            rf"\w+ of node 1, 5 in flight sit in sub-queue {key} of node 12 \(5 frames\), "
+            r"and nothing is left to wake them")):
+        _MuteRelayEngine(sc).run()
+
+
+def test_tracing_off_formats_no_record(mesh, monkeypatch):
+    # with tracing off, a windowed run with no fault and no drop never
+    # reaches the trace writer
+    def refuse(self, kind, node, uid):
+        raise AssertionError(f"traced {kind} at node {node}")
+
+    monkeypatch.setattr(Engine, "_trace", refuse)
+    metrics = run_scenario(configured(mesh, record_trace=False))
+    assert mesh.engine.window == 1 and not mesh.faults
+    assert metrics.total_dropped == 0 and metrics.total_delivered == metrics.total_injected
 
 
 class _LeakyEngine(Engine):

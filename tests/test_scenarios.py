@@ -117,6 +117,21 @@ def test_scenario_yaml_round_trip(tmp_path):
     assert scenario_hash(loaded) == scenario_hash(sc)
 
 
+@pytest.mark.parametrize("pair, problem", [
+    ((1, 99), "names no node of the deployment"),
+    ((1, 6), "joins nodes out of radio range"),
+    ((2, 2), "pairs a node with itself"),
+    ((7, 1), "names its pair high id first"),
+])
+def test_link_override_off_the_topology_is_scenario_error(pair, problem):
+    # a file cannot hold the last two, but a scenario built in code can
+    sc = shipped("three-source-mesh")
+    sc.link_overrides = {(1, 2): (25000.0, 0.001), pair: (1000.0, 0.5)}
+    with pytest.raises(ScenarioError) as caught:
+        build_scenario(sc)
+    assert str(caught.value) == f"links.overrides[1]: the override of {pair} {problem}"
+
+
 def test_scenario_load_missing_file(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(str(tmp_path / "missing.yaml"))
