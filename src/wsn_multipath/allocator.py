@@ -19,10 +19,6 @@ SCHEME_EQUAL = 2
 SCHEME_STRATEGIC = 3
 
 
-class DegenerateAllocationError(ValueError):
-    """Every path weight collapsed to zero while packets remain to assign."""
-
-
 @dataclass(frozen=True)
 class PathParams:
     hops: int
@@ -86,7 +82,7 @@ def apportion(weights: list[float], total: int) -> list[int]:
         return [0] * len(weights)
     weight_sum = sum(weights)
     if weight_sum <= 0:
-        raise DegenerateAllocationError(
+        raise DomainError(
             f"all path weights are zero with {total} packets to assign")
     targets = [w / weight_sum * total for w in weights]
     quotas = [math.floor(t) for t in targets]
@@ -137,7 +133,7 @@ def scheme_allocation(scheme: int, inp: AllocationInput) -> Allocation:
 
 
 __all__ = [
-    "Allocation", "AllocationInput", "DegenerateAllocationError", "PathParams",
+    "Allocation", "AllocationInput", "PathParams",
     "SCHEME_EQUAL", "SCHEME_MIN_HOP", "SCHEME_STRATEGIC",
     "allocate_multi_source", "apportion",
     "scheme_allocation", "solve_quota_bound",

@@ -7,9 +7,10 @@ with --out DIR write them to DIR as CSV beside their companion files
 (summary, trace, suite report, plot data) and print nothing. --trace and
 --plot-data need --out.
 
-Exit codes: 0 success, 1 usage error, 2 scenario error (loading, building
-or discovering a scenario, or constructing its engine), 3 simulation error
-(anything raised while an engine runs: a livelock, a stalled flow, a bug).
+Exit codes: 0 success, 1 usage error, 2 scenario error (a ScenarioError:
+the file or the scenario it describes is rejected), 3 simulation error
+(anything raised while an engine runs: a livelock, a stalled flow, a bug)
+or any other exception, which is a bug and is printed with its traceback.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .experiments import (
     write_plot_data,
     write_rows_csv,
 )
+from .model import ScenarioError
 from .scenario import (
     build_scenario,
     generate_random_scenario,
@@ -248,12 +250,29 @@ def cmd_gen_topology(args) -> int:
     return EXIT_OK
 
 
+def _check_out(parser, out: str, want_dir: bool) -> None:
+    """A usage error, before any work, unless `out` can be written: a
+    directory for the row commands or a file for gen-topology, under no
+    file. Nothing is created here."""
+    path = os.path.abspath(out)
+    if os.path.exists(path) and os.path.isdir(path) != want_dir:
+        found, wanted = ("file", "directory") if want_dir else ("directory", "file")
+        parser.error(f"--out {out} names a {found}, not a {wanted}")
+    parent = os.path.dirname(path)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        parser.error(f"--out {out} lies under the file {parent}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.out is None and (getattr(args, "trace", False)
                              or getattr(args, "plot_data", False)):
         parser.error("--trace and --plot-data write files, so they need --out")
+    if args.out is not None:
+        _check_out(parser, args.out, want_dir=args.command != "gen-topology")
     if getattr(args, "jobs", 1) < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
     packets = min(getattr(args, "volumes", None) or [getattr(args, "packets", None) or 0])
@@ -268,16 +287,18 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ScenarioError as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+        return EXIT_SCENARIO
     except SimulationError as exc:
         if exc.__cause__ is not None:  # an engine bug: show where it broke
             traceback.print_exception(exc.__cause__, file=sys.stderr)
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except (ValueError, KeyError) as exc:
-        # Engine.run turns everything it raises into SimulationError, so
-        # these come from loading, building or discovering the scenario
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
+    except Exception as exc:  # a bug outside the engine's run
+        traceback.print_exc(file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SIMULATION
 
 
 if __name__ == "__main__":

@@ -7,20 +7,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .model import (
+    ConnectivityError,
     DomainError,
     PathInfo,
     Topology,
-    UnreachableError,
     validate_path,
 )
 
 
 # a node counts as congested once its queues are more than this full
 CHOKE_THRESHOLD = 0.5
-
-
-class ProbeFailedError(ValueError):
-    """A choke probe crossed a failed node; the route is stale."""
 
 
 def _lex_shortest_path(topology: Topology, source: int, sink: int,
@@ -60,8 +56,8 @@ def discover_paths(topology: Topology, source: int, sink: int) -> list[PathInfo]
     Each round takes the hop-count shortest path (lowest-node-id tie-break)
     and removes its interior nodes before the next round. A route with no
     interior node is the last: it blocks nothing, so later rounds could only
-    repeat it. Path count never exceeds the source degree; at least one path
-    must exist.
+    repeat it. Path count never exceeds the source degree; a source that
+    cannot reach the sink is a ConnectivityError.
     """
     if source == sink:
         raise DomainError("source and sink must differ")
@@ -77,7 +73,8 @@ def discover_paths(topology: Topology, source: int, sink: int) -> list[PathInfo]
             break
         blocked.update(seq[1:-1])
     if not found:
-        raise UnreachableError(f"no path from {source} to {sink}")
+        raise ConnectivityError(f"sink {sink} is unreachable from source {source}",
+                                source=source)
     return found
 
 
@@ -87,16 +84,9 @@ def choke_probe(occupancy: dict[int, float], route: Sequence[int]) -> int:
 
     The probe visits every node after the probing source, sink included:
     one per hop, so the count lies in [0, hops]. `occupancy` maps each
-    live node to its fill over capacity; a node missing from it has failed.
+    of those nodes to its fill over capacity.
     """
-    count = 0
-    for node in route[1:]:
-        fill = occupancy.get(node)
-        if fill is None:
-            raise ProbeFailedError(f"node {node} on route {route} has failed")
-        if fill > CHOKE_THRESHOLD:
-            count += 1
-    return count
+    return sum(occupancy[node] > CHOKE_THRESHOLD for node in route[1:])
 
 
-__all__ = ["ProbeFailedError", "choke_probe", "discover_paths"]
+__all__ = ["choke_probe", "discover_paths"]

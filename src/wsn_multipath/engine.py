@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .allocator import AllocationInput, PathParams, scheme_allocation
-from .discovery import ProbeFailedError, choke_probe
+from .discovery import choke_probe
 from .metrics import (
     path_delay,
     path_energy,
@@ -31,12 +31,9 @@ from .scenario import RunConfig, Scenario, build_scenario, scenario_hash
 
 
 class SimulationError(RuntimeError):
-    """The engine reached a state its invariants forbid: a flow left
-    unfinished at quiescence, or a handler failed mid-run."""
-
-
-class LivelockError(SimulationError):
-    """The event count exceeded the configured cap before quiescence."""
+    """The engine reached a state its invariants forbid: the event cap
+    passed before quiescence (a livelock), a flow left unfinished at
+    quiescence, or a handler failed mid-run."""
 
 
 # event ranks: scheduled faults fire before transmissions complete, which
@@ -779,17 +776,13 @@ class Engine:
 
     def _on_probe(self, _node: int) -> None:
         for key, flow in self.flows.items():
-            if flow.abandoned:
+            # a failed node not yet replaced makes the route stale: no sample
+            if flow.abandoned or any(nid in self._fault_time for nid in flow.route[1:]):
                 continue
-            # every live node on the route has an occupancy; a missing one
-            # tells `choke_probe` that the node has failed
             occupancy = {nid: (self.queues[nid].occupancy() if nid in self.queues
                                else 0.0)
-                         for nid in flow.route if nid not in self._fault_time}
-            try:
-                count = choke_probe(occupancy, flow.route)
-            except ProbeFailedError:
-                continue  # a failed node not yet replaced; skip this sample
+                         for nid in flow.route[1:]}
+            count = choke_probe(occupancy, flow.route)
             self.metrics.contention_history.setdefault(key, []).append(count)
 
     def run(self) -> RunMetrics:
@@ -821,7 +814,7 @@ class Engine:
             self._now = time
             processed += 1
             if processed > cap:
-                raise LivelockError(
+                raise SimulationError(
                     f"exceeded {cap} events at t={time:.6f}s; "
                     f"{sum(f.resolved for f in self.flows.values())} packets resolved")
             handler(node, *payload)
@@ -916,5 +909,5 @@ def run_scenario(scenario: Scenario) -> RunMetrics:
 
 
 __all__ = [
-    "Engine", "LivelockError", "RunMetrics", "SimulationError", "run_scenario",
+    "Engine", "RunMetrics", "SimulationError", "run_scenario",
 ]

@@ -7,7 +7,7 @@ mean hop count) as well as individual integer-hop paths.
 
 from __future__ import annotations
 
-from .model import DomainError, NetworkParams, RangeExceededError
+from .model import DomainError, NetworkParams
 
 
 def path_delay(packets: float, tau_s: float, hops: float) -> float:
@@ -23,7 +23,7 @@ def transmit_energy_per_bit(params: NetworkParams, distance_m: float) -> float:
     if distance_m <= 0:
         raise DomainError(f"distance must be positive, got {distance_m!r}")
     if distance_m > params.radio_range_m:
-        raise RangeExceededError(
+        raise DomainError(
             f"distance {distance_m} m exceeds radio range {params.radio_range_m} m")
     rate = params.tx_electronics_w + params.tx_amp_w_per_mk * distance_m ** params.path_loss_exp
     return rate * params.tx_bit_time_s

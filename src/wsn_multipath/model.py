@@ -18,36 +18,24 @@ class DomainError(ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class RangeExceededError(DomainError):
-    """A hop distance exceeds the radio range."""
-
-
-class InvalidPathError(ValueError):
-    def __init__(self, message: str, hop_index: int | None = None):
-        super().__init__(message)
-        self.hop_index = hop_index
-
-
-class DuplicateNodeError(InvalidPathError):
-    pass
-
-
-class ConnectivityError(ValueError):
-    def __init__(self, message: str, source: int | None = None):
-        super().__init__(message)
-        self.source = source
-
-
-class UnreachableError(ValueError):
-    pass
-
-
 class RoutingError(ValueError):
     pass
 
 
 class ScenarioError(ValueError):
     """A scenario file or its contents are invalid."""
+
+
+class InvalidPathError(ScenarioError):
+    def __init__(self, message: str, hop_index: int | None = None):
+        super().__init__(message)
+        self.hop_index = hop_index
+
+
+class ConnectivityError(ScenarioError):
+    def __init__(self, message: str, source: int | None = None):
+        super().__init__(message)
+        self.source = source
 
 
 # A rule is the words that name what a value must be and a predicate that
@@ -65,24 +53,25 @@ class Table(NamedTuple):
     whole: tuple | None = None
 
 
-def check(mapping, table: Table, path: str, error: type = ScenarioError) -> dict:
-    """`mapping`, once it is a mapping that `table` accepts. Otherwise
-    `error` names the path of the first key that breaks a rule, as in
+def check(mapping, table: Table, path: str) -> dict:
+    """`mapping`, once it is a mapping that `table` accepts. Otherwise a
+    ScenarioError names the path of the first key that breaks a rule, as in
     `faults[0].time must be a finite number >= 0, got -1.0`."""
     if type(mapping) is not dict:
-        raise error(f"{path or 'a scenario'} must be a mapping, got {mapping!r}")
+        raise ScenarioError(f"{path or 'a scenario'} must be a mapping, got {mapping!r}")
     at = f"{path}." if path else ""
     for key, value in mapping.items():
         if key not in table.rules:
-            raise error(f"{at}{key} is an unknown key; expected one of {', '.join(table.rules)}")
+            raise ScenarioError(
+                f"{at}{key} is an unknown key; expected one of {', '.join(table.rules)}")
         words, holds = table.rules[key]
         if not holds(value):
-            raise error(f"{at}{key} must be {words}, got {value!r}")
+            raise ScenarioError(f"{at}{key} must be {words}, got {value!r}")
     for key in table.requires:
         if key not in mapping:
-            raise error(f"{at}{key} is missing")
+            raise ScenarioError(f"{at}{key} is missing")
     if table.whole is not None and not table.whole[1](mapping):
-        raise error(f"{path} must be {table.whole[0]}, got {mapping!r}")
+        raise ScenarioError(f"{path} must be {table.whole[0]}, got {mapping!r}")
     return mapping
 
 
@@ -116,7 +105,7 @@ class NetworkParams:
     initial_energy_j: float = 23760.0
 
     def __post_init__(self):
-        check(vars(self), PARAMS_TABLE, "params", DomainError)
+        check(vars(self), PARAMS_TABLE, "params")
 
 
 @dataclass(frozen=True)
@@ -128,7 +117,7 @@ class Link:
     delay_s: float = 0.0
 
     def __post_init__(self):
-        check(vars(self), LINK_TABLE, "link", DomainError)
+        check(vars(self), LINK_TABLE, "link")
 
 
 @dataclass(frozen=True)
@@ -298,7 +287,7 @@ def validate_path(topology: Topology, sequence: tuple[int, ...] | list[int]) -> 
         if n not in topology.nodes:
             raise InvalidPathError(f"unknown node {n} in path {seq}")
         if n in seen:
-            raise DuplicateNodeError(f"node {n} repeats in path {seq}")
+            raise InvalidPathError(f"node {n} repeats in path {seq}")
         seen.add(n)
     for i in range(len(seq) - 1):
         if not topology.are_adjacent(seq[i], seq[i + 1]):
@@ -318,9 +307,7 @@ def path_tau(topology: Topology, path: PathInfo, packet_size_bits: float) -> flo
 
 
 __all__ = [
-    "ConnectivityError", "DomainError", "DuplicateNodeError",
-    "InvalidPathError", "Link", "NetworkParams", "Packet",
-    "PathInfo", "RangeExceededError", "RoutingError", "ScenarioError",
-    "SourceSpec", "Topology", "UnreachableError",
-    "build_topology", "path_tau", "validate_path",
+    "ConnectivityError", "DomainError", "InvalidPathError", "Link",
+    "NetworkParams", "Packet", "PathInfo", "RoutingError", "ScenarioError",
+    "SourceSpec", "Topology", "build_topology", "path_tau", "validate_path",
 ]

@@ -19,7 +19,6 @@ from .model import (
     NONNEGATIVE,
     PARAMS_TABLE,
     POSITIVE,
-    ConnectivityError,
     NetworkParams,
     ScenarioError,
     SourceSpec,
@@ -254,7 +253,7 @@ def _read_node_table(text: str) -> dict | None:
     rest = f"{text[:block.start()]}nodes: |-\n  {_NODES_TAKEN}\n{text[block.end():]}"
     try:
         data = yaml.load(rest, Loader=_Loader)
-    except yaml.YAMLError:
+    except (yaml.YAMLError, ValueError):  # ValueError: an impossible date
         return None
     if not isinstance(data, dict) or data.get("nodes") != _NODES_TAKEN:
         return None
@@ -277,7 +276,7 @@ def load_scenario(path: str) -> Scenario:
     if data is None:
         try:
             data = yaml.load(text, Loader=_Loader)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an impossible date
             raise ScenarioError(f"unparseable scenario {path}: {exc}") from exc
     return Scenario.from_dict(data)
 
@@ -328,13 +327,14 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
     build each source's finished path set.
 
     The sink, every source and every spare must name a node, no source may
-    be declared twice, the sink must reach every source, every link
-    override and every fault must name a link of the topology (an override
-    as (low id, high id)), and no two nodes may share a position: no
-    energy model covers a hop of zero length. Explicit path lists are
-    validated against the topology; sources without one get discovered
-    interior-disjoint paths. Each path carries its tau and hop distance,
-    each spec its source-sink distance.
+    be the sink or be declared twice, every declared path must run from
+    its source to the sink, every link override and every fault must name
+    a link of the topology (an override as (low id, high id)), and no two
+    nodes may share a position: no energy model covers a hop of zero
+    length. Explicit path lists are validated against the topology;
+    sources without one get discovered interior-disjoint paths, and a
+    source that cannot reach the sink is a ConnectivityError. Each path
+    carries its tau and hop distance, each spec its source-sink distance.
     """
     topo = build_topology(
         scenario.positions,
@@ -349,14 +349,15 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
         if nid not in topo.nodes:
             raise ScenarioError(f"{role} {nid} names no node of the deployment")
     for i, decl in enumerate(scenario.sources):
+        if decl.id == scenario.sink:
+            raise ScenarioError(f"sources[{i}].id names the sink {scenario.sink}")
         if any(s.id == decl.id for s in scenario.sources[:i]):
             raise ScenarioError(f"sources[{i}].id declares source {decl.id} twice")
-    reached = topo.reachable_from(scenario.sink)
-    for decl in scenario.sources:
-        if decl.id not in reached:
-            raise ConnectivityError(
-                f"sink {scenario.sink} is unreachable from source {decl.id}",
-                source=decl.id)
+        for j, path in enumerate(decl.paths or ()):
+            if not path or (path[0], path[-1]) != (decl.id, scenario.sink):
+                raise ScenarioError(
+                    f"sources[{i}].paths[{j}] must run from source {decl.id} "
+                    f"to the sink {scenario.sink}, got {list(path)}")
     for i, (a, b) in enumerate(scenario.link_overrides):
         problem = ("pairs a node with itself" if a == b
                    else "names no node of the deployment" if not {a, b} <= topo.nodes.keys()

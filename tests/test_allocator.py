@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from wsn_multipath.allocator import (
     Allocation,
     AllocationInput,
-    DegenerateAllocationError,
     PathParams,
     allocate_multi_source,
     apportion,
@@ -101,7 +100,7 @@ def test_apportion_tie_breaks_by_index():
 
 
 def test_apportion_degenerate():
-    with pytest.raises(DegenerateAllocationError):
+    with pytest.raises(DomainError):
         apportion([0.0, 0.0], 5)
     assert apportion([0.0, 0.0], 0) == [0, 0]
 
@@ -158,6 +157,16 @@ def test_full_contention_annihilates_path():
 def test_twin_paths_full_discount():
     alloc = allocate_multi_source(make_input([4, 4], 60, contention=[0, 5]))
     assert alloc.quotas == [60, 0]
+
+
+@pytest.mark.parametrize("hops, packets, message", [
+    ([3], -1, "total packets must be >= 0"),
+    ([], 10, "need at least one path"),
+    ([3, 0], 10, "path 1: hops must be >= 1"),
+])
+def test_allocation_input_validated(hops, packets, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        make_input(hops, packets)
 
 
 def test_contention_bounds_validated():
@@ -262,7 +271,7 @@ def test_contention_monotonicity(hops, packets, bump):
     inp2 = make_input(hops, packets, dist=25.0, contention=cs2)
     try:
         after = allocate_multi_source(inp2)
-    except DegenerateAllocationError:
+    except DomainError:
         return
     # exact on the pre-rounding weights; integer quotas carry 1-packet
     # rounding slack (largest-remainder apportionment is not paradox-free)

@@ -373,8 +373,9 @@ def test_block_that_never_lifts_is_a_stall(tmp_path, monkeypatch, capsys):
     assert "stalled" in err and "in flight" in err
 
 
-# each names what the deployment lacks; a file declares a spare on its
-# node's entry, so no file can name a spare without a node
+# each names what the deployment lacks, or a source or route that does not
+# fit it; a file declares a spare on its node's entry, so no file can name
+# a spare without a node
 _UNKNOWN_NAMES = {
     "fault-node": ("faults", [{"time": 1.0, "node": 999}],
                    "fault at t=1.0s names no node or link of the topology"),
@@ -390,6 +391,17 @@ _UNKNOWN_NAMES = {
     "override-range": ("links", {"overrides": [
         {"a": 1, "b": 6, "speed_bps": 1000.0, "delay_s": 0.5}]},
         "links.overrides[0]: the override of (1, 6) joins nodes out of radio range"),
+    "route-node": ("sources", [{"id": 1, "packets": 10, "paths": [[1, 99, 6]]}],
+                   "unknown node 99 in path (1, 99, 6)"),
+    # a route that starts elsewhere would inject at its first node; one
+    # that stops short would fail in the energy model
+    "route-start": ("sources", [{"id": 1, "packets": 10, "paths": [[2, 3, 4, 5, 6]]}],
+                    "sources[0].paths[0] must run from source 1 to the sink 6, "
+                    "got [2, 3, 4, 5, 6]"),
+    "route-end": ("sources", [{"id": 1, "packets": 10, "paths": [[1, 2, 3, 4]]}],
+                  "sources[0].paths[0] must run from source 1 to the sink 6, got [1, 2, 3, 4]"),
+    "source-is-sink": ("sources", [{"id": 1, "packets": 10}, {"id": 6, "packets": 10}],
+                       "sources[1].id names the sink 6"),
 }
 
 
@@ -404,6 +416,71 @@ def test_unknown_name_is_one_scenario_error(mesh_file, case, command, capsys):
         yaml.safe_dump(data, fh)
     assert main([command, "--scenario", mesh_file]) == 2
     assert capsys.readouterr().err == f"scenario error: {message}\n"
+
+
+@pytest.mark.parametrize("target, exc", [
+    ("wsn_multipath.cli.metrics_rows", KeyError("per_path")),
+    ("wsn_multipath.engine.Engine._init_flows", ValueError("no quota")),
+], ids=["metrics_rows", "init_flows"])
+def test_bug_outside_the_run_is_exit_3_with_its_traceback(mesh_file, target, exc,
+                                                         monkeypatch, capsys):
+    # only a ScenarioError rejects the scenario; anything else is a bug
+    def broken(*args):
+        raise exc
+    monkeypatch.setattr(target, broken)
+    assert main(["run", "--scenario", mesh_file]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "scenario error" not in err
+    assert err.endswith(f"error: {type(exc).__name__}: {exc}\n")
+
+
+# an impossible date makes PyYAML raise ValueError, not YAMLError, with the
+# node list in the form `save_scenario` writes or in any other
+@pytest.mark.parametrize("text, message", [
+    ("seed: 2020-13-45\nnodes: [{id: 1, x: 0.0, y: 0.0}]\n",
+     "unparseable scenario {path}: month must be in 1..12"),
+    ("seed: 2020-13-45\nnodes:\n- id: 1\n  x: 0.0\n  y: 0.0\n",
+     "unparseable scenario {path}: month must be in 1..12"),
+    ("- 1\n- 2\n", "a scenario must be a mapping, got [1, 2]"),
+], ids=["date", "date-saved-nodes", "list"])
+def test_file_that_is_no_scenario_is_scenario_error(tmp_path, text, message, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err == f"scenario error: {message.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("command, out, message", [
+    ("run", "taken", "--out {out} names a file, not a directory"),
+    ("run", "taken/results", "--out {out} lies under the file {taken}"),
+    ("gen-topology", "results", "--out {out} names a directory, not a file"),
+    ("gen-topology", "taken/random.yaml", "--out {out} lies under the file {taken}"),
+], ids=["run-file", "run-under-file", "gen-topology-directory", "gen-topology-under-file"])
+def test_out_that_cannot_be_written_is_usage_error(mesh_file, tmp_path, command, out,
+                                                   message, monkeypatch, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    (tmp_path / "results").mkdir()
+    # reported before any work: nothing is loaded or generated
+    for name in ("load_scenario", "generate_random_scenario"):
+        monkeypatch.setattr(f"wsn_multipath.cli.{name}",
+                            lambda *args, **kwargs: pytest.fail("did work"))
+    args = (["--scenario", mesh_file] if command == "run"
+            else ["--count", "10", "--area", "50", "--radius", "20"])
+    out = str(tmp_path / out)
+    assert _exit_code([command, *args, "--out", out]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: {message.format(out=out, taken=taken)}\n")
+    assert taken.read_text() == "kept\n"
+    assert os.listdir(tmp_path / "results") == []
+
+
+def test_gen_topology_needs_a_source_and_a_sink(tmp_path, capsys):
+    out = tmp_path / "one.yaml"
+    assert main(["gen-topology", "--count", "1", "--area", "100", "--radius", "30",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "scenario error: need at least a source and a sink\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("time_s", [-1.0, float("nan")])

@@ -1,11 +1,10 @@
 import pytest
 
 from wsn_multipath.discovery import (
-    ProbeFailedError,
     choke_probe,
     discover_paths,
 )
-from wsn_multipath.model import DomainError, UnreachableError, build_topology, validate_path
+from wsn_multipath.model import ConnectivityError, DomainError, build_topology, validate_path
 from wsn_multipath.scenario import build_scenario
 
 from conftest import crossing_scenario
@@ -62,7 +61,7 @@ def test_direct_route_is_found_once():
 
 def test_discovery_unreachable():
     topo = build_topology({1: (0, 0), 2: (100, 0)}, radio_range_m=5.0)
-    with pytest.raises(UnreachableError):
+    with pytest.raises(ConnectivityError):
         discover_paths(topo, 1, 2)
 
 
@@ -110,7 +109,7 @@ def test_choke_probe_threshold_is_strict(mesh):
 
 def test_choke_probe_failed_node(mesh):
     path = _mesh_path(mesh, [3, 7, 8, 9, 6])
-    with pytest.raises(ProbeFailedError):
+    with pytest.raises(KeyError):
         choke_probe(occupancy(path, dead=(8,)), path.nodes)
 
 

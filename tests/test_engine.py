@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsn_multipath.engine import Engine, LivelockError, SimulationError, run_scenario
+from wsn_multipath.engine import Engine, SimulationError, run_scenario
 from wsn_multipath.experiments import configured, metrics_rows, render_rows
 from wsn_multipath.metrics import receive_energy_per_bit, transmit_energy_per_bit
 from wsn_multipath.model import Packet, RoutingError
@@ -742,7 +742,7 @@ def test_identical_runs_reproduce_metrics():
 def test_livelock_guard_fires():
     sc = line_scenario(packets=50, hops=5, window=None)
     sc.engine = RunConfig(scheme=2, max_events=10)
-    with pytest.raises(LivelockError):
+    with pytest.raises(SimulationError):
         run_scenario(sc)
 
 

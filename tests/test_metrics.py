@@ -12,7 +12,7 @@ from wsn_multipath.metrics import (
     receive_energy_per_bit,
     transmit_energy_per_bit,
 )
-from wsn_multipath.model import DomainError, NetworkParams, RangeExceededError
+from wsn_multipath.model import DomainError, NetworkParams
 
 
 PARAMS = NetworkParams()
@@ -52,7 +52,7 @@ def test_transmit_energy_arithmetic():
 
 
 def test_transmit_energy_range_check():
-    with pytest.raises(RangeExceededError):
+    with pytest.raises(DomainError):
         transmit_energy_per_bit(PARAMS, PARAMS.radio_range_m + 1.0)
     with pytest.raises(DomainError):
         transmit_energy_per_bit(PARAMS, 0.0)
@@ -92,6 +92,15 @@ def test_path_energy_manual_evaluation():
 def test_path_energy_rejects_zero_hops():
     with pytest.raises(DomainError):
         path_energy(PARAMS, 10, 0, 80.0)
+
+
+@pytest.mark.parametrize("function, args", [
+    (path_delay, (-1, 0.02, 4)), (path_delay, (1, -0.02, 4)), (path_delay, (1, 0.02, -4)),
+    (path_energy, (PARAMS, -1, 4, 80.0)), (path_energy, (PARAMS, 10, 4, 0.0)),
+])
+def test_arguments_outside_the_domain_are_rejected(function, args):
+    with pytest.raises(DomainError):
+        function(*args)
 
 
 def test_path_edp_zero_packets():

@@ -6,11 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from wsn_multipath.model import (
     ConnectivityError,
     DomainError,
-    DuplicateNodeError,
     InvalidPathError,
     Link,
     NetworkParams,
     RoutingError,
+    ScenarioError,
     SourceSpec,
     build_topology,
     path_tau,
@@ -20,18 +20,18 @@ from wsn_multipath.scenario import Scenario, SourceDecl, build_scenario
 
 
 def test_params_reject_nonpositive_fields():
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         NetworkParams(tx_electronics_w=0.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         NetworkParams(packet_size_bits=-1.0)
 
 
 def test_params_path_loss_bounds():
     NetworkParams(path_loss_exp=2.0)
     NetworkParams(path_loss_exp=4.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         NetworkParams(path_loss_exp=1.9)
-    with pytest.raises(DomainError):
+    with pytest.raises(ScenarioError):
         NetworkParams(path_loss_exp=4.1)
 
 
@@ -149,7 +149,7 @@ def test_validate_path_degenerate_and_errors(mesh):
     topo, _ = build_scenario(mesh)
     with pytest.raises(InvalidPathError):
         validate_path(topo, [1])
-    with pytest.raises(DuplicateNodeError):
+    with pytest.raises(InvalidPathError):
         validate_path(topo, [1, 2, 3, 2, 1, 7])
     with pytest.raises(InvalidPathError) as err:
         validate_path(topo, [1, 2, 9, 6])
@@ -196,7 +196,7 @@ def test_pairs_without_override_share_one_link():
 
 @pytest.mark.parametrize("speed", [0.0, -1.0, math.inf, math.nan])
 def test_invalid_default_speed_raises_only_when_a_pair_takes_it(speed):
-    with pytest.raises(DomainError, match=r"^link\.speed_bps must be a finite number > 0, got "):
+    with pytest.raises(ScenarioError, match=r"^link\.speed_bps must be a finite number > 0, got "):
         build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4, link_speed_bps=speed)
     # no pair in range, or none without an override: no link takes the default
     assert build_topology({1: (0, 0), 2: (3, 0)}, radio_range_m=2.4,
@@ -207,7 +207,7 @@ def test_invalid_default_speed_raises_only_when_a_pair_takes_it(speed):
 
 
 def test_invalid_override_in_range_raises():
-    with pytest.raises(DomainError,
+    with pytest.raises(ScenarioError,
                        match=r"^link\.delay_s must be a finite number >= 0, got -1\.0$"):
         build_topology({1: (0, 0), 2: (1, 0)}, radio_range_m=2.4,
                        link_overrides={(1, 2): (1e6, -1.0)})
