@@ -278,6 +278,10 @@ def main(argv: list[str] | None = None) -> int:
     packets = min(getattr(args, "volumes", None) or [getattr(args, "packets", None) or 0])
     if packets < 0:
         parser.error(f"--packets must be >= 0, got {packets}")
+    volumes = getattr(args, "volumes", None) or []
+    repeated = next((d for i, d in enumerate(volumes) if d in volumes[:i]), None)
+    if repeated is not None:
+        parser.error(f"--packets lists {repeated} more than once")
     handlers = {
         "discover": cmd_discover,
         "allocate": cmd_allocate,

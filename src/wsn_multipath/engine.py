@@ -96,7 +96,8 @@ class _NodeQueues:
     Methods that take a data packet out of a sub-queue report its key, so
     that the engine can wake the flows injecting there. `queued` counts the
     data frames under every key, so an empty buffer answers `dispatch_next`
-    at once. A fragmented buffer has no sub-queue toward a `replaced`
+    at once, and `pass_through` serves an arriving frame without queueing
+    it. A fragmented buffer has no sub-queue toward a `replaced`
     neighbor until a frame is queued for it, as if `retarget` had taken
     that sub-queue away.
     """
@@ -172,6 +173,21 @@ class _NodeQueues:
         queue.append(pkt)
         return True, victim
 
+    def pass_through(self, hop: int):
+        """The key a data frame bound for `hop` leaves if it goes straight
+        to service, or None if it must queue: a frame is held, or its key
+        is blocked. Leaves what queueing the frame and dispatching it at
+        once leaves: the key exists and the cursor is on it."""
+        if self.control or self.queued:
+            return None
+        key = hop if self.evicts else _SHARED
+        if key in self.blocked:
+            return None
+        if key not in self.data:
+            self._queue(hop)  # a retargeted neighbor returns, or RoutingError
+        self.cursor = key
+        return key
+
     def requeue(self, pkt: Packet, hop: int) -> None:
         """A packet whose transmission failed goes back to the head."""
         self._queue(hop).appendleft(pkt)
@@ -197,15 +213,15 @@ class _NodeQueues:
                 return queue.popleft(), key
         return None, None
 
-    def remove_flow(self, flow_key: tuple[int, int]) -> dict[object, list[Packet]]:
+    def remove_flow(self, flow) -> dict[object, list[Packet]]:
         """Take out every packet of one flow, grouped by the key it left."""
         removed = {}
         for key, queue in self.data.items():
-            gone = [p for p in queue if p.flow_key == flow_key]
+            gone = [p for p in queue if p.flow is flow]
             if gone:
                 removed[key] = gone
                 self.queued -= len(gone)
-                kept = [p for p in queue if p.flow_key != flow_key]
+                kept = [p for p in queue if p.flow is not flow]
                 queue.clear()
                 queue.extend(kept)
         return removed
@@ -357,11 +373,13 @@ class Engine:
 
     # ------------------------------------------------------------- primitives
 
-    def _push(self, time: float, rank: int, node: int, handler, payload: tuple) -> None:
-        """Schedule `handler(node, *payload)`. The counter makes every
-        entry unique before the handler, so handlers are never compared."""
+    def _push(self, time: float, rank: int, node: int, handler,
+              a=None, b=None, c=None) -> None:
+        """Schedule `handler(node, a, b, c)`. The counter makes every entry
+        unique before the handler, so handlers are never compared. The
+        per-frame events push their entries inline."""
         heapq.heappush(self._events, (time, rank, node, next(self._event_counter),
-                                      handler, payload))
+                                      handler, a, b, c))
 
     def _trace(self, kind: str, node: int, pkt_uid: int) -> None:
         if self._tracing:
@@ -425,7 +443,7 @@ class Engine:
         seq = (flow.next_seq if self.config.replicate
                else next(self._source_seq[flow.key[0]]))
         pkt = Packet(kind="data", source=flow.key[0],
-                     destination=flow.route[-1], flow_key=flow.key, seq=seq,
+                     destination=flow.route[-1], flow=flow, seq=seq,
                      uid=next(self._uid), enq_s=self._now)
         flow.next_seq += 1
         flow.outstanding += 1
@@ -459,7 +477,7 @@ class Engine:
 
     def _packet_resolved(self, pkt: Packet, fate: str) -> None:
         """`fate` is "delivered", "overflow" or "fault"."""
-        flow = self.flows[pkt.flow_key]
+        flow = pkt.flow
         flow.outstanding -= 1
         if fate == "delivered":
             flow.delivered += 1
@@ -496,11 +514,16 @@ class Engine:
         if queues is None:
             return
         pkt, key = queues.dispatch_next()
-        if pkt is None:
-            return
+        if pkt is not None:
+            self._serve(node_id, pkt, key)
+
+    def _serve(self, node_id: int, pkt: Packet, key) -> None:
+        """Start transmitting `pkt`, which has just left sub-queue `key` of
+        the live, idle `node_id` (a control frame leaves key None). Every
+        transmission starts here, dispatched or passed through."""
         kind = pkt.kind
         if kind == "data":
-            flow = self.flows[pkt.flow_key]
+            flow = pkt.flow
             next_hop = flow.route[pkt.hop + 1]
             flow.wait_total_s += self._now - pkt.enq_s
             flow.wait_hops += 1
@@ -519,11 +542,12 @@ class Engine:
             self._trace("service", node_id, pkt.uid)
         heapq.heappush(self._events, (self._now + occupancy, _RANK_SERVICE, node_id,
                                       next(self._event_counter), self._on_service_end,
-                                      (pkt, next_hop)))
+                                      pkt, next_hop, hop))
 
-    def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int) -> None:
+    def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int, hop: tuple) -> None:
+        """`hop` is the record `_serve` priced the frame with."""
         self._busy[node_id] = False
-        delay_s, pair, _costs = self._hops[(node_id, next_hop)]
+        delay_s, pair, costs = hop
         lost = self._loss_prob > 0.0 and self.rng.random() < self._loss_prob
         if node_id in self._fault_time:
             self._lose(pkt)  # the transmitter died mid-send
@@ -533,7 +557,7 @@ class Engine:
         else:
             heapq.heappush(self._events, (self._now + delay_s, _RANK_ARRIVAL, next_hop,
                                           next(self._event_counter), self._on_arrival,
-                                          (pkt, node_id)))
+                                          pkt, node_id, costs[pkt.kind]))
         self._try_start(node_id)
 
     def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet) -> None:
@@ -545,7 +569,7 @@ class Engine:
             return
         key = (node_id, next_hop)
         self._attempts[key] = self._attempts.get(key, 0) + 1
-        flow = self.flows[pkt.flow_key]
+        flow = pkt.flow
         queues = self.queues[node_id]
         # the route's current next hop may already be a replacement node
         # rather than the hop just attempted
@@ -564,12 +588,15 @@ class Engine:
             queues.requeue(pkt, requeue_hop)
             pkt.enq_s = self._now
 
-    def _on_arrival(self, node_id: int, pkt: Packet, sender: int) -> None:
+    def _on_arrival(self, node_id: int, pkt: Packet, sender: int, cost: tuple) -> None:
+        """`cost` is the frame's (service s, transmit J, receive J) on the
+        hop from `sender`. A data frame that finds the node idle with an
+        empty buffer and its key open goes straight to service."""
         if self._tracing:
             self._trace("arrival", node_id, pkt.uid)
         data = pkt.kind == "data"
         if node_id not in self._fault_time:  # a dead node spends nothing
-            occupancy, _tx_j, rx_j = self._hops[(sender, node_id)][2][pkt.kind]
+            occupancy, _tx_j, rx_j = cost
             self._debit(node_id, rx_j, "rx_data" if data else "rx_control",
                         pkt.source if data else None)
             self._busy_time[node_id] += occupancy
@@ -579,7 +606,7 @@ class Engine:
         if not data:
             self._on_beacon_arrived(pkt)
             return
-        flow = self.flows[pkt.flow_key]
+        flow = pkt.flow
         pkt.hop += 1
         if self._attempts:
             self._attempts.pop((sender, node_id), None)  # success resets the counter
@@ -596,6 +623,12 @@ class Engine:
         queues = self.queues.get(node_id)  # `_queues_at`, inlined per frame
         if queues is None:
             queues = self._queues_at(node_id)
+        if not self._busy[node_id]:
+            key = queues.pass_through(next_hop)
+            if key is not None:
+                pkt.enq_s = self._now
+                self._serve(node_id, pkt, key)
+                return
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if victim is not None:
             self._trace("drop", node_id, victim.uid)
@@ -640,14 +673,12 @@ class Engine:
         cycle = (len(flow.route) - 1) * flow.tau_s if self.config.window else flow.tau_s
         allowance = self.config.max_attempts * flow.tau_s
         self._push(self._now + cycle + allowance, _RANK_TIMER, node_id,
-                   self._on_timer, (flow.key, seq, self._now + cycle))
+                   self._on_timer, flow, seq, self._now + cycle)
 
-    def _on_timer(self, node_id: int, flow_key: tuple[int, int], seq: int,
-                  expected_s: float) -> None:
-        flow = self.flows[flow_key]
+    def _on_timer(self, node_id: int, flow: _Flow, seq: int, expected_s: float) -> None:
         if flow.finished or flow.abandoned:
             return
-        if self._last_arrival.get((flow_key, node_id)) != seq:
+        if self._last_arrival.get((flow.key, node_id)) != seq:
             return  # newer traffic arrived; no silence to act on
         if node_id in self._fault_time:
             return
@@ -674,7 +705,7 @@ class Engine:
             return False
         target = candidates[0]
         pkt = Packet(kind="beacon", source=origin, destination=target,
-                     flow_key=(origin, -1), seq=0, uid=next(self._uid))
+                     flow=None, seq=0, uid=next(self._uid))
         self._beacons[pkt.uid] = (suspect, tried)
         self._queues_at(origin).enqueue_control(pkt)
         self._try_start(origin)
@@ -758,7 +789,7 @@ class Engine:
         self._discard_backlog(flow)
         # flush whatever of this flow is still parked in sub-queues
         for nid in sorted(self.queues):
-            for key, stuck in self.queues[nid].remove_flow(flow.key).items():
+            for key, stuck in self.queues[nid].remove_flow(flow).items():
                 for pkt in stuck:
                     self._lose(pkt)
                 self._slot_freed(nid, key)
@@ -767,14 +798,14 @@ class Engine:
 
     # ------------------------------------------------------------------- run
 
-    def _on_fault(self, node: int, link: tuple[int, int] | None) -> None:
+    def _on_fault(self, node: int, link: tuple[int, int] | None, *_unused) -> None:
         """A scheduled fault: `link` goes down, or else `node` fails."""
         if link is None:
             self._node_failure(node)
         else:
             self._down_links.setdefault((min(link), max(link)), self._now)
 
-    def _on_probe(self, _node: int) -> None:
+    def _on_probe(self, *_unused) -> None:
         for key, flow in self.flows.items():
             # a failed node not yet replaced makes the route stale: no sample
             if flow.abandoned or any(nid in self._fault_time for nid in flow.route[1:]):
@@ -800,9 +831,9 @@ class Engine:
     def _simulate(self) -> None:
         for fault in self.scenario.faults:
             node = fault.node if fault.node is not None else 0
-            self._push(fault.time, _RANK_FAULT, node, self._on_fault, (fault.link,))
+            self._push(fault.time, _RANK_FAULT, node, self._on_fault, fault.link)
         for when in self.config.probe_times:
-            self._push(when, _RANK_PROBE, 0, self._on_probe, ())
+            self._push(when, _RANK_PROBE, 0, self._on_probe)
         for key in sorted(self.flows):
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
@@ -810,14 +841,14 @@ class Engine:
         events, pop, cap = self._events, heapq.heappop, self.config.max_events
         processed = 0
         while events:
-            time, _rank, node, _count, handler, payload = pop(events)
+            time, _rank, node, _count, handler, a, b, c = pop(events)
             self._now = time
             processed += 1
             if processed > cap:
                 raise SimulationError(
                     f"exceeded {cap} events at t={time:.6f}s; "
                     f"{sum(f.resolved for f in self.flows.values())} packets resolved")
-            handler(node, *payload)
+            handler(node, a, b, c)
         self.metrics.event_count = processed
         self.metrics.final_time_s = self._now
         self._finalize()
@@ -835,7 +866,7 @@ class Engine:
                     f"sub-queue {qkey} of node {nid} ({count} frames)"
                     for nid in sorted(self.queues)
                     for qkey, queue in self.queues[nid].data.items()
-                    if (count := sum(p.flow_key == key for p in queue)))
+                    if (count := sum(p.flow is flow for p in queue)))
                 raise SimulationError(
                     f"flow {flow.key} stalled at t={self._now:.9f}s: {flow.backlog} "
                     f"packets of backlog wait on sub-queue {self._queues_at(source).key(hop)} "

@@ -154,13 +154,15 @@ class SourceSpec:
 
 @dataclass(eq=False, slots=True)
 class Packet:
-    """One frame. A data packet carries its own progress along its flow's
-    route; the engine moves it by updating `hop` and `enq_s` in place."""
+    """One frame. A data packet carries its flow and its own progress along
+    the flow's route; the engine moves it by updating `hop` and `enq_s` in
+    place."""
 
     kind: str                   # data | beacon
     source: int
     destination: int
-    flow_key: tuple[int, int]   # (source id, path index)
+    flow: object                # the engine's flow record, keyed (source id, path
+                                # index) by `.key`; None for a beacon
     seq: int
     uid: int = 0                # global injection order; larger = newer
     hop: int = 0                # route index of the node holding the packet

@@ -232,6 +232,26 @@ def crossing_scenario(seed: int) -> Scenario:
     )
 
 
+def with_fault(base: Scenario, fault: FaultDecl, spare_beside: int | None = None) -> Scenario:
+    """`base` with its discovered routes declared, one fault, and with
+    `spare_beside` a spare 1 m from that node, which hears the same
+    neighbours; declared routes cannot change to pass through it."""
+    from dataclasses import replace
+
+    from wsn_multipath.scenario import build_scenario
+
+    _topology, specs = build_scenario(base)
+    positions, redundant = dict(base.positions), ()
+    if spare_beside is not None:
+        x, y = positions[spare_beside]
+        redundant = (max(positions) + 1,)
+        positions[redundant[0]] = (x, y + 1.0)
+    return replace(
+        base, positions=positions, redundant=redundant, faults=[fault],
+        sources=[replace(decl, paths=[list(p.nodes) for p in spec.paths])
+                 for decl, spec in zip(base.sources, specs)])
+
+
 def crossing_fault_scenario(seed: int, fragmented: bool, spare: bool) -> Scenario:
     """`crossing_scenario(seed)` in the given queue discipline, where the
     middle interior node of the first route with one fails halfway through

@@ -33,6 +33,7 @@ from conftest import (
     random_scenario,
     shipped,
     small_params,
+    with_fault,
 )
 from test_engine import _line_link_fault, _star_scenario
 
@@ -229,22 +230,6 @@ def test_criterion_08_conservation_suite():
                  f"{faulted} with a detected node fault)")
 
 
-def _with_fault(base, fault, spare_beside=None):
-    """`base` with its discovered routes declared, one fault, and with
-    `spare_beside` a spare 1 m from that node, which hears the same
-    neighbours; declared routes cannot change to pass through it."""
-    _topology, specs = build_scenario(base)
-    positions, redundant = dict(base.positions), ()
-    if spare_beside is not None:
-        x, y = positions[spare_beside]
-        redundant = (max(positions) + 1,)
-        positions[redundant[0]] = (x, y + 1.0)
-    return dataclasses.replace(
-        base, positions=positions, redundant=redundant, faults=[fault],
-        sources=[dataclasses.replace(decl, paths=[list(p.nodes) for p in spec.paths])
-                 for decl, spec in zip(base.sources, specs)])
-
-
 @st.composite
 def faulted_runs(draw):
     """A line, a `crossing_scenario` grid or a small seeded uniform
@@ -276,7 +261,7 @@ def faulted_runs(draw):
     spare_beside = ((route[at + 1] if link else route[at])
                     if draw(st.booleans()) else None)
     return configured(
-        _with_fault(base, FaultDecl(time_s, node=None if link else route[at], link=link),
+        with_fault(base, FaultDecl(time_s, node=None if link else route[at], link=link),
                     spare_beside),
         loss_prob=draw(st.sampled_from((0.0, 0.1, 0.3))))
 
@@ -292,7 +277,7 @@ def faulted_runs(draw):
 # the link from node 2 into the sink 3 dies: the spare beside the sink
 # takes the end of every route, while packets still fly to the sink
 # over its other links
-@example(scenario=_with_fault(
+@example(scenario=with_fault(
     configured(crossing_scenario(1), fragmented=True, window=1, max_attempts=3,
                fault_detection="on"),
     FaultDecl(0.05, link=(2, 3)), spare_beside=3))

@@ -258,6 +258,17 @@ def test_experiment_jobs_below_one_is_usage_error(fan_file, jobs, capsys):
     assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("volumes", [["20", "20"], ["10", "20", "30", "20"]])
+def test_experiment_repeated_volume_is_usage_error(mesh_file, tmp_path, volumes, capsys):
+    # a repeated volume would run its cells, rows and checks twice
+    with pytest.raises(SystemExit) as err:
+        main(["experiment", "--scenario", mesh_file, "--suite", "frameworks",
+              "--packets", *volumes, "--out", str(tmp_path / "out")])
+    assert err.value.code == 1
+    assert "--packets lists 20 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["experiment", "--suite", "frameworks", "--packets", "-5"],
     ["experiment", "--suite", "schemes", "--packets", "10", "-5"],

@@ -6,11 +6,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsn_multipath.engine import Engine, SimulationError, run_scenario
+from wsn_multipath.engine import Engine, RunMetrics, SimulationError, run_scenario
 from wsn_multipath.experiments import configured, metrics_rows, render_rows
 from wsn_multipath.metrics import receive_energy_per_bit, transmit_energy_per_bit
 from wsn_multipath.model import Packet, RoutingError
-from wsn_multipath.engine import _NodeQueues
+from wsn_multipath.engine import _Flow, _NodeQueues
 from wsn_multipath.scenario import (
     FaultDecl,
     RunConfig,
@@ -20,6 +20,8 @@ from wsn_multipath.scenario import (
 )
 
 from conftest import (
+    crossing_fault_scenario,
+    crossing_scenario,
     fault_beacon_scenario,
     fault_timer_scenario,
     late_spare_scenario,
@@ -28,12 +30,17 @@ from conftest import (
     shipped,
     small_params,
     uniform_fault_scenario,
+    with_fault,
     y_scenario,
 )
 
 
+def _flow(path=0):
+    return _Flow(key=(1, path), route=[1, 9], quota=1, tau_s=0.0)
+
+
 def _pkt(uid, kind="data", seq=0):
-    return Packet(kind=kind, source=1, destination=2, flow_key=(1, 0), seq=seq, uid=uid)
+    return Packet(kind=kind, source=1, destination=2, flow=_flow(), seq=seq, uid=uid)
 
 
 def _served(q):
@@ -70,6 +77,8 @@ def test_enqueue_rejects_non_neighbor():
     q = _NodeQueues(owner=1, neighbors=(2,), capacity_pkts=2, fragmented=True)
     with pytest.raises(RoutingError):
         q.enqueue_data(_pkt(1), 9)
+    with pytest.raises(RoutingError):
+        q.pass_through(9)
 
 
 def test_dispatch_round_robin_order():
@@ -159,6 +168,71 @@ def test_shared_fifo_never_blocked_by_failing_hop():
     assert _served(split) is None
 
 
+# a data frame reaching an idle node goes straight to service only when the
+# node holds no frame and the frame's key is open; otherwise it queues
+
+def test_pass_through_refuses_a_key_blocked_while_its_beacon_is_out():
+    q = _NodeQueues(owner=1, neighbors=(2, 3), capacity_pkts=2, fragmented=True)
+    q.block(2)  # the hop's attempts ran out
+    beacon = _pkt(9, kind="beacon")
+    q.enqueue_control(beacon)
+    assert _served(q) is beacon  # the self-check beacon is out
+    assert q.pass_through(2) is None
+    pkt = _pkt(1)
+    q.enqueue_data(pkt, 2)
+    assert _served(q) is None  # held until the self-check ends
+    q.unblock(2)
+    assert _served(q) is pkt
+
+
+def test_pass_through_refuses_while_a_control_frame_waits():
+    q = _NodeQueues(owner=1, neighbors=(2,), capacity_pkts=2, fragmented=True)
+    beacon = _pkt(9, kind="beacon")
+    q.enqueue_control(beacon)
+    assert q.pass_through(2) is None
+    pkt = _pkt(1)
+    q.enqueue_data(pkt, 2)
+    assert [_served(q) for _ in range(3)] == [beacon, pkt, None]
+
+
+def test_pass_through_refuses_while_frames_wait_under_other_blocked_keys():
+    q = _NodeQueues(owner=1, neighbors=(2, 3, 4), capacity_pkts=2, fragmented=True)
+    held = [_pkt(1), _pkt(2)]
+    for pkt, hop in zip(held, (3, 4)):
+        q.enqueue_data(pkt, hop)
+        q.block(hop)
+    assert _served(q) is None
+    assert q.pass_through(2) is None
+    pkt = _pkt(3)
+    q.enqueue_data(pkt, 2)
+    assert [_served(q) for _ in range(2)] == [pkt, None]
+    assert [list(q.data[hop]) for hop in (3, 4)] == [[held[0]], [held[1]]]
+
+
+@pytest.mark.parametrize("cursor", [None, 2, 4])
+def test_pass_through_restores_a_retargeted_key_as_queueing_does(cursor):
+    # the key toward replaced neighbor 3 was taken away; a frame bound for 3
+    # brings it back in order, with the cursor on it, whichever way it goes
+    def buffer():
+        q = _NodeQueues(owner=1, neighbors=(2, 3, 4), capacity_pkts=2, fragmented=True)
+        if cursor is not None:
+            q.enqueue_data(_pkt(1), cursor)
+            _served(q)
+        q.retarget(3, 4)
+        return q
+
+    passed, queued = buffer(), buffer()
+    assert 3 not in passed.data
+    assert passed.pass_through(3) == 3
+    queued.enqueue_data(_pkt(2), 3)
+    assert queued.dispatch_next()[1] == 3
+    for q in (passed, queued):
+        assert q.order == [2, 3, 4] and q.cursor == 3 and q.queued == 0
+        q.enqueue_data(_pkt(5), 4)
+    assert list(passed.data) == list(queued.data)
+    assert passed.occupancy() == queued.occupancy() == 1 / 6  # three keys of two
+
+
 _QUEUE_OPS = st.lists(st.tuples(
     st.sampled_from(["enqueue", "requeue", "dispatch", "block", "unblock",
                      "remove_flow", "retarget", "drain", "control"]),
@@ -173,8 +247,9 @@ def test_queued_counts_every_held_frame(fragmented, ops):
     # track every way a data frame enters or leaves a sub-queue
     q = _NodeQueues(owner=1, neighbors=(2, 3, 4), capacity_pkts=2, fragmented=fragmented)
     uids = itertools.count(1)
+    flows = [_flow(path) for path in range(3)]
     for op, hop, path in ops:
-        pkt = Packet(kind="data", source=1, destination=9, flow_key=(1, path), seq=0,
+        pkt = Packet(kind="data", source=1, destination=9, flow=flows[path], seq=0,
                      uid=next(uids))
         if op == "enqueue":
             q.enqueue_data(pkt, hop)
@@ -191,7 +266,7 @@ def test_queued_counts_every_held_frame(fragmented, ops):
         elif op == "unblock":
             q.unblock(hop)
         elif op == "remove_flow":
-            q.remove_flow((1, path))
+            q.remove_flow(flows[path])
         elif op == "retarget":
             q.retarget(hop, 2 + (hop - 1) % 3)  # 2 -> 3 -> 4 -> 2
         elif op == "drain":
@@ -739,6 +814,60 @@ def test_identical_runs_reproduce_metrics():
     assert a.trace
 
 
+def _pass_through_cases():
+    """(id, scenario factory) pairs: both disciplines at `window` 1 and
+    null, seeded crossing grids, random losses under detection, a node
+    fault with a spare and link faults."""
+    for fragmented in (True, False):
+        kind = "fragmented" if fragmented else "fifo"
+        for window in (1, None):
+            yield (f"mesh-{kind}-window-{window}",
+                   lambda f=fragmented, w=window: configured(
+                       shipped("three-source-mesh-sim"), packets=300, window=w,
+                       fragmented=f))
+        yield (f"lossy-{kind}",
+               lambda f=fragmented: configured(
+                   shipped("three-source-mesh-sim"), packets=100, window=None,
+                   fragmented=f, max_attempts=3, loss_prob=0.2, fault_detection="on"))
+        yield (f"node-fault-spare-{kind}",
+               lambda f=fragmented: crossing_fault_scenario(3, f, spare=True))
+        yield f"late-spare-{kind}", lambda f=fragmented: late_spare_scenario(f)
+        # the sink's link from 2 fails and the spare beside the sink takes
+        # its place in the routes, while 2 still serves frames for the sink
+        yield (f"link-fault-spare-{kind}",
+               lambda f=fragmented: with_fault(
+                   configured(crossing_scenario(1), fragmented=f, window=1,
+                              max_attempts=3, fault_detection="on"),
+                   FaultDecl(0.05 if f else 1.3, link=(2, 3)), spare_beside=3))
+    yield "line-link-fault", _line_link_fault
+    for seed in range(6):
+        yield f"crossing-{seed}", lambda seed=seed: crossing_scenario(seed)
+
+
+_PASS_THROUGH_CASES = dict(_pass_through_cases())
+
+
+@pytest.mark.parametrize("case", list(_PASS_THROUGH_CASES))
+def test_pass_through_leaves_what_enqueue_then_dispatch_leaves(case, monkeypatch):
+    # with the pass-through refused, every arriving frame is queued and
+    # dispatched; the run must not differ in any metric or trace record
+    scenario = configured(_PASS_THROUGH_CASES[case](), record_trace=True)
+    pass_through, taken = _NodeQueues.pass_through, []
+
+    def counted(self, hop):
+        key = pass_through(self, hop)
+        taken.append(key is not None)
+        return key
+
+    monkeypatch.setattr(_NodeQueues, "pass_through", counted)
+    default = run_scenario(scenario)
+    monkeypatch.setattr(_NodeQueues, "pass_through", lambda self, hop: None)
+    queued = run_scenario(scenario)
+    assert any(taken)
+    for name in (f.name for f in dataclasses.fields(RunMetrics)):
+        assert getattr(default, name) == getattr(queued, name), name
+
+
 def test_livelock_guard_fires():
     sc = line_scenario(packets=50, hops=5, window=None)
     sc.engine = RunConfig(scheme=2, max_events=10)
@@ -763,11 +892,15 @@ def test_stall_at_quiescence_names_flow_and_subqueue(mesh):
 
 
 class _MuteRelayEngine(Engine):
-    """An engine whose relay 12 never starts a transmission."""
+    """An engine whose relay 12 never starts a transmission: a frame it
+    would serve, dispatched or passed through, goes back to the head of its
+    sub-queue."""
 
-    def _try_start(self, node_id):
+    def _serve(self, node_id, pkt, key):
         if node_id != 12:
-            super()._try_start(node_id)
+            super()._serve(node_id, pkt, key)
+        else:
+            self.queues[12].requeue(pkt, pkt.flow.route[pkt.hop + 1])
 
 
 @pytest.mark.parametrize("fragmented, key", [(True, "2"), (False, "shared")])
