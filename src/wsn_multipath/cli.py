@@ -205,9 +205,10 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    metrics = Engine(_load(args)).run()
+    scenario = _load(args)
+    metrics = Engine(scenario).run()
     files = {"summary.txt": _summary_text(metrics)}
-    if args.trace:
+    if scenario.engine.record_trace:  # from the file or --trace
         files["trace.txt"] = "\n".join(metrics.trace) + ("\n" if metrics.trace else "")
     return _emit(args, "metrics.csv", metrics_rows(metrics), files)
 

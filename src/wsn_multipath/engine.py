@@ -14,7 +14,6 @@ import heapq
 import itertools
 import random
 from collections import deque
-from collections.abc import Container
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -83,28 +82,25 @@ class _NodeQueues:
     """A node's data buffer as deques keyed by next hop, plus the reserved
     control queue, which is served first and never drops.
 
-    The discipline is fixed at construction, and nothing outside this
-    class knows which one is in force:
-    - fragmented: one sub-queue per neighbor, served round-robin; on
-      overflow the newest packet (largest uid), queued or arriving, loses;
-      a hop whose attempts keep failing is blocked while its self-check
-      beacon is out;
-    - shared FIFO (the traditional-MAC baseline): one key holding
-      ``capacity_pkts`` x neighbors packets, drop-tail. ``blocked`` holds
-      hop ids and the shared key is never one, so blocking a hop never
-      stops the FIFO.
+    The buffer starts empty: a key is made by the first frame queued for
+    it. Either discipline holds at most ``capacity_pkts`` x degree data
+    frames, and nothing outside this class knows which one is in force:
+    - fragmented: one sub-queue per neighbor, each holding
+      ``capacity_pkts``, served round-robin; on overflow the newest packet
+      (largest uid), queued or arriving, loses; a hop whose attempts keep
+      failing is blocked while its self-check beacon is out;
+    - shared FIFO (the traditional-MAC baseline): one key holding the whole
+      buffer, drop-tail. ``blocked`` holds hop ids and the shared key is
+      never one, so blocking a hop never stops the FIFO.
     Methods that take a data packet out of a sub-queue report its key, so
     that the engine can wake the flows injecting there. `queued` counts the
     data frames under every key, so an empty buffer answers `dispatch_next`
     at once, and `pass_through` serves an arriving frame without queueing
-    it. A fragmented buffer has no sub-queue toward a `replaced`
-    neighbor until a frame is queued for it, as if `retarget` had taken
-    that sub-queue away.
+    it.
     """
 
     def __init__(self, owner: int, neighbors: tuple[int, ...],
-                 capacity_pkts: int, fragmented: bool,
-                 replaced: Container[int] = ()):
+                 capacity_pkts: int, fragmented: bool):
         self.owner = owner
         self.neighbors = neighbors
         self.control: deque[Packet] = deque()
@@ -112,13 +108,10 @@ class _NodeQueues:
         self.cursor = None  # last-served key
         self.queued = 0
         self.evicts = fragmented
-        if fragmented:
-            self.capacity_pkts = capacity_pkts
-            self.data = {n: deque() for n in neighbors if n not in replaced}
-        else:
-            self.capacity_pkts = capacity_pkts * max(1, len(neighbors))
-            self.data = {_SHARED: deque()}
-        self.order = sorted(self.data)  # round-robin order of the keys
+        self.total = capacity_pkts * max(1, len(neighbors))
+        self.capacity_pkts = capacity_pkts if fragmented else self.total  # per key
+        self.data: dict[object, deque[Packet]] = {}
+        self.order: list = []  # round-robin order of the keys
 
     def key(self, hop: int):  # of the sub-queue holding frames bound for `hop`
         return hop if self.evicts else _SHARED
@@ -130,15 +123,13 @@ class _NodeQueues:
             if hop not in self.neighbors:
                 raise RoutingError(
                     f"node {self.owner}: next hop {hop} is not a neighbor")
-            queue = self.data[key] = deque()  # a retargeted neighbor returns
+            queue = self.data[key] = deque()
             bisect.insort(self.order, key)
         return queue
 
     def occupancy(self) -> float:
-        """Fill over capacity. The capacity counts the current keys, so it
-        shrinks when a failed neighbor's sub-queue is retargeted."""
-        cap = self.capacity_pkts * max(1, len(self.data))
-        return sum(len(q) for q in self.data.values()) / cap if cap else 0.0
+        """Data frames held over the buffer's capacity."""
+        return self.queued / self.total
 
     def is_blocked(self, hop: int) -> bool:
         return self.key(hop) in self.blocked
@@ -184,7 +175,7 @@ class _NodeQueues:
         if key in self.blocked:
             return None
         if key not in self.data:
-            self._queue(hop)  # a retargeted neighbor returns, or RoutingError
+            self._queue(hop)  # makes the key, or raises RoutingError
         self.cursor = key
         return key
 
@@ -226,19 +217,18 @@ class _NodeQueues:
                 queue.extend(kept)
         return removed
 
-    def retarget(self, failed: int, substitute: int):
-        """Unblock a replaced neighbor and move its sub-queue under the
-        substitute; returns the key freed, or None."""
+    def retarget(self, failed: int, substitute: int) -> None:
+        """Unblock a replaced neighbor and move its sub-queue, if a frame
+        made one, under the substitute."""
         self.blocked.discard(failed)
         pending = self.data.pop(failed, None)  # never the shared key
         if pending is None:
-            return None
+            return
         self.order.remove(failed)
         if pending:
             self._queue(substitute).extend(pending)
         if self.cursor == failed:
             self.cursor = substitute
-        return failed
 
     def drain(self) -> list[Packet]:
         """Empty every queue: control packets first, then data by key."""
@@ -333,7 +323,11 @@ class Engine:
         self._fault_resolved: set[int] = set()
         # (flow key, node) -> seq of the flow's last packet to arrive there
         self._last_arrival: dict[tuple[tuple[int, int], int], int] = {}
-        self._first_copy: dict[tuple[int, int], float] = {}
+        # (source, seq) of every packet delivered; a source completes when
+        # the first copy of its last packet lands, and event time never
+        # decreases, so the latest first copy is its completion
+        self._first_copy: set[tuple[int, int]] = set()
+        self._completion: dict[int, float] = {}
         # beacon uid -> (suspect hop, targets tried); a beacon's packet
         # names its origin (source) and target (destination)
         self._beacons: dict[int, tuple[int, set[int]]] = {}
@@ -397,15 +391,12 @@ class Engine:
             self._node_failure(node_id)
 
     def _queues_at(self, node_id: int) -> _NodeQueues:
-        """The node's buffer, built for its first frame. A neighbor already
-        replaced gets no sub-queue, as `retarget` takes it from a buffer
-        built earlier; `occupancy` counts the keys."""
+        """The node's buffer, built for its first frame."""
         queues = self.queues.get(node_id)
         if queues is None:
             queues = self.queues[node_id] = _NodeQueues(
                 node_id, self.topology.neighbors(node_id),
-                self.config.queue_packets_per_subqueue, self.config.fragmented,
-                replaced={failed for failed, _sub in self.metrics.replacements})
+                self.config.queue_packets_per_subqueue, self.config.fragmented)
         return queues
 
     def _hop(self, sender: int, receiver: int) -> tuple:
@@ -486,7 +477,8 @@ class Engine:
             if copy_key in self._first_copy:
                 self.metrics.duplicates += 1
             else:
-                self._first_copy[copy_key] = self._now
+                self._first_copy.add(copy_key)
+                self._completion[pkt.source] = self._now
         else:
             flow.dropped += 1
             if fate == "overflow":
@@ -773,14 +765,13 @@ class Engine:
         for flow in affected:
             flow.route[flow.route.index(failed)] = substitute
         # flows parked on the failed hop now inject toward the substitute;
-        # a buffer built from here on has no sub-queue toward the failed node
-        for nid in sorted(self.queues):
-            freed = self.queues[nid].retarget(failed, substitute)
-            if freed is not None:
-                self._slot_freed(nid, freed)
+        # a node without a buffer has nothing to send
+        holders = sorted(self.queues)
+        for nid in holders:
+            self.queues[nid].retarget(failed, substitute)
+            self._slot_freed(nid, failed)
             self._attempts.pop((nid, failed), None)
-        # every node, in id order: a buffer built in this loop starts too
-        for nid in sorted(self.topology.nodes):
+        for nid in holders:
             self._try_start(nid)
 
     def _abandon_flow(self, flow: _Flow) -> None:
@@ -908,13 +899,8 @@ class Engine:
                     "mean_wait_s": (flow.wait_total_s / flow.wait_hops
                                     if flow.wait_hops else 0.0),
                 }
-        # a source completes when the first copy of its last packet lands;
-        # without replication every delivery is a first copy
-        per_source: dict[int, float] = {}
-        for (source, _seq), t in self._first_copy.items():
-            per_source[source] = max(per_source.get(source, 0.0), t)
         self.metrics.per_source_completion_s = {
-            s.node_id: per_source.get(s.node_id, 0.0) for s in self.specs}
+            s.node_id: self._completion.get(s.node_id, 0.0) for s in self.specs}
         self.metrics.completion_s = max(
             self.metrics.per_source_completion_s.values(), default=0.0)
         self._check_energy_ledger()

@@ -43,9 +43,7 @@ FRAMEWORKS = tuple(_VARIANTS["frameworks"])
 @dataclass
 class Report:
     suite: str
-    scenario_name: str
     scenario_hash: str
-    seed: int
     rows: list[dict] = field(default_factory=list)
     checks: list[tuple[str, bool]] = field(default_factory=list)
 
@@ -88,8 +86,7 @@ def _run_suite(suite: str, scenario: Scenario, packet_counts: list[int], jobs: i
     order and `jobs` at a time, and tabulate them: `rows(d, variant,
     metrics)` gives a cell's rows, which follow the provenance columns.
     Returns the report, without checks, and the runs by cell."""
-    report = Report(suite=suite, scenario_name=scenario.name,
-                    scenario_hash=scenario_hash(scenario), seed=scenario.seed)
+    report = Report(suite=suite, scenario_hash=scenario_hash(scenario))
     variants = _VARIANTS[suite]
     keys = [(d, v) for d in packet_counts for v in variants]
     cells = [configured(scenario, packets=d, **variants[v]) for d, v in keys]

@@ -215,6 +215,23 @@ def test_run_byte_identical_outputs(fan_file, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_record_trace_in_the_file_writes_the_trace(tmp_path):
+    # `record_trace: true` in the scenario file keeps the trace as --trace does
+    shipped_file = os.path.join(os.path.dirname(__file__), "..", "scenarios",
+                                "three-source-mesh.yaml")
+    with open(shipped_file) as fh:
+        text = fh.read()
+    assert text.count("record_trace: false") == 1
+    traced_file = tmp_path / "traced.yaml"
+    traced_file.write_text(text.replace("record_trace: false", "record_trace: true"))
+    by_file, by_flag = tmp_path / "file", tmp_path / "flag"
+    assert main(["run", "--scenario", str(traced_file), "--out", str(by_file)]) == 0
+    assert main(["run", "--scenario", shipped_file, "--trace", "--out", str(by_flag)]) == 0
+    trace = (by_flag / "trace.txt").read_bytes()
+    assert trace.count(b"\n") > 1000
+    assert (by_file / "trace.txt").read_bytes() == trace
+
+
 def test_run_missing_scenario_no_partial_outputs(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(["run", "--scenario", str(tmp_path / "nope.yaml"),

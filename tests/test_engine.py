@@ -119,17 +119,21 @@ def test_cursor_persists_across_calls():
 
 def test_retarget_moves_key_and_cursor_to_substitute():
     q = _NodeQueues(owner=1, neighbors=(2, 3, 4, 5), capacity_pkts=5, fragmented=True)
-    assert q.retarget(3, 5) == 3  # an idle neighbor's key leaves the order
-    assert q.order == [2, 4, 5]
+    q.block(3)
+    q.retarget(3, 5)  # a never-used key: only its block is lifted
+    assert q.data == {} and q.order == [] and not q.blocked
     p1, p2, p3, p4, p5 = (_pkt(uid) for uid in range(1, 6))
     for pkt, hop in ((p1, 2), (p2, 4), (p3, 4)):
         q.enqueue_data(pkt, hop)
+    assert q.order == [2, 4]
     assert [_served(q) for _ in range(2)] == [p1, p2]  # cursor at 4
     q.block(4)
-    assert q.retarget(4, 3) == 4
-    assert q.order == [2, 3, 5] and q.cursor == 3 and not q.blocked
+    q.retarget(4, 3)
+    assert q.order == [2, 3] and q.cursor == 3 and not q.blocked
+    assert list(q.data) == [2, 3] and list(q.data[3]) == [p3] and q.queued == 1
     q.enqueue_data(p4, 2)
     q.enqueue_data(p5, 5)
+    assert q.order == [2, 3, 5]
     # service resumes after the substitute and reaches its backlog last
     assert [_served(q) for _ in range(4)] == [p5, p4, p3, None]
 
@@ -211,13 +215,15 @@ def test_pass_through_refuses_while_frames_wait_under_other_blocked_keys():
 
 @pytest.mark.parametrize("cursor", [None, 2, 4])
 def test_pass_through_restores_a_retargeted_key_as_queueing_does(cursor):
-    # the key toward replaced neighbor 3 was taken away; a frame bound for 3
-    # brings it back in order, with the cursor on it, whichever way it goes
+    # neighbor 3 was blocked and then replaced before a frame made its key,
+    # so `retarget` only lifted the block; a frame bound for 3 makes the key
+    # in order, with the cursor on it, whichever way it goes
     def buffer():
         q = _NodeQueues(owner=1, neighbors=(2, 3, 4), capacity_pkts=2, fragmented=True)
         if cursor is not None:
             q.enqueue_data(_pkt(1), cursor)
             _served(q)
+        q.block(3)
         q.retarget(3, 4)
         return q
 
@@ -226,11 +232,13 @@ def test_pass_through_restores_a_retargeted_key_as_queueing_does(cursor):
     assert passed.pass_through(3) == 3
     queued.enqueue_data(_pkt(2), 3)
     assert queued.dispatch_next()[1] == 3
+    made = sorted({3} | ({cursor} - {None}))
     for q in (passed, queued):
-        assert q.order == [2, 3, 4] and q.cursor == 3 and q.queued == 0
+        assert q.order == made and q.cursor == 3 and q.queued == 0
         q.enqueue_data(_pkt(5), 4)
-    assert list(passed.data) == list(queued.data)
-    assert passed.occupancy() == queued.occupancy() == 1 / 6  # three keys of two
+        assert q.queued == 1
+    assert passed.order == queued.order and list(passed.data) == list(queued.data)
+    assert passed.occupancy() == queued.occupancy() == 1 / 6  # three neighbors of two
 
 
 _QUEUE_OPS = st.lists(st.tuples(
@@ -274,6 +282,7 @@ def test_queued_counts_every_held_frame(fragmented, ops):
         else:
             q.enqueue_control(dataclasses.replace(pkt, kind="beacon"))
         assert q.queued == sum(len(queue) for queue in q.data.values())
+        assert q.occupancy() == q.queued / 6  # three neighbors of two
 
 
 # ------------------------------------------------------------- service timing
@@ -699,22 +708,27 @@ def test_probe_follows_the_replaced_route():
     assert metrics.contention_history == {(1, 0): [0, 0]}
 
 
-# digests of the traced late-spare runs (trace, report rows, probe counts),
-# recorded when every node's buffer was built before the run
+# digests of the traced late-spare runs (trace, report rows, probe counts)
 LATE_SPARE_DIGESTS = {
-    True: "880fb80ecbd081eefadee4ab419f70edfc41e971a2eb0dd1096e1e14249a093e",
+    True: "5e69cfab8cbcd5547da9bb1c756ccd9013ba4c4a64f1e582c21b670bdffd0b37",
     False: "0a8501b6635d798b0bc17cf3a4a1b11d7759ea974df9808451ebfae5aa49d1c9",
 }
 
 
 @pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
-def test_buffer_built_after_a_replacement_matches_an_early_one(fragmented):
-    # spare 6 holds its first frame only after it replaced node 5, so its
-    # buffer is built then. One built before the run had its sub-queue
-    # toward 5 taken away by the replacement, and the probes' occupancy
-    # counts sub-queues: a late buffer with a sub-queue toward 5 would
-    # read 10/20 where this one reads 10/15, and the probes count less
+def test_late_spare_fills_queue_size_times_degree(fragmented, monkeypatch):
+    # spare 6 holds its first frame only after it replaced node 5. Its four
+    # neighbors give it 20 frames of buffer in either discipline, whatever
+    # the replacement took: the fragmented spare holds at most 10 at its
+    # probes, which is not above the choke threshold, so no probe counts it
+    read = []
+    on_probe = Engine._on_probe
+    monkeypatch.setattr(Engine, "_on_probe", lambda self, *a: (
+        read.append(self.queues[6].occupancy()), on_probe(self, *a)))
     metrics = run_scenario(late_spare_scenario(fragmented))
+    assert read == ([0.35, 0.45, 0.5, 0.5, 0.35] if fragmented else [1.0] * 5)
+    if fragmented:
+        assert metrics.contention_history == {(1, 0): [0] * 5, (2, 0): [0] * 5}
     assert metrics.replacements == [(5, 6)]
     replaced_at = metrics.trace.index("0.481280000,replace,6,0")
     first_service = next(i for i, line in enumerate(metrics.trace)
