@@ -323,10 +323,11 @@ class Engine:
         self._fault_resolved: set[int] = set()
         # (flow key, node) -> seq of the flow's last packet to arrive there
         self._last_arrival: dict[tuple[tuple[int, int], int], int] = {}
-        # (source, seq) of every packet delivered; a source completes when
-        # the first copy of its last packet lands, and event time never
-        # decreases, so the latest first copy is its completion
-        self._first_copy: set[tuple[int, int]] = set()
+        # source -> one byte per sequence number, set by its first copy to
+        # land; a source completes when the first copy of its last packet
+        # lands, and event time never decreases, so the latest first copy
+        # is its completion
+        self._first_copy: dict[int, bytearray] = {}
         self._completion: dict[int, float] = {}
         # beacon uid -> (suspect hop, targets tried); a beacon's packet
         # names its origin (source) and target (destination)
@@ -360,6 +361,9 @@ class Engine:
             self.metrics.injected[spec.node_id] = sum(quotas)
             self.metrics.per_source_comm_j[spec.node_id] = 0.0
             self._source_seq[spec.node_id] = itertools.count()
+            # the quotas sum to `packets`, and each replicated path numbers
+            # its copies 0..packets-1
+            self._first_copy[spec.node_id] = bytearray(spec.packets)
             for idx, (path, quota) in enumerate(zip(spec.paths, quotas)):
                 flow = _Flow(key=(spec.node_id, idx), route=list(path.nodes),
                              quota=quota, tau_s=path.tau_s)
@@ -473,11 +477,11 @@ class Engine:
         if fate == "delivered":
             flow.delivered += 1
             flow.last_delivery_s = self._now
-            copy_key = (pkt.source, pkt.seq)
-            if copy_key in self._first_copy:
+            landed = self._first_copy[pkt.source]
+            if landed[pkt.seq]:
                 self.metrics.duplicates += 1
             else:
-                self._first_copy.add(copy_key)
+                landed[pkt.seq] = 1
                 self._completion[pkt.source] = self._now
         else:
             flow.dropped += 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from wsn_multipath.allocator import Allocation, AllocationInput, apportion, solve_quota_bound
-from wsn_multipath.experiments import configured
+from wsn_multipath.experiments import configured, metrics_rows, render_rows
 from wsn_multipath.metrics import average_edp
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, RunConfig, Scenario, SourceDecl, load_scenario
@@ -21,6 +22,29 @@ def shipped(name: str, packets: int | None = None) -> Scenario:
     """The shipped scenario `scenarios/{name}.yaml`, freshly loaded, with
     `packets` per source when given."""
     return configured(load_scenario(str(SCENARIOS / f"{name}.yaml")), packets=packets)
+
+
+def fingerprint(metrics) -> str:
+    """SHA-256 of one canonical text of everything a run reports: the
+    trace, the `metrics_rows` CSV, residuals, contention histories,
+    detections, replacements, abandonments, per-source completion,
+    duplicates, event count, energy breakdown and `per_path`. Dicts are
+    written in their own order, so a change of order moves it too."""
+    text = "\n".join([
+        *metrics.trace,
+        render_rows(metrics_rows(metrics), "csv"),
+        repr(metrics.residual_j),
+        repr(metrics.contention_history),
+        repr(metrics.detections),
+        repr(metrics.replacements),
+        repr(metrics.abandoned),
+        repr(metrics.per_source_completion_s),
+        repr(metrics.duplicates),
+        repr(metrics.event_count),
+        repr(metrics.energy_breakdown_j),
+        repr(metrics.per_path),
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def key_path(where: tuple) -> str:

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from wsn_multipath.experiments import (
     Report,
     configured,
@@ -48,11 +50,33 @@ def test_framework_report_shape(mesh_sim):
 
 
 def test_framework_traditional_counts_duplicates(mesh_sim):
+    # at window 1 nothing drops, so each source's 30 sequence numbers land
+    # once on each of its 3 paths: the run's two extra copies of each of
+    # the 90 numbers are 180 duplicates, a run total that every row
+    # carries. The split frameworks send each number once.
     report = run_multisource_frameworks(configured(mesh_sim), [30])
-    trad = [r for r in report.rows if r["framework"] == "traditional"]
-    total_dup = trad[0]["duplicates"]
-    # every sequence arrives up to three times; extras are duplicates
-    assert total_dup > 0
+    duplicates = {(r["framework"], r["source"]): r["duplicates"] for r in report.rows}
+    assert duplicates == {(f, src): 180 if f == "traditional" else 0
+                          for f in ("traditional", "equal", "strategic")
+                          for src in (1, 3, 10)}
+
+
+@pytest.mark.parametrize("window,source_1,path_1_2", [
+    (None, 86.06000000000002, 125.07999999999225),
+    (1, 179.94000000001824, 249.48000000005382),
+])
+def test_replicated_completion_is_the_first_copy_of_the_last_number(
+        mesh_sim, window, source_1, path_1_2):
+    # a source completes when the first copy of its last sequence number
+    # lands; copies still in flight on slower paths do not move it
+    metrics = run_scenario(configured(mesh_sim, packets=2000, window=window,
+                                      replicate=True, fragmented=False))
+    latest = {}
+    for (src, _idx), stats in metrics.per_path.items():
+        latest[src] = max(latest.get(src, 0.0), stats["sim_delay_s"])
+    assert all(metrics.per_source_completion_s[src] <= latest[src] for src in latest)
+    assert metrics.per_source_completion_s[1] == source_1
+    assert metrics.per_path[(1, 2)]["sim_delay_s"] == path_1_2 == latest[1]
 
 
 def test_report_determinism(mesh_sim):

@@ -2,7 +2,9 @@
 scenarios (tables, summaries, suite reports, traces and plot data) and
 prints for them, and of traced runs of
 the fault-recovery fixtures, the pipelined meshes, the engine modes no
-shipped scenario runs and a 1000-node deployment with a failure.
+shipped scenario runs and a 1000-node deployment with a failure; and one
+digest per family of traced runs and queue discipline, over everything
+each run reports (`fingerprint`).
 
 The ROADMAP rule is that the shipped scenarios' outputs stay bit-identical
 from one change to the next. A rerun test only compares two runs of the
@@ -30,8 +32,11 @@ from wsn_multipath.scenario import (
 
 from conftest import (
     SCENARIOS,
+    crossing_fault_scenario,
+    crossing_scenario,
     fault_beacon_scenario,
     fault_timer_scenario,
+    fingerprint,
     line_scenario,
     uniform_fault_scenario,
 )
@@ -349,3 +354,104 @@ def test_large_deployment_fault_run_matches_golden():
                       repr(sorted(metrics.residual_j.items())),
                       repr(metrics.detections), repr(metrics.replacements)])
     assert _sha(text.encode()) == UNIFORM_FAULT_DIGEST
+
+
+# Families of runs, one digest per family and queue discipline: the
+# SHA-256 of the `fingerprint`s of the family's traced runs, one per
+# line, in the order `family_runs` yields them. A change that must not
+# move any outcome leaves all of them; one that must names the families
+# that moved and why.
+CROSSING_FAULT_SEEDS = range(75)
+BEACON_FAIL_TIMES = (0.05, 0.125, 0.3)
+TIMER_FAIL_TIMES = (0.2, 0.6, 1.0)
+CROSSING_PROBED_SEEDS = range(10)
+MESH_VARIANTS = {
+    "mesh-window-1": {"window": 1},
+    "mesh-pipelined": {"window": None},
+    "mesh-probed": {"window": None, "probe_times": [0.5, 1.0, 2.0, 4.0]},
+    "mesh-lossy": {"loss_prob": 0.2, "fault_detection": "on", "max_attempts": 3},
+    "mesh-replicated": {"window": None, "replicate": True},
+}
+
+
+def family_runs(family: str, fragmented: bool):
+    """The scenarios of one family in one discipline, each traced:
+    - crossing-fault(-spare): `crossing_fault_scenario` seeds 0-74, a
+      route's middle node failing halfway, without (with) a spare;
+    - fault-beacon, fault-timer: the beacon and watchdog fixtures with
+      their spares, failing at three times each;
+    - mesh-*: both shipped meshes at 500 packets per source, the file's
+      config with the variant's overrides;
+    - crossing-probed: `crossing_scenario` seeds 0-9, probed at 0.1, 0.3
+      and 0.7 s."""
+    if family.startswith("crossing-fault"):
+        bases = (crossing_fault_scenario(seed, fragmented, spare=family.endswith("spare"))
+                 for seed in CROSSING_FAULT_SEEDS)
+    elif family == "fault-beacon":
+        bases = (fault_beacon_scenario(fail_time=t) for t in BEACON_FAIL_TIMES)
+    elif family == "fault-timer":
+        bases = (fault_timer_scenario(fail_time=t) for t in TIMER_FAIL_TIMES)
+    elif family == "crossing-probed":
+        bases = (configured(crossing_scenario(seed), probe_times=[0.1, 0.3, 0.7])
+                 for seed in CROSSING_PROBED_SEEDS)
+    else:
+        bases = (configured(load_scenario(_scenario(name)), packets=500,
+                            **MESH_VARIANTS[family])
+                 for name in MESHES)
+    for base in bases:
+        yield configured(base, fragmented=fragmented, record_trace=True)
+
+
+def family_digest(family: str, fragmented: bool) -> str:
+    return _sha("\n".join(fingerprint(run_scenario(s))
+                          for s in family_runs(family, fragmented)).encode())
+
+
+# (family, fragmented)
+FAMILY_DIGESTS = {
+    ("crossing-fault", False):
+        "887d2ef690c4299ee8bd83d9b4c99ba2debda90426fb26d15203a2d62ea15778",
+    ("crossing-fault", True):
+        "b875051e0e3a388dba667f787cba0204cc4174b01c01a2077799a144d8db8c72",
+    ("crossing-fault-spare", False):
+        "a7f5870b41bc036e08e9fed67eca6ffbc4e8e95ea875e6ac5b3d4a22a6c61e27",
+    ("crossing-fault-spare", True):
+        "c368e466150e1a16ccda3bbae8d314a0441d3025dd92ca91699948b4652bcd63",
+    ("fault-beacon", False):
+        "ea92eb7ba77cc558652fedff7e602baf5a4c09751edd51def000d0d1d5f0bf73",
+    ("fault-beacon", True):
+        "8c2c016ec224b752f8e270918a74156e556c372afa7427481ef0a0605f677248",
+    ("fault-timer", False):
+        "f87a8308ddd563cf3a5159fb8cfdd5dbf625bcfcaf39d7171ea75eb5c625d6de",
+    ("fault-timer", True):
+        "3002ffe8cae8e915d96fa53c67f082b87de24022ac1ad65feb82e4d93278fb39",
+    ("crossing-probed", False):
+        "7eb09071f37edce1b98ca031863eb3a1e0a43c0d22a54c9f4f04ec4f2dfc8264",
+    ("crossing-probed", True):
+        "c0b40f310787011852b45e853559b9c7e981fec346ee27a5f6eeada8ab6504eb",
+    ("mesh-window-1", False):
+        "53bca3d35b2f14c1f14fb53d904c9ceee361cb2b843327b3c2312ba7a4027e9f",
+    ("mesh-window-1", True):
+        "08a6fcb6e6bc7e2459b93a5a94dd3fc2119ca03fdc8c44102ad23a907ff83197",
+    ("mesh-pipelined", False):
+        "bc4dee44170a038d83b89219a1183045d1bbcde1ed5549b9a75db3032ae962ce",
+    ("mesh-pipelined", True):
+        "1eda0d307adb377765d3f4ebf869ae2bc963467079bf85f5580ed6633e931d23",
+    ("mesh-probed", False):
+        "bbe579057cdd9ada8a995e75e7177273cac38d6591a4358231fd0d2a5ecd9d3e",
+    ("mesh-probed", True):
+        "d9d9ed97d0f6135fa59ce842ffd7b6e7b33eb14c05a169eb8069c698b7de37fa",
+    ("mesh-lossy", False):
+        "0634ccd97e1d4252f58ec0384ebe106096a005ebd13f343218352c3c2b534e81",
+    ("mesh-lossy", True):
+        "0b3a84c768473b91c5b2d560d0d0105850280511e30673257dc731d2d0fd18ed",
+    ("mesh-replicated", False):
+        "7cfe19e7a54761d22113fb3953c9859002c7587a3299ac9ae38d4f40cb40afcf",
+    ("mesh-replicated", True):
+        "c78f47aaa272cc3a6c9a6145410e4697d768ee17d1df655ef3880a1fde13c123",
+}
+
+
+@pytest.mark.parametrize("family,fragmented", sorted(FAMILY_DIGESTS))
+def test_run_families_match_golden(family, fragmented):
+    assert family_digest(family, fragmented) == FAMILY_DIGESTS[(family, fragmented)]
