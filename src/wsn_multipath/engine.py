@@ -53,6 +53,7 @@ class _Flow:
     route: list[int]                # current route; replacement rewrites it
     quota: int
     tau_s: float
+    first_seq: int = 0              # seq of its first packet
     next_seq: int = 0               # backlog position, 0..quota
     outstanding: int = 0
     delivered: int = 0
@@ -61,6 +62,7 @@ class _Flow:
     last_delivery_s: float = 0.0
     wait_total_s: float = 0.0
     wait_hops: int = 0
+    last_arrival: dict[int, int] = field(default_factory=dict)  # node -> seq, for its watchdog
 
     @property
     def backlog(self) -> int:
@@ -73,6 +75,17 @@ class _Flow:
     @property
     def finished(self) -> bool:
         return self.resolved >= self.quota
+
+
+@dataclass(slots=True)
+class _Hop:
+    """One directed hop, built by `Engine._hop` for its first frame; only
+    `failed` changes, counting data attempts since a success or self-check."""
+
+    delay_s: float
+    pair: tuple[int, int]           # (low id, high id), as link faults name it
+    costs: dict[str, tuple[float, float, float]]  # kind -> (service s, tx J, rx J)
+    failed: int = 0
 
 
 _SHARED = "shared"  # the shared FIFO's one key
@@ -305,13 +318,11 @@ class Engine:
         self.queues: dict[int, _NodeQueues] = {}
         self._busy = dict.fromkeys(self.topology.nodes, False)
         self._busy_time = dict.fromkeys(self.topology.nodes, 0.0)
-        self._attempts: dict[tuple[int, int], int] = {}
         self._tracing = self.config.record_trace
         self._loss_prob = self.config.loss_prob
         self._rx_per_bit = receive_energy_per_bit(self.params)
-        # (sender, receiver) -> `_hop`'s record, filled by the hop's first
-        # frame; nothing writes the topology, so an entry never goes stale
-        self._hops: dict[tuple[int, int], tuple] = {}
+        # (sender, receiver) -> the hop's record, made by its first frame
+        self._hops: dict[tuple[int, int], _Hop] = {}
         # run state; the topology and specs are never written. A node is
         # dead exactly when it has a fault time, a link down exactly when
         # it has a down time.
@@ -321,18 +332,11 @@ class Engine:
         self._spares = set(scenario.redundant)
         self._down_links: dict[tuple[int, int], float] = {}
         self._fault_resolved: set[int] = set()
-        # (flow key, node) -> seq of the flow's last packet to arrive there
-        self._last_arrival: dict[tuple[tuple[int, int], int], int] = {}
         # source -> one byte per sequence number, set by its first copy to
         # land; a source completes when the first copy of its last packet
         # lands, and event time never decreases, so the latest first copy
         # is its completion
         self._first_copy: dict[int, bytearray] = {}
-        self._completion: dict[int, float] = {}
-        # beacon uid -> (suspect hop, targets tried); a beacon's packet
-        # names its origin (source) and target (destination)
-        self._beacons: dict[int, tuple[int, set[int]]] = {}
-        self._source_seq: dict[int, itertools.count] = {}
         self.flows: dict[tuple[int, int], _Flow] = {}
         # (source, first-hop queue key) -> flows that found it full or
         # blocked, by flow key, in the order they did
@@ -360,13 +364,14 @@ class Engine:
             quotas = self._allocate(spec)
             self.metrics.injected[spec.node_id] = sum(quotas)
             self.metrics.per_source_comm_j[spec.node_id] = 0.0
-            self._source_seq[spec.node_id] = itertools.count()
-            # the quotas sum to `packets`, and each replicated path numbers
-            # its copies 0..packets-1
+            self.metrics.per_source_completion_s[spec.node_id] = 0.0
+            # each replicated path numbers its copies 0..packets-1; other
+            # paths number theirs in consecutive blocks of their quotas
             self._first_copy[spec.node_id] = bytearray(spec.packets)
             for idx, (path, quota) in enumerate(zip(spec.paths, quotas)):
-                flow = _Flow(key=(spec.node_id, idx), route=list(path.nodes),
-                             quota=quota, tau_s=path.tau_s)
+                flow = _Flow(key=(spec.node_id, idx), route=list(path.nodes), quota=quota,
+                             tau_s=path.tau_s,
+                             first_seq=0 if self.config.replicate else sum(quotas[:idx]))
                 self.flows[flow.key] = flow
 
     # ------------------------------------------------------------- primitives
@@ -403,11 +408,10 @@ class Engine:
                 self.config.queue_packets_per_subqueue, self.config.fragmented)
         return queues
 
-    def _hop(self, sender: int, receiver: int) -> tuple:
-        """Build the hop's record for its first frame: (link delay, (low id,
-        high id) for link faults, {frame kind: (service seconds, transmit
-        joules, receive joules)}). The link is looked up first, so that a
-        missing one raises RoutingError before any energy error."""
+    def _hop(self, sender: int, receiver: int) -> _Hop:
+        """Build the hop's record for its first frame. The link is looked up
+        first, so that a missing one raises RoutingError before any energy
+        error."""
         link, config = self.topology.link(sender, receiver), self.config
         tx_per_bit = None if config.energy_mode == "per_packet" else transmit_energy_per_bit(
             self.params, self.topology.distance(sender, receiver))
@@ -418,7 +422,7 @@ class Engine:
             costs[kind] = ((occupancy, config.tx_power_w * occupancy, config.rx_power_w * occupancy)
                            if tx_per_bit is None
                            else (occupancy, tx_per_bit * bits, self._rx_per_bit * bits))
-        record = self._hops[(sender, receiver)] = (
+        record = self._hops[(sender, receiver)] = _Hop(
             link.delay_s, (min(sender, receiver), max(sender, receiver)), costs)
         return record
 
@@ -435,10 +439,9 @@ class Engine:
             parked = self._parked.setdefault((source, queues.key(next_hop)), {})
             parked[flow.key] = flow
             return False
-        seq = (flow.next_seq if self.config.replicate
-               else next(self._source_seq[flow.key[0]]))
         pkt = Packet(kind="data", source=flow.key[0],
-                     destination=flow.route[-1], flow=flow, seq=seq,
+                     destination=flow.route[-1], flow=flow,
+                     seq=flow.first_seq + flow.next_seq,
                      uid=next(self._uid), enq_s=self._now)
         flow.next_seq += 1
         flow.outstanding += 1
@@ -482,7 +485,7 @@ class Engine:
                 self.metrics.duplicates += 1
             else:
                 landed[pkt.seq] = 1
-                self._completion[pkt.source] = self._now
+                self.metrics.per_source_completion_s[pkt.source] = self._now
         else:
             flow.dropped += 1
             if fate == "overflow":
@@ -498,8 +501,7 @@ class Engine:
         if pkt.kind == "data":
             self._packet_resolved(pkt, "fault")
         else:
-            suspect, _tried = self._beacons.pop(pkt.uid)
-            self._end_self_check(pkt.source, suspect)
+            self._end_self_check(pkt.source, pkt.flow[0])  # (suspect, tried)
 
     # ---------------------------------------------------------------- service
 
@@ -530,7 +532,7 @@ class Engine:
             next_hop = pkt.destination
             bucket, source = "tx_control", None
         hop = self._hops.get((node_id, next_hop)) or self._hop(node_id, next_hop)
-        occupancy, tx_j, _rx_j = hop[2][kind]
+        occupancy, tx_j, _rx_j = hop.costs[kind]
         self._debit(node_id, tx_j, bucket, source)
         self._busy[node_id] = True
         self._busy_time[node_id] += occupancy
@@ -540,38 +542,35 @@ class Engine:
                                       next(self._event_counter), self._on_service_end,
                                       pkt, next_hop, hop))
 
-    def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int, hop: tuple) -> None:
+    def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int, hop: _Hop) -> None:
         """`hop` is the record `_serve` priced the frame with."""
         self._busy[node_id] = False
-        delay_s, pair, costs = hop
         lost = self._loss_prob > 0.0 and self.rng.random() < self._loss_prob
         if node_id in self._fault_time:
             self._lose(pkt)  # the transmitter died mid-send
-        elif (next_hop in self._fault_time or pair in self._down_links
+        elif (next_hop in self._fault_time or hop.pair in self._down_links
               or lost):
-            self._on_attempt_failed(node_id, next_hop, pkt)
+            self._on_attempt_failed(node_id, next_hop, pkt, hop)
         else:
-            heapq.heappush(self._events, (self._now + delay_s, _RANK_ARRIVAL, next_hop,
+            heapq.heappush(self._events, (self._now + hop.delay_s, _RANK_ARRIVAL, next_hop,
                                           next(self._event_counter), self._on_arrival,
-                                          pkt, node_id, costs[pkt.kind]))
+                                          pkt, hop, hop.costs[pkt.kind]))
         self._try_start(node_id)
 
-    def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet) -> None:
+    def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet, hop: _Hop) -> None:
         self.metrics.retransmissions += 1
         if pkt.kind != "data":
-            suspect, tried = self._beacons.pop(pkt.uid)
+            suspect, tried = pkt.flow
             if not self._send_beacon(node_id, suspect, tried | {pkt.destination}):
                 self._end_self_check(node_id, suspect)
             return
-        key = (node_id, next_hop)
-        self._attempts[key] = self._attempts.get(key, 0) + 1
+        hop.failed += 1
         flow = pkt.flow
         queues = self.queues[node_id]
         # the route's current next hop may already be a replacement node
         # rather than the hop just attempted
         requeue_hop = flow.route[pkt.hop + 1]
-        spent = (requeue_hop == next_hop
-                 and self._attempts[key] >= self.config.max_attempts)
+        spent = requeue_hop == next_hop and hop.failed >= self.config.max_attempts
         if spent and self._send_beacon(node_id, next_hop, tried=set()):
             # the hop stays blocked while its self-check beacon is out
             queues.block(next_hop)
@@ -584,9 +583,9 @@ class Engine:
             queues.requeue(pkt, requeue_hop)
             pkt.enq_s = self._now
 
-    def _on_arrival(self, node_id: int, pkt: Packet, sender: int, cost: tuple) -> None:
-        """`cost` is the frame's (service s, transmit J, receive J) on the
-        hop from `sender`. A data frame that finds the node idle with an
+    def _on_arrival(self, node_id: int, pkt: Packet, hop: _Hop, cost: tuple) -> None:
+        """`cost` is the frame's (service s, transmit J, receive J) on `hop`,
+        the hop it came over. A data frame that finds the node idle with an
         empty buffer and its key open goes straight to service."""
         if self._tracing:
             self._trace("arrival", node_id, pkt.uid)
@@ -604,8 +603,7 @@ class Engine:
             return
         flow = pkt.flow
         pkt.hop += 1
-        if self._attempts:
-            self._attempts.pop((sender, node_id), None)  # success resets the counter
+        hop.failed = 0  # success resets the counter
         # the last hop delivers, by position: after a link fault into the
         # sink, a spare may hold the route's end while this packet flew on
         if pkt.hop == len(flow.route) - 1:
@@ -661,7 +659,7 @@ class Engine:
         self.metrics.dropped_fault += lost
 
     def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int) -> None:
-        self._last_arrival[(flow.key, node_id)] = seq
+        flow.last_arrival[node_id] = seq
         if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
         # expected next arrival: one full per-packet cycle under windowed
@@ -674,7 +672,7 @@ class Engine:
     def _on_timer(self, node_id: int, flow: _Flow, seq: int, expected_s: float) -> None:
         if flow.finished or flow.abandoned:
             return
-        if self._last_arrival.get((flow.key, node_id)) != seq:
+        if flow.last_arrival.get(node_id) != seq:
             return  # newer traffic arrived; no silence to act on
         if node_id in self._fault_time:
             return
@@ -701,15 +699,13 @@ class Engine:
             return False
         target = candidates[0]
         pkt = Packet(kind="beacon", source=origin, destination=target,
-                     flow=None, seq=0, uid=next(self._uid))
-        self._beacons[pkt.uid] = (suspect, tried)
+                     flow=(suspect, tried), seq=0, uid=next(self._uid))
         self._queues_at(origin).enqueue_control(pkt)
         self._try_start(origin)
         return True
 
     def _on_beacon_arrived(self, pkt: Packet) -> None:
-        origin = pkt.source
-        suspect, _tried = self._beacons.pop(pkt.uid)
+        origin, (suspect, _tried) = pkt.source, pkt.flow
         # the suspect node failed, or else the link to it did
         down_s = self._fault_time.get(suspect, self._down_links.get(
             (min(origin, suspect), max(origin, suspect))))
@@ -723,7 +719,7 @@ class Engine:
         block, counts the hop's attempts anew and wakes its parked flows."""
         queues = self.queues[origin]
         queues.unblock(suspect)
-        self._attempts.pop((origin, suspect), None)
+        self._hops[(origin, suspect)].failed = 0  # its spent attempts made it
         self._slot_freed(origin, queues.key(suspect))
         self._try_start(origin)
 
@@ -733,11 +729,12 @@ class Engine:
         return min(live)[1] if live else None
 
     def _substitution_fits(self, flow: _Flow, failed: int, substitute: int) -> bool:
-        idx = flow.route.index(failed)
-        before = flow.route[idx - 1] if idx > 0 else None
-        after = flow.route[idx + 1] if idx + 1 < len(flow.route) else None
-        return all(other is None or self.topology.are_adjacent(other, substitute)
-                   for other in (before, after))
+        """The substitute is adjacent to the failed node's neighbours on the
+        route, and not on it already: a route visits each node once."""
+        route, idx = flow.route, flow.route.index(failed)
+        return substitute not in route and all(
+            self.topology.are_adjacent(other, substitute)
+            for other in route[max(idx - 1, 0):idx] + route[idx + 1:idx + 2])
 
     def _detect(self, kind: str, detector: int, failed: int, down_s: float,
                 expected_s: float) -> None:
@@ -774,7 +771,8 @@ class Engine:
         for nid in holders:
             self.queues[nid].retarget(failed, substitute)
             self._slot_freed(nid, failed)
-            self._attempts.pop((nid, failed), None)
+            if (nid, failed) in self._hops:
+                self._hops[(nid, failed)].failed = 0
         for nid in holders:
             self._try_start(nid)
 
@@ -903,8 +901,6 @@ class Engine:
                     "mean_wait_s": (flow.wait_total_s / flow.wait_hops
                                     if flow.wait_hops else 0.0),
                 }
-        self.metrics.per_source_completion_s = {
-            s.node_id: self._completion.get(s.node_id, 0.0) for s in self.specs}
         self.metrics.completion_s = max(
             self.metrics.per_source_completion_s.values(), default=0.0)
         self._check_energy_ledger()

@@ -218,7 +218,8 @@ def write_plot_data(rows: list[dict], out_dir: str) -> None:
     suite; other rows give none.
 
     A run's path rows give their 1-based path index against quota and
-    simulated delay, in row order. The schemes suite gives the same for
+    simulated delay, in row order; a path that delivered nothing has a
+    quota but no delay. The schemes suite gives the same for
     its strategic runs and each scheme's net delay and energy, in files
     suffixed ``_d{D}``."""
     series: dict[str, list[tuple]] = {}
@@ -235,7 +236,8 @@ def write_plot_data(rows: list[dict], out_dir: str) -> None:
             continue
         series.setdefault(f"allocation_per_path{tag}.dat", []).append(
             (row["path"] + 1, row["quota"]))
-        series.setdefault(f"delay_per_path{tag}.dat", []).append((row["path"] + 1, delay))
+        if row["delivered"]:  # a path that delivered nothing has no delay
+            series.setdefault(f"delay_per_path{tag}.dat", []).append((row["path"] + 1, delay))
     for (d, scheme), row in sorted(runs.items()):
         series.setdefault(f"delay_vs_scheme_d{d}.dat", []).append(
             (scheme, row["net_delay_s"]))

@@ -161,8 +161,8 @@ class Packet:
     kind: str                   # data | beacon
     source: int
     destination: int
-    flow: object                # the engine's flow record, keyed (source id, path
-                                # index) by `.key`; None for a beacon
+    flow: object                # what the frame serves: a data frame's flow
+                                # record, a beacon's (suspect, targets tried)
     seq: int
     uid: int = 0                # global injection order; larger = newer
     hop: int = 0                # route index of the node holding the packet

@@ -363,9 +363,10 @@ def test_hop_record_matches_the_per_frame_expressions(energy_mode):
     assert topology.link(1, 11).speed_bps != topology.link(11, 2).speed_bps
     for sender, receiver in ((1, 11), (11, 2)):
         link = topology.link(sender, receiver)
-        delay_s, pair, costs = engine._hops[(sender, receiver)]
-        assert delay_s == link.delay_s and pair == (min(sender, receiver), max(sender, receiver))
-        assert set(costs) == {"data", "beacon"}
+        hop = engine._hops[(sender, receiver)]
+        assert hop.delay_s == link.delay_s
+        assert hop.pair == (min(sender, receiver), max(sender, receiver))
+        assert set(hop.costs) == {"data", "beacon"}
         for kind, size_bits in (("data", params.packet_size_bits),
                                 ("beacon", config.control_size_bits)):
             occupancy = size_bits / link.speed_bps
@@ -376,7 +377,7 @@ def test_hop_record_matches_the_per_frame_expressions(energy_mode):
                 tx_per_bit = transmit_energy_per_bit(params, topology.distance(sender, receiver))
                 expected = (occupancy, tx_per_bit * size_bits,
                             receive_energy_per_bit(params) * size_bits)
-            assert costs[kind] == expected
+            assert hop.costs[kind] == expected
 
 
 def test_zero_traffic_costs_nothing_but_sensing():
@@ -608,6 +609,31 @@ def test_replacement_prefers_nearest_spare():
     sc.redundant = (6, 8)
     metrics = run_scenario(sc)
     assert metrics.replacements == [(3, 6)]
+
+
+@pytest.mark.parametrize("fragmented", [True, False])
+def test_spare_already_on_the_route_does_not_replace(fragmented):
+    # spare 4 is adjacent to both route neighbours of the failed node 2,
+    # but it is already on the route: [1, 4, 3, 4, 5] would cross it twice,
+    # so the flow is abandoned as when no spare fits
+    sc = Scenario(
+        name="spare-on-route",
+        params=small_params(),
+        positions={1: (0.0, 0.0), 2: (0.0, 20.0), 3: (20.0, 20.0), 4: (20.0, 0.0),
+                   5: (40.0, 0.0)},
+        sink=5,
+        sources=[SourceDecl(1, 20, paths=[[1, 2, 3, 4, 5]])],
+        redundant=(4,),
+        faults=[FaultDecl(0.1, node=2)],
+        engine=RunConfig(scheme=2, window=1, fragmented=fragmented),
+    )
+    engine = Engine(sc)
+    metrics = engine.run()
+    assert [d["failed"] for d in metrics.detections] == [2]
+    assert metrics.replacements == []
+    assert [(src, idx) for src, idx, _lost in metrics.abandoned] == [(1, 0)]
+    assert engine.flows[(1, 0)].route == [1, 2, 3, 4, 5]
+    assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected == 20
 
 
 def test_degree_one_sender_defers_to_watchdog_then_abandons():

@@ -8,6 +8,7 @@ from wsn_multipath.experiments import (
     metrics_rows,
     run_multisource_frameworks,
     run_scheme_comparison,
+    write_plot_data,
     write_rows_csv,
 )
 from wsn_multipath.engine import run_scenario
@@ -115,3 +116,23 @@ def test_report_text_includes_checks(fan):
     report = run_scheme_comparison(fan, [20])
     text = report.to_text()
     assert "[PASS]" in text or "[FAIL]" in text
+
+
+def test_plot_data_leaves_a_path_that_delivered_nothing_out_of_the_delay_series(
+        mesh_sim, tmp_path):
+    # replicated over a shared FIFO, path (1, 0) drops every copy: its
+    # CSV delay reads 0.0, which a plot would show as the fastest path
+    metrics = run_scenario(configured(mesh_sim, packets=200, window=None,
+                                      replicate=True, fragmented=False))
+    assert metrics.per_path[(1, 0)]["delivered"] == 0
+    rows = metrics_rows(metrics)
+    paths = [r for r in rows if r.get("record") == "path"]
+    write_plot_data(rows, str(tmp_path))
+
+    def points(name):
+        return (tmp_path / name).read_text().splitlines()
+
+    assert len(points("allocation_per_path.dat")) == len(paths)
+    assert points("delay_per_path.dat") == [
+        f"{r['path'] + 1} {r['delay_sim_s']!r}" for r in paths if r["delivered"]]
+    assert len(points("delay_per_path.dat")) == len(paths) - 1
