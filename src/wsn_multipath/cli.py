@@ -180,7 +180,7 @@ def cmd_allocate(args) -> int:
     # the scenario's own probes, if it declares any, discount each route
     # by the last count they recorded
     contention = ({key: history[-1] for key, history
-                   in Engine(scenario).run().contention_history.items()}
+                   in Engine(scenario, (topology, specs)).run().contention_history.items()}
                   if scenario.engine.probe_times else {})
     rows = []
     for spec in specs:

@@ -23,14 +23,16 @@ def _lex_shortest_path(topology: Topology, source: int, sink: int,
                        blocked: set[int]) -> tuple[int, ...] | None:
     """Hop-count shortest path, lexicographically smallest node sequence.
 
-    BFS from the sink gives every node's distance-to-sink; the path is then
+    BFS from the sink gives distances-to-sink; the path is then
     reconstructed greedily from the source, always stepping to the
-    lowest-id neighbor one level closer. `blocked` nodes are unusable as
-    interior nodes; it never holds the source or the sink.
+    lowest-id neighbor one level closer. The search ends with the level
+    that reaches the source: reconstruction reads only nodes nearer the
+    sink, and all of them are known by then. `blocked` nodes are unusable
+    as interior nodes; it never holds the source or the sink.
     """
     dist = {sink: 0}
     frontier = [sink]
-    while frontier:
+    while frontier and source not in dist:
         nxt = []
         for n in frontier:
             for m in topology.neighbors(n):

@@ -10,11 +10,13 @@ identical scenario and seed reproduce every metric bit for bit.
 from __future__ import annotations
 
 import bisect
+import copy
+import functools
 import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
 from .allocator import AllocationInput, PathParams, scheme_allocation
@@ -25,7 +27,7 @@ from .metrics import (
     receive_energy_per_bit,
     transmit_energy_per_bit,
 )
-from .model import Packet, RoutingError, SourceSpec
+from .model import Packet, RoutingError, SourceSpec, Topology
 from .scenario import RunConfig, Scenario, build_scenario, scenario_hash
 
 
@@ -256,9 +258,8 @@ class _NodeQueues:
 
 @dataclass
 class RunMetrics:
-    scenario_name: str
-    scenario_hash: str
-    seed: int
+    # the scenario as the engine was built from it; nothing writes it
+    scenario: Scenario = field(repr=False)
     completion_s: float = 0.0
     per_source_completion_s: dict[int, float] = field(default_factory=dict)
     per_path: dict[tuple[int, int], dict] = field(default_factory=dict)
@@ -282,6 +283,20 @@ class RunMetrics:
     trace: list[str] = field(default_factory=list)
 
     @property
+    def scenario_name(self) -> str:
+        return self.scenario.name
+
+    @property
+    def seed(self) -> int:
+        return self.scenario.seed
+
+    @functools.cached_property
+    def scenario_hash(self) -> str:
+        """The scenario's hash, computed when first read: a run whose
+        report prints no hash never computes one."""
+        return scenario_hash(self.scenario)
+
+    @property
     def total_injected(self) -> int:
         return sum(self.injected.values())
 
@@ -295,20 +310,28 @@ class RunMetrics:
 
 
 class Engine:
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario,
+                 built: tuple[Topology, list[SourceSpec]] | None = None):
+        """An engine for `scenario`. `built` is what `build_scenario`
+        returned for it, or for a scenario that differs from it only in its
+        run config and its sources' packet counts; without it the engine
+        builds its own."""
         self.scenario = scenario
         self.config: RunConfig = scenario.engine
         self.params = scenario.params
         self.rng = random.Random(scenario.seed)
-        self.topology, self.specs = build_scenario(scenario)
+        self.topology, specs = built or build_scenario(scenario)
+        # the build may be another scenario's: the packet counts are this one's
+        self.specs = [replace(spec, packets=decl.packets)
+                      for spec, decl in zip(specs, scenario.sources)]
         self.detection = (self.config.fault_detection == "on"
                           or (self.config.fault_detection == "auto"
                               and bool(scenario.faults)))
-        self.metrics = RunMetrics(
-            scenario_name=scenario.name,
-            scenario_hash=scenario_hash(scenario),
-            seed=scenario.seed,
-        )
+        # the run's hash is computed when first read, from a copy of the
+        # scenario, so that a change the caller makes in the meantime cannot
+        # move it; the copy's positions are the topology's own copy of them
+        self.metrics = RunMetrics(scenario=copy.deepcopy(
+            scenario, {id(scenario.positions): self.topology.nodes}))
         self._uid = itertools.count(1)
         self._event_counter = itertools.count()
         self._events: list[tuple] = []
@@ -921,8 +944,9 @@ class Engine:
                 f"nodes were drained of {drained!r} J but {spent!r} J were spent")
 
 
-def run_scenario(scenario: Scenario) -> RunMetrics:
-    return Engine(scenario).run()
+def run_scenario(scenario: Scenario,
+                 built: tuple[Topology, list[SourceSpec]] | None = None) -> RunMetrics:
+    return Engine(scenario, built).run()
 
 
 __all__ = [

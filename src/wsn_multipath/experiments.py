@@ -11,12 +11,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import RunMetrics, run_scenario
-from .scenario import Scenario, scenario_hash
+from .scenario import Scenario, build_scenario, scenario_hash
 
 def configured(scenario: Scenario, packets: int | None = None,
                **engine_overrides) -> Scenario:
@@ -85,16 +86,21 @@ def _run_suite(suite: str, scenario: Scenario, packet_counts: list[int], jobs: i
     """Run the suite's cells, one per (traffic volume, variant) in that
     order and `jobs` at a time, and tabulate them: `rows(d, variant,
     metrics)` gives a cell's rows, which follow the provenance columns.
-    Returns the report, without checks, and the runs by cell."""
+    Returns the report, without checks, and the runs by cell.
+
+    The cells differ from the scenario only in packet counts and run
+    config, so they share its one build: one topology and one path set per
+    source. The report's hash is the only one computed."""
     report = Report(suite=suite, scenario_hash=scenario_hash(scenario))
     variants = _VARIANTS[suite]
     keys = [(d, v) for d in packet_counts for v in variants]
     cells = [configured(scenario, packets=d, **variants[v]) for d, v in keys]
+    built = build_scenario(scenario)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_scenario, cells))
+            results = list(pool.map(run_scenario, cells, itertools.repeat(built)))
     else:
-        results = [run_scenario(c) for c in cells]
+        results = [run_scenario(c, built) for c in cells]
     base = {"suite": suite, "scenario": scenario.name, "scenario_hash": report.scenario_hash}
     for (d, variant), metrics in zip(keys, results):
         report.rows += [{**base, "seed": metrics.seed, **row}

@@ -221,10 +221,12 @@ def _pairs_in_range(positions: dict[int, tuple[float, float]],
     """Every pair (a, b), a < b, within radio range, in ascending order.
 
     Fixed-radius near-neighbour grid (Bentley, Stanat & Williams, 1977):
-    nodes are bucketed into square cells and a node is tested only against
-    its own cell and the 8 around it. The cells are a hair wider than the
-    range, by a margin that grows with the largest coordinate, so that the
-    rounding of ``x / width`` can never put an in-range pair two cells apart.
+    nodes are bucketed into square cells, and each pair of nodes in one
+    cell or in two touching cells is tested once: a cell against itself
+    and against the 4 of its 8 neighbours that lie after it. The cells are
+    a hair wider than the range, by a margin that grows with the largest
+    coordinate, so that the rounding of ``x / width`` can never put an
+    in-range pair two cells apart.
     """
     extent = max((max(abs(x), abs(y)) for x, y in positions.values()), default=0.0)
     width = radio_range_m * (1.0 + 2.0 ** -40 * max(1.0, extent / radio_range_m))
@@ -234,15 +236,14 @@ def _pairs_in_range(positions: dict[int, tuple[float, float]],
     hypot = math.hypot
     pairs = []
     for (cx, cy), members in cells.items():
-        near = [nid for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-                for nid in cells.get((cx + dx, cy + dy), ())]
-        for a in members:
+        after = [nid for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1))
+                 for nid in cells.get((cx + dx, cy + dy), ())]
+        for i, a in enumerate(members):
             ax, ay = positions[a]
-            for b in near:
-                if a < b:
-                    bx, by = positions[b]
-                    if hypot(ax - bx, ay - by) <= radio_range_m:
-                        pairs.append((a, b))
+            for b in members[i + 1:] + after:
+                bx, by = positions[b]
+                if hypot(ax - bx, ay - by) <= radio_range_m:
+                    pairs.append((a, b) if a < b else (b, a))
     pairs.sort()
     return pairs
 

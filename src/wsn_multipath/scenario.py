@@ -151,9 +151,12 @@ class Scenario:
 
     def to_dict(self) -> dict:
         redundant = set(self.redundant)
-        nodes = [{"id": nid, **({"redundant": True} if nid in redundant else {}),
-                  "x": float(x), "y": float(y)}
-                 for nid, (x, y) in sorted(self.positions.items())]
+        return self._mapping([{"id": nid, **({"redundant": True} if nid in redundant else {}),
+                               "x": float(x), "y": float(y)}
+                              for nid, (x, y) in sorted(self.positions.items())])
+
+    def _mapping(self, nodes) -> dict:
+        """The mapping `to_dict` returns, with `nodes` for its node list."""
         return {
             "name": self.name,
             "seed": self.seed,
@@ -220,7 +223,7 @@ class Scenario:
 
 def save_scenario(scenario: Scenario, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(_text(scenario, sort_keys=False))
+        fh.writelines(_pieces(scenario, sort_keys=False))
 
 
 # The node list as `save_scenario` writes it: a top-level `nodes:` key, then
@@ -293,33 +296,39 @@ def _yaml_float(value: float) -> str:
     return text
 
 
-def _text(scenario: Scenario, sort_keys: bool) -> str:
-    """The text of `yaml.dump(scenario.to_dict(), sort_keys=sort_keys)`.
+def _pieces(scenario: Scenario, sort_keys: bool):
+    """The text of `yaml.dump(scenario.to_dict(), sort_keys=sort_keys)`, in
+    pieces.
 
     Each top-level key is dumped on its own, in the dump's order, except
-    the node list, whose entries are written here: a block sequence of
-    mappings with an int id, `redundant: true` when set and two floats,
-    in the same order with sorted keys or without. That skips building
-    and resolving a YAML node for every entry of a large deployment."""
-    data = scenario.to_dict()
-    parts = []
+    the node list, whose entries are written here straight from the
+    positions, one piece per node: a block sequence of mappings with an
+    int id, `redundant: true` when set and two floats, in the same order
+    with sorted keys or without. That skips building and resolving a YAML
+    node, or a dict, for every entry of a large deployment."""
+    data = scenario._mapping(nodes=None)
     for key in sorted(data) if sort_keys else data:
-        value = data[key]
-        if key != "nodes" or not value:
-            parts.append(yaml.dump({key: value}, Dumper=_Dumper, sort_keys=sort_keys))
-            continue
-        parts.append("nodes:\n")
-        for entry in value:
-            spare = "  redundant: true\n" if entry.get("redundant") else ""
-            parts.append(f"- id: {entry['id']}\n{spare}  x: {_yaml_float(entry['x'])}\n"
-                         f"  y: {_yaml_float(entry['y'])}\n")
-    return "".join(parts)
+        if key != "nodes":
+            yield yaml.dump({key: data[key]}, Dumper=_Dumper, sort_keys=sort_keys)
+        elif not scenario.positions:
+            yield "nodes: []\n"
+        else:
+            yield "nodes:\n"
+            positions, redundant = scenario.positions, set(scenario.redundant)
+            for nid in sorted(positions):
+                x, y = positions[nid]
+                spare = "  redundant: true\n" if nid in redundant else ""
+                yield (f"- id: {nid}\n{spare}  x: {_yaml_float(float(x))}\n"
+                       f"  y: {_yaml_float(float(y))}\n")
 
 
 def scenario_hash(scenario: Scenario) -> str:
     """First 16 hex digits of the SHA-256 of the scenario's YAML dump with
-    sorted keys."""
-    return hashlib.sha256(_text(scenario, sort_keys=True).encode()).hexdigest()[:16]
+    sorted keys, fed to the digest piece by piece."""
+    digest = hashlib.sha256()
+    for piece in _pieces(scenario, sort_keys=True):
+        digest.update(piece.encode())
+    return digest.hexdigest()[:16]
 
 
 def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
@@ -335,6 +344,10 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
     sources without one get discovered interior-disjoint paths, and a
     source that cannot reach the sink is a ConnectivityError. Each path
     carries its tau and hop distance, each spec its source-sink distance.
+
+    A source's packet count is copied into its spec and read nowhere else,
+    and the run config is not read, so one build serves every scenario that
+    differs from this one only in those.
     """
     topo = build_topology(
         scenario.positions,

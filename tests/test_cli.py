@@ -114,6 +114,25 @@ def test_allocate_choke_shifts_quotas(tmp_path, capsys):
     assert choke_quotas == expected
 
 
+def test_allocate_with_probes_builds_once(tmp_path, monkeypatch, capsys):
+    # the probed run reuses the deployment allocate built for its rows
+    from wsn_multipath import scenario as scenario_module
+    sc = shipped("three-source-mesh", packets=30)
+    sc.engine.probe_times = [0.5]
+    path = tmp_path / "mesh-probed.yaml"
+    save_scenario(sc, str(path))
+    build_topology, builds = scenario_module.build_topology, []
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build_topology(*args, **kwargs)
+
+    monkeypatch.setattr(scenario_module, "build_topology", counted)
+    assert main(["allocate", "--scenario", str(path), "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 9
+    assert len(builds) == 1
+
+
 def test_allocate_without_probes_runs_no_engine(mesh_file, monkeypatch, capsys):
     def no_run(self):
         raise AssertionError("allocate ran the engine")

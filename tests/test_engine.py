@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wsn_multipath import engine as engine_module
 from wsn_multipath.engine import Engine, RunMetrics, SimulationError, run_scenario
 from wsn_multipath.experiments import configured, metrics_rows, render_rows
 from wsn_multipath.metrics import receive_energy_per_bit, transmit_energy_per_bit
@@ -19,6 +20,7 @@ from wsn_multipath.scenario import (
     Scenario,
     SourceDecl,
     build_scenario,
+    scenario_hash,
 )
 
 from conftest import (
@@ -932,6 +934,23 @@ def test_pass_through_leaves_what_enqueue_then_dispatch_leaves(case, monkeypatch
     assert any(taken)
     for name in (f.name for f in dataclasses.fields(RunMetrics)):
         assert getattr(default, name) == getattr(queued, name), name
+
+
+def test_run_reports_the_hash_of_the_scenario_it_was_built_from(monkeypatch):
+    sc = crossing_fault_scenario(3, fragmented=True, spare=False)
+    expected = scenario_hash(sc)
+    hashed = []
+    monkeypatch.setattr(engine_module, "scenario_hash",
+                        lambda s: hashed.append(s) or scenario_hash(s))
+    metrics = run_scenario(sc)
+    assert hashed == []  # nothing read the hash yet
+    sc.engine.scheme = 1
+    sc.engine = RunConfig(scheme=2)
+    sc.faults.append(FaultDecl(0.5, node=sc.sources[0].id))
+    sc.faults = []
+    assert scenario_hash(sc) != expected
+    assert metrics.scenario_hash == metrics.scenario_hash == expected
+    assert len(hashed) == 1  # computed once, when first read
 
 
 def test_livelock_guard_fires():

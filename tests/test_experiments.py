@@ -2,6 +2,9 @@ import math
 
 import pytest
 
+from wsn_multipath import engine as engine_module
+from wsn_multipath import experiments
+from wsn_multipath import scenario as scenario_module
 from wsn_multipath.experiments import (
     Report,
     configured,
@@ -12,6 +15,8 @@ from wsn_multipath.experiments import (
     write_rows_csv,
 )
 from wsn_multipath.engine import run_scenario
+
+from conftest import fingerprint, shipped
 
 
 def test_configured_overrides_do_not_touch_original(fan):
@@ -91,6 +96,46 @@ def test_parallel_jobs_match_serial(fan):
     serial = run_scheme_comparison(fan, [20], jobs=1)
     parallel = run_scheme_comparison(fan, [20], jobs=2)
     assert serial.rows == parallel.rows
+
+
+@pytest.mark.parametrize("run_suite,name", [
+    (run_scheme_comparison, "five-path-fan"),
+    (run_multisource_frameworks, "three-source-mesh-sim"),
+])
+def test_suite_cells_equal_runs_alone(run_suite, name, monkeypatch):
+    # every cell runs on the suite's one build; each must report what
+    # its own scenario reports when it builds its own
+    cells = []
+
+    def recorded(cell, built):
+        metrics = run_scenario(cell, built)
+        cells.append((cell, metrics))
+        return metrics
+
+    monkeypatch.setattr(experiments, "run_scenario", recorded)
+    run_suite(configured(shipped(name), record_trace=True), [40, 80])
+    assert len(cells) == 2 * 3
+    for cell, metrics in cells:
+        assert fingerprint(metrics) == fingerprint(run_scenario(cell))
+
+
+def test_suite_builds_once_and_hashes_once(mesh_sim, monkeypatch):
+    calls = {"topology": 0, "hash": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scenario_module, "build_topology",
+                        counted("topology", scenario_module.build_topology))
+    for module in (engine_module, experiments):
+        monkeypatch.setattr(module, "scenario_hash",
+                            counted("hash", module.scenario_hash))
+    report = run_multisource_frameworks(mesh_sim, [20, 40])
+    assert len(report.rows) == 2 * 3 * 3
+    assert calls == {"topology": 1, "hash": 1}
 
 
 def test_rows_carry_provenance(fan):

@@ -4,7 +4,8 @@ prints for them, and of traced runs of
 the fault-recovery fixtures, the pipelined meshes, the engine modes no
 shipped scenario runs and a 1000-node deployment with a failure; and one
 digest per family of traced runs and queue discipline, over everything
-each run reports (`fingerprint`).
+each run reports (`fingerprint`), plus one over the path sets discovered
+from many sources of three 5,000-node deployments.
 
 The ROADMAP rule is that the shipped scenarios' outputs stay bit-identical
 from one change to the next. A rerun test only compares two runs of the
@@ -21,12 +22,15 @@ from pathlib import Path
 import pytest
 
 from wsn_multipath.cli import main
+from wsn_multipath.discovery import discover_paths
 from wsn_multipath.engine import run_scenario
 from wsn_multipath.experiments import configured, metrics_rows, render_rows
+from wsn_multipath.model import build_topology
 from wsn_multipath.scenario import (
     FaultDecl,
     RunConfig,
     build_scenario,
+    generate_random_scenario,
     load_scenario,
 )
 
@@ -365,6 +369,7 @@ CROSSING_FAULT_SEEDS = range(75)
 BEACON_FAIL_TIMES = (0.05, 0.125, 0.3)
 TIMER_FAIL_TIMES = (0.2, 0.6, 1.0)
 CROSSING_PROBED_SEEDS = range(10)
+DISCOVERY_SEEDS = (701, 702, 703)
 MESH_VARIANTS = {
     "mesh-window-1": {"window": 1},
     "mesh-pipelined": {"window": None},
@@ -402,13 +407,32 @@ def family_runs(family: str, fragmented: bool):
         yield configured(base, fragmented=fragmented, record_trace=True)
 
 
+def discovery_lines():
+    """One line per source: the path sets `discover_paths` finds from every
+    250th node that reaches the sink, in id order, on the 5,000-node
+    deployments of `generate_random_scenario` at `DISCOVERY_SEEDS`."""
+    for seed in DISCOVERY_SEEDS:
+        scenario, _connected = generate_random_scenario(5000, 1200.0, 30.0, seed)
+        topology = build_topology(scenario.positions, scenario.params.radio_range_m)
+        sources = sorted(topology.reachable_from(scenario.sink) - {scenario.sink})
+        for source in sources[::250]:
+            paths = discover_paths(topology, source, scenario.sink)
+            yield f"{seed} {source} {[p.nodes for p in paths]!r}"
+
+
 def family_digest(family: str, fragmented: bool) -> str:
-    return _sha("\n".join(fingerprint(run_scenario(s))
-                          for s in family_runs(family, fragmented)).encode())
+    if family == "discovery-5000":
+        lines = discovery_lines()
+    else:
+        lines = (fingerprint(run_scenario(s)) for s in family_runs(family, fragmented))
+    return _sha("\n".join(lines).encode())
 
 
-# (family, fragmented)
+# (family, fragmented); discovery-5000 runs no engine, so it has one
+# entry, under False
 FAMILY_DIGESTS = {
+    ("discovery-5000", False):
+        "c0a3e94e270450432c20b0bd86b389718754160f58fe8ee84c9522a969dfeaf1",
     ("crossing-fault", False):
         "887d2ef690c4299ee8bd83d9b4c99ba2debda90426fb26d15203a2d62ea15778",
     ("crossing-fault", True):

@@ -83,11 +83,13 @@ def _all_pairs_links(positions, radio_range_m, overrides):
 @st.composite
 def _deployments(draw):
     radius = draw(st.sampled_from([30.0, 0.1, 1 / 3]))
+    # a few radii wide, around 0 or far from it on either side
+    base = draw(st.sampled_from([0.0, -7.5e3, 1e6, -3e9]))
     coordinate = st.one_of(
         st.floats(-4 * radius, 4 * radius, allow_nan=False),
         st.integers(-4, 4).map(lambda k: k * radius),   # lattice on the radius
-        st.floats(-1e-12, 1e-12, allow_nan=False),      # either side of 0
-    )
+        st.floats(-1e-12, 1e-12, allow_nan=False),      # either side of a base of 0
+    ).map(lambda v: base + v)
     ids = draw(st.lists(st.integers(0, 300), max_size=40, unique=True))
     positions = {nid: (draw(coordinate), draw(coordinate)) for nid in ids}
     # partners exactly one radius away along an axis

@@ -276,8 +276,22 @@ def test_text_is_the_yaml_dump(scenario):
     for sort_keys in (False, True):  # the hash digests the sorted one
         reference = yaml.dump(scenario.to_dict(), Dumper=scenario_module._Dumper,
                               sort_keys=sort_keys)
-        assert scenario_module._text(scenario, sort_keys) == reference
+        assert "".join(scenario_module._pieces(scenario, sort_keys)) == reference
     assert scenario_hash(scenario) == hashlib.sha256(reference.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("positions, redundant", [
+    # floats SafeRepresenter writes with an added ".0", in exponent form or
+    # signed, at negative coordinates
+    ({1: (1e17, -1e-05), 2: (-0.0, -250.5), 3: (-1e17, 1e-05)}, ()),
+    ({4: (0.0, 0.0), 2: (3.5, -4.0), 7: (1e-300, 12.0)}, (2, 7)),  # spares
+    ({}, ()),                                                      # no nodes
+])
+def test_streamed_hash_is_the_hash_of_the_dump(positions, redundant):
+    scenario = Scenario(name="streamed", params=small_params(), positions=positions,
+                        sink=1, sources=[SourceDecl(4, 10)], redundant=redundant)
+    dump = yaml.dump(scenario.to_dict(), sort_keys=True)
+    assert scenario_hash(scenario) == hashlib.sha256(dump.encode()).hexdigest()[:16]
 
 
 def _load_outcome(text: str, reader) -> str:
