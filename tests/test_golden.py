@@ -16,6 +16,7 @@ here and says why in CHANGES.md.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from pathlib import Path
 
@@ -369,6 +370,9 @@ CROSSING_FAULT_SEEDS = range(75)
 BEACON_FAIL_TIMES = (0.05, 0.125, 0.3)
 TIMER_FAIL_TIMES = (0.2, 0.6, 1.0)
 CROSSING_PROBED_SEEDS = range(10)
+BATTERY_SEEDS = range(40)
+BATTERY_ENERGIES_J = (0.002, 0.005)          # per node, crossing grids
+BATTERY_MESH_ENERGIES_J = (0.003, 0.006)     # per node, shipped meshes
 DISCOVERY_SEEDS = (701, 702, 703)
 MESH_VARIANTS = {
     "mesh-window-1": {"window": 1},
@@ -388,7 +392,11 @@ def family_runs(family: str, fragmented: bool):
     - mesh-*: both shipped meshes at 500 packets per source, the file's
       config with the variant's overrides;
     - crossing-probed: `crossing_scenario` seeds 0-9, probed at 0.1, 0.3
-      and 0.7 s."""
+      and 0.7 s;
+    - battery-death: detection on and no scheduled fault, so every node
+      that fails runs out of energy inside a handler: `crossing_scenario`
+      seeds 0-39 at `window` 1 and null with 2 and 5 mJ per node, then
+      both shipped meshes at 300 packets per source with 3 and 6 mJ."""
     if family.startswith("crossing-fault"):
         bases = (crossing_fault_scenario(seed, fragmented, spare=family.endswith("spare"))
                  for seed in CROSSING_FAULT_SEEDS)
@@ -399,12 +407,31 @@ def family_runs(family: str, fragmented: bool):
     elif family == "crossing-probed":
         bases = (configured(crossing_scenario(seed), probe_times=[0.1, 0.3, 0.7])
                  for seed in CROSSING_PROBED_SEEDS)
+    elif family == "battery-death":
+        bases = (configured(_with_energy(base, joules), fault_detection="on", **config)
+                 for base, joules, config in _battery_cases())
     else:
         bases = (configured(load_scenario(_scenario(name)), packets=500,
                             **MESH_VARIANTS[family])
                  for name in MESHES)
     for base in bases:
         yield configured(base, fragmented=fragmented, record_trace=True)
+
+
+def _with_energy(scenario, joules: float):
+    return dataclasses.replace(scenario, params=dataclasses.replace(
+        scenario.params, initial_energy_j=joules))
+
+
+def _battery_cases():
+    """(scenario, joules per node, run config) of the battery-death family."""
+    for seed in BATTERY_SEEDS:
+        for window in (1, None):
+            for joules in BATTERY_ENERGIES_J:
+                yield crossing_scenario(seed), joules, {"window": window}
+    for name in MESHES:
+        for joules in BATTERY_MESH_ENERGIES_J:
+            yield load_scenario(_scenario(name)), joules, {"packets": 300}
 
 
 def discovery_lines():
@@ -431,6 +458,10 @@ def family_digest(family: str, fragmented: bool) -> str:
 # (family, fragmented); discovery-5000 runs no engine, so it has one
 # entry, under False
 FAMILY_DIGESTS = {
+    ("battery-death", False):
+        "d4bddd239f939f837be1486f082f06dd38acb25ec5a2b0f11637852008039700",
+    ("battery-death", True):
+        "ffda9faad7a10d4486fff51ca02a242eb2df93dbcc506b25565b6d35de7631f5",
     ("discovery-5000", False):
         "c0a3e94e270450432c20b0bd86b389718754160f58fe8ee84c9522a969dfeaf1",
     ("crossing-fault", False):
