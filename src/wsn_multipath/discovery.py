@@ -30,22 +30,27 @@ def _lex_shortest_path(topology: Topology, source: int, sink: int,
     sink, and all of them are known by then. `blocked` nodes are unusable
     as interior nodes; it never holds the source or the sink.
     """
+    adjacency = topology.adjacency
     dist = {sink: 0}
+    seen = blocked | {sink}
     frontier = [sink]
-    while frontier and source not in dist:
+    level = 0
+    while frontier and source not in seen:
+        level += 1
         nxt = []
         for n in frontier:
-            for m in topology.neighbors(n):
-                if m not in dist and m not in blocked:
-                    dist[m] = dist[n] + 1
+            for m in adjacency[n]:
+                if m not in seen:
+                    seen.add(m)
                     nxt.append(m)
+        dist.update(dict.fromkeys(nxt, level))
         frontier = nxt
-    if source not in dist:
+    if source not in seen:
         return None
     path = [source]
     current = source
     while current != sink:
-        step = min(m for m in topology.neighbors(current)
+        step = min(m for m in adjacency[current]
                    if dist.get(m) == dist[current] - 1)
         path.append(step)
         current = step

@@ -65,6 +65,8 @@ class _Flow:
     wait_total_s: float = 0.0
     wait_hops: int = 0
     last_arrival: dict[int, int] = field(default_factory=dict)  # node -> seq, for its watchdog
+    # node -> its watchdog's deadline while off the heap: (seq, armed_s, counter)
+    held: dict[int, tuple[int, float, int]] = field(default_factory=dict)
 
     @property
     def backlog(self) -> int:
@@ -336,6 +338,10 @@ class Engine:
         self._event_counter = itertools.count()
         self._events: list[tuple] = []
         self._now = 0.0
+        # watchdog deadlines armed and never pushed; each counts as an event
+        self._held = 0
+        # (time, rank, node, counter) of the timer whose handler is acting
+        self._acting: tuple | None = None
         # a node's buffer is built when a frame is first queued there; a
         # node without one is empty
         self.queues: dict[int, _NodeQueues] = {}
@@ -635,7 +641,7 @@ class Engine:
             self._packet_resolved(pkt, "delivered")
             return
         if self.detection:
-            self._arm_receiver_timer(flow, node_id, pkt.seq)
+            self._arm_receiver_timer(flow, node_id, pkt)
         next_hop = flow.route[pkt.hop + 1]
         queues = self.queues.get(node_id)  # `_queues_at`, inlined per frame
         if queues is None:
@@ -660,6 +666,8 @@ class Engine:
     # ------------------------------------------------------------ fault logic
 
     def _node_failure(self, node_id: int) -> None:
+        """Every node that dies, by a scheduled fault or by a debit, dies
+        here."""
         if node_id in self._fault_time:
             return
         self._fault_time[node_id] = self._now
@@ -668,10 +676,16 @@ class Engine:
         if queues is not None:
             for pkt in queues.drain():
                 self._lose(pkt)
-        # data held at a dead source is gone with it
         for flow in self.flows.values():
-            if flow.route[0] == node_id:
-                self._discard_backlog(flow)
+            route = flow.route
+            if route[0] == node_id:
+                self._discard_backlog(flow)  # data held at a dead source is gone with it
+            # the watchdog just downstream may now act: its deadline enters the heap
+            if flow.held and node_id in route[:-1]:
+                watched = route[route.index(node_id) + 1]
+                hold = flow.held.pop(watched, None)
+                if hold is not None:
+                    self._release(flow, watched, hold)
 
     def _discard_backlog(self, flow: _Flow) -> None:
         lost = flow.backlog
@@ -681,20 +695,48 @@ class Engine:
         flow.dropped += lost
         self.metrics.dropped_fault += lost
 
-    def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int) -> None:
-        flow.last_arrival[node_id] = seq
+    def _arm_receiver_timer(self, flow: _Flow, node_id: int, pkt: Packet) -> None:
+        """Packet `pkt` of `flow` has reached `node_id` at route position
+        `pkt.hop`; its watchdog waits for the next one. The deadline takes
+        its heap key now, but enters the heap only once the node upstream
+        is dead: only then can it act. Until then the flow holds it."""
+        flow.last_arrival[node_id] = pkt.seq
         if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
-        # expected next arrival: one full per-packet cycle under windowed
-        # transfer, one service slot otherwise, plus the watchdog allowance
+        hold = (pkt.seq, self._now, next(self._event_counter))
+        if flow.route[pkt.hop - 1] in self._fault_time:
+            heapq.heappush(self._events, self._timer_entry(flow, node_id, hold))
+        else:
+            flow.held[node_id] = hold  # a newer hold leaves the older one a no-op
+            self._held += 1
+
+    def _timer_entry(self, flow: _Flow, node_id: int, hold: tuple[int, float, int]) -> tuple:
+        """The heap entry of a watchdog deadline armed as `hold`: the next
+        arrival is expected one full per-packet cycle later under windowed
+        transfer, one service slot otherwise, and the deadline passes the
+        watchdog allowance after that."""
+        _seq, armed_s, counter = hold
         cycle = (len(flow.route) - 1) * flow.tau_s if self.config.window else flow.tau_s
         allowance = self.config.max_attempts * flow.tau_s
-        self._push(self._now + cycle + allowance, _RANK_TIMER, node_id,
-                   self._on_timer, flow, seq, self._now + cycle)
+        return (armed_s + cycle + allowance, _RANK_TIMER, node_id, counter,
+                self._on_timer, flow, hold, armed_s + cycle)
 
-    def _on_timer(self, node_id: int, flow: _Flow, seq: int, expected_s: float) -> None:
+    def _release(self, flow: _Flow, node_id: int, hold: tuple[int, float, int]) -> None:
+        """The node upstream of `node_id` on `flow` has died: push its held
+        deadline, unless that sorts before the event being handled, so
+        that it passed, a no-op, while the node was alive. A death outside
+        a timer's handler comes before every timer at its time; the probes,
+        which sort after them, kill no node."""
+        entry = self._timer_entry(flow, node_id, hold)
+        if entry[:4] > (self._acting or (self._now, _RANK_ARRIVAL)):
+            heapq.heappush(self._events, entry)
+            self._held -= 1
+
+    def _on_timer(self, node_id: int, flow: _Flow, hold: tuple[int, float, int],
+                  expected_s: float) -> None:
         if flow.finished or flow.abandoned:
             return
+        seq, _armed_s, counter = hold
         if flow.last_arrival.get(node_id) != seq:
             return  # newer traffic arrived; no silence to act on
         if node_id in self._fault_time:
@@ -705,8 +747,10 @@ class Engine:
             return
         upstream = flow.route[pos - 1]
         if upstream in self._fault_time:
+            self._acting = (self._now, _RANK_TIMER, node_id, counter)
             self._detect("receiver_timer", node_id, upstream,
                          self._fault_time[upstream], expected_s)
+            self._acting = None
 
     def _send_beacon(self, origin: int, suspect: int, tried: set[int]) -> bool:
         """Self-check: a beacon to a third neighbor that arrives clears the
@@ -854,6 +898,9 @@ class Engine:
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
             self._try_start(nid)
+        # the cap bounds what `event_count` reports, the pops and the held
+        # deadlines: it is checked on the pops alone here, and in full at
+        # quiescence, so a run fails it exactly when the sum passes it
         events, pop, cap = self._events, heapq.heappop, self.config.max_events
         processed = 0
         while events:
@@ -861,13 +908,25 @@ class Engine:
             self._now = time
             processed += 1
             if processed > cap:
-                raise SimulationError(
-                    f"exceeded {cap} events at t={time:.6f}s; "
-                    f"{sum(f.resolved for f in self.flows.values())} packets resolved")
+                self._over_cap()
             handler(node, a, b, c)
-        self.metrics.event_count = processed
+        # a held deadline counts as the no-op it would have been, popped
+        # at its own time: the run ends at the latest of them and the last
+        # pop. A flow's newer holds have later deadlines than the ones they
+        # replaced, and a released one was pushed.
+        self._now = max([self._now, *(self._timer_entry(flow, node, hold)[0]
+                                      for flow in self.flows.values()
+                                      for node, hold in flow.held.items())])
+        if processed + self._held > cap:
+            self._over_cap()
+        self.metrics.event_count = processed + self._held
         self.metrics.final_time_s = self._now
         self._finalize()
+
+    def _over_cap(self) -> None:
+        raise SimulationError(
+            f"exceeded {self.config.max_events} events at t={self._now:.6f}s; "
+            f"{sum(f.resolved for f in self.flows.values())} packets resolved")
 
     def _check_quiescent(self) -> None:
         """Raise SimulationError for the first flow, in key order, that has

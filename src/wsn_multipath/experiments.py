@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -81,6 +80,19 @@ def render_rows(rows: list[dict], fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+# a pool worker's copy of the suite's shared build, sent once per worker
+_worker_build: tuple | None = None
+
+
+def _share_build(built) -> None:
+    global _worker_build
+    _worker_build = built
+
+
+def _run_cell(scenario: Scenario) -> RunMetrics:
+    return run_scenario(scenario, _worker_build)
+
+
 def _run_suite(suite: str, scenario: Scenario, packet_counts: list[int], jobs: int,
                rows) -> tuple[Report, dict[tuple, RunMetrics]]:
     """Run the suite's cells, one per (traffic volume, variant) in that
@@ -90,15 +102,17 @@ def _run_suite(suite: str, scenario: Scenario, packet_counts: list[int], jobs: i
 
     The cells differ from the scenario only in packet counts and run
     config, so they share its one build: one topology and one path set per
-    source. The report's hash is the only one computed."""
+    source, which reaches each pool worker once. The report's hash is the
+    only one computed."""
     report = Report(suite=suite, scenario_hash=scenario_hash(scenario))
     variants = _VARIANTS[suite]
     keys = [(d, v) for d in packet_counts for v in variants]
     cells = [configured(scenario, packets=d, **variants[v]) for d, v in keys]
     built = build_scenario(scenario)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_scenario, cells, itertools.repeat(built)))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_build,
+                                 initargs=(built,)) as pool:
+            results = list(pool.map(_run_cell, cells))
     else:
         results = [run_scenario(c, built) for c in cells]
     base = {"suite": suite, "scenario": scenario.name, "scenario_hash": report.scenario_hash}

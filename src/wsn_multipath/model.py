@@ -171,23 +171,19 @@ class Packet:
 
 class Topology:
     """Immutable radio-range adjacency over a fixed node deployment:
-    `nodes` maps each node id to its position, and `links` holds each
-    pair (low id, high id) in ascending order."""
+    `nodes` maps each node id to its position, `adjacency` each node id to
+    its neighbours in ascending order, and `links` holds each pair
+    (low id, high id) in ascending order. `build_topology` builds it."""
 
     def __init__(self, nodes: dict[int, tuple[float, float]],
+                 adjacency: dict[int, tuple[int, ...]],
                  links: dict[tuple[int, int], Link]):
         self.nodes = nodes
+        self.adjacency = adjacency
         self.links = links
-        # in ascending pair order, a node meets its lower neighbours in
-        # ascending order before any pair it leads, so every list is sorted
-        adj: dict[int, list[int]] = {nid: [] for nid in nodes}
-        for a, b in links:
-            adj[a].append(b)
-            adj[b].append(a)
-        self._adjacency = {nid: tuple(ids) for nid, ids in adj.items()}
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
-        return self._adjacency[node_id]
+        return self.adjacency[node_id]
 
     def are_adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.links
@@ -208,7 +204,7 @@ class Topology:
         while frontier:
             nxt = []
             for n in frontier:
-                for m in self._adjacency[n]:
+                for m in self.adjacency[n]:
                     if m not in seen:
                         seen.add(m)
                         nxt.append(m)
@@ -216,9 +212,9 @@ class Topology:
         return seen
 
 
-def _pairs_in_range(positions: dict[int, tuple[float, float]],
-                    radio_range_m: float) -> list[tuple[int, int]]:
-    """Every pair (a, b), a < b, within radio range, in ascending order.
+def _neighbors_in_range(positions: dict[int, tuple[float, float]],
+                        radio_range_m: float) -> dict[int, tuple[int, ...]]:
+    """Each node's neighbours within radio range, in ascending order.
 
     Fixed-radius near-neighbour grid (Bentley, Stanat & Williams, 1977):
     nodes are bucketed into square cells, and each pair of nodes in one
@@ -230,22 +226,21 @@ def _pairs_in_range(positions: dict[int, tuple[float, float]],
     """
     extent = max((max(abs(x), abs(y)) for x, y in positions.values()), default=0.0)
     width = radio_range_m * (1.0 + 2.0 ** -40 * max(1.0, extent / radio_range_m))
-    cells: dict[tuple[int, int], list[int]] = {}
+    cells: dict[tuple[int, int], list[tuple]] = {}
     for nid, (x, y) in positions.items():
-        cells.setdefault((math.floor(x / width), math.floor(y / width)), []).append(nid)
+        cells.setdefault((math.floor(x / width), math.floor(y / width)), []).append((nid, x, y))
     hypot = math.hypot
-    pairs = []
+    adjacency: dict[int, list[int]] = {nid: [] for nid in positions}
     for (cx, cy), members in cells.items():
-        after = [nid for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1))
-                 for nid in cells.get((cx + dx, cy + dy), ())]
-        for i, a in enumerate(members):
-            ax, ay = positions[a]
-            for b in members[i + 1:] + after:
-                bx, by = positions[b]
+        after = [node for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1))
+                 for node in cells.get((cx + dx, cy + dy), ())]
+        for i, (a, ax, ay) in enumerate(members):
+            near = adjacency[a]
+            for b, bx, by in members[i + 1:] + after:
                 if hypot(ax - bx, ay - by) <= radio_range_m:
-                    pairs.append((a, b) if a < b else (b, a))
-    pairs.sort()
-    return pairs
+                    near.append(b)
+                    adjacency[b].append(a)
+    return {nid: tuple(sorted(near)) for nid, near in adjacency.items()}
 
 
 def build_topology(positions: dict[int, tuple[float, float]], radio_range_m: float,
@@ -263,17 +258,17 @@ def build_topology(positions: dict[int, tuple[float, float]], radio_range_m: flo
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"node {nid} has a non-finite position")
     nodes = {nid: (float(x), float(y)) for nid, (x, y) in positions.items()}
+    adjacency = _neighbors_in_range(positions, radio_range_m)
     overrides = link_overrides or {}
-    links: dict[tuple[int, int], Link] = dict.fromkeys(
-        _pairs_in_range(positions, radio_range_m))
-    own = sorted(pair for pair in overrides if pair in links)
+    own = sorted((a, b) for a, b in overrides if a < b and b in adjacency.get(a, ()))
     # one shared default, built only when some pair takes it, so that an
     # invalid default raises where a record per pair would have raised
-    if len(own) < len(links):
-        links = dict.fromkeys(links, Link(link_speed_bps, link_delay_s))
+    pairs = sum(map(len, adjacency.values())) // 2
+    default = Link(link_speed_bps, link_delay_s) if len(own) < pairs else None
+    links = {(a, b): default for a in sorted(adjacency) for b in adjacency[a] if a < b}
     for pair in own:
         links[pair] = Link(*overrides[pair])
-    return Topology(nodes, links)
+    return Topology(nodes, adjacency, links)
 
 
 def validate_path(topology: Topology, sequence: tuple[int, ...] | list[int]) -> PathInfo:

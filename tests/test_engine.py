@@ -804,6 +804,86 @@ def test_finished_engine_memory_does_not_grow_with_packets(replicate):
     assert held(10_000) - held(2_000) < 256 * 1024
 
 
+# ---------------------------------------------------------- watchdog deadlines
+
+def _timer_calls(monkeypatch) -> list[int]:
+    """The nodes whose watchdog deadline pops, in order, from now on."""
+    calls = []
+    on_timer = Engine._on_timer
+
+    def counting(self, node_id, *args):
+        calls.append(node_id)
+        return on_timer(self, node_id, *args)
+
+    monkeypatch.setattr(Engine, "_on_timer", counting)
+    return calls
+
+
+@pytest.mark.parametrize("window,events,final_time_s", [
+    (1, 3654, 4.240000000000003), (None, 3676, 3.3800000000000026)],
+    ids=["window-1", "pipelined"])
+def test_fault_free_detection_run_pops_no_deadline(mesh, monkeypatch, window, events,
+                                                   final_time_s):
+    # no node fails, so no deadline enters the heap; each still counts as
+    # the event it was when every one was pushed, and the run ends at the
+    # last of them (the figures pushing every deadline gave)
+    calls = _timer_calls(monkeypatch)
+    metrics = run_scenario(configured(mesh, packets=100, window=window,
+                                      fault_detection="on"))
+    assert calls == []
+    assert metrics.event_count == events
+    assert metrics.final_time_s == final_time_s
+
+
+def test_relay_failure_pops_the_detecting_deadline(monkeypatch):
+    # of the watchdog deadlines of the run, only the one that finds the
+    # failed relay 2 silent enters the heap: node 3's, armed before the
+    # failure and released by it
+    calls = _timer_calls(monkeypatch)
+    metrics = run_scenario(fault_timer_scenario())
+    assert calls == [3]
+    [found] = metrics.detections
+    assert (found["kind"], found["detector"], found["failed"]) == ("receiver_timer", 3, 2)
+    assert metrics.event_count == 45  # 8 deadlines, as when all were pushed
+
+
+def test_release_inside_a_timer_handler_pushes_only_deadlines_after_it():
+    # a node that dies while a timer's handler acts releases a deadline
+    # due at that very time only if the deadline sorts after that timer,
+    # by (node, counter); a death in any other handler comes before every
+    # timer at its time, and a deadline already past was a no-op
+    engine = Engine(fault_timer_scenario())
+    flow = engine.flows[(1, 0)]
+    due = engine._timer_entry(flow, 3, (0, 0.0, 0))[0]
+    engine._now = due
+
+    def pushed(node, counter, armed_s=0.0):
+        before = len(engine._events)
+        engine._release(flow, node, (0, armed_s, counter))
+        return len(engine._events) > before
+
+    engine._acting = (due, 3, 3, 10)
+    assert [pushed(2, 50), pushed(3, 9), pushed(3, 11), pushed(4, 1)] == [
+        False, False, True, True]
+    engine._acting = None
+    assert pushed(2, 50) and not pushed(2, 50, armed_s=-1e-3)
+
+
+def test_event_cap_counts_held_deadlines(tmp_path, capsys):
+    # most of this run's 45 events are deadlines that never enter the
+    # heap; the cap bounds the count `events` reports all the same
+    from wsn_multipath.cli import main
+    from wsn_multipath.scenario import save_scenario
+
+    sc = fault_timer_scenario()
+    for cap, code in ((45, 0), (44, 3)):
+        sc.engine.max_events = cap
+        path = tmp_path / f"cap-{cap}.yaml"
+        save_scenario(sc, str(path))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / str(cap))]) == code
+    assert "exceeded 44 events" in capsys.readouterr().err
+
+
 def _line_link_fault():
     sc = line_scenario(packets=5, hops=2, window=1)
     sc.faults = [FaultDecl(0.05, link=(11, 2))]
