@@ -61,6 +61,7 @@ class _Flow:
     delivered: int = 0
     dropped: int = 0
     abandoned: bool = False
+    parked: bool = False            # in `Engine._parked`: no free slot until its wake
     last_delivery_s: float = 0.0
     wait_total_s: float = 0.0
     wait_hops: int = 0
@@ -111,9 +112,9 @@ class _NodeQueues:
       never one, so blocking a hop never stops the FIFO.
     Methods that take a data packet out of a sub-queue report its key, so
     that the engine can wake the flows injecting there. `queued` counts the
-    data frames under every key, so an empty buffer answers `dispatch_next`
-    at once, and `pass_through` serves an arriving frame without queueing
-    it.
+    data frames under every key, so that the engine asks no empty buffer
+    for a frame, and `pass_through` serves an arriving frame, or a source's
+    one injected frame, without queueing it.
     """
 
     def __init__(self, owner: int, neighbors: tuple[int, ...],
@@ -417,17 +418,6 @@ class Engine:
         if self._tracing:
             self.metrics.trace.append(f"{self._now:.9f},{kind},{node},{pkt_uid}")
 
-    def _debit(self, node_id: int, joules: float, bucket: str,
-               source: int | None = None) -> None:
-        residual, metrics = self._residual, self.metrics
-        residual[node_id] -= joules
-        metrics.energy_spent_j += joules
-        metrics.energy_breakdown_j[bucket] += joules
-        if source is not None:
-            metrics.per_source_comm_j[source] += joules
-        if residual[node_id] < 0:
-            self._node_failure(node_id)
-
     def _queues_at(self, node_id: int) -> _NodeQueues:
         """The node's buffer, built for its first frame."""
         queues = self.queues.get(node_id)
@@ -457,38 +447,48 @@ class Engine:
 
     # -------------------------------------------------------------- injection
 
-    def _inject(self, flow: _Flow) -> bool:
-        """Move one backlog packet into the source's first-hop sub-queue,
-        or park the flow there if the sub-queue is full or blocked."""
+    def _inject(self, flow: _Flow, alone: bool) -> bool:
+        """Move one backlog packet into the source's first-hop sub-queue, or
+        the refill's `alone` one into service of an idle, empty source. Park
+        the flow there if the sub-queue is full or blocked, or once this
+        packet fills it and the flow would try again. Returns whether it may
+        inject again."""
         source, next_hop = flow.route[0], flow.route[1]
         queues = self.queues.get(source)  # `_queues_at`, inlined per frame
         if queues is None:
             queues = self._queues_at(source)
-        if not queues.has_space(next_hop):
-            parked = self._parked.setdefault((source, queues.key(next_hop)), {})
-            parked[flow.key] = flow
-            return False
-        pkt = Packet(kind="data", source=flow.key[0],
-                     destination=flow.route[-1], flow=flow,
-                     seq=flow.first_seq + flow.next_seq,
-                     uid=next(self._uid), enq_s=self._now)
-        flow.next_seq += 1
-        flow.outstanding += 1
-        accepted, victim = queues.enqueue_data(pkt, next_hop)
-        if not accepted or victim is not None:
-            raise SimulationError(
-                f"node {source}: sub-queue {queues.key(next_hop)} reported space "
-                f"but did not take packet {pkt.uid} of flow {flow.key} cleanly")
-        if self._tracing:
-            self._trace("inject", source, pkt.uid)
-        return True
+        if queues.has_space(next_hop):
+            pkt = Packet(kind="data", source=flow.key[0],
+                         destination=flow.route[-1], flow=flow,
+                         seq=flow.first_seq + flow.next_seq,
+                         uid=next(self._uid), enq_s=self._now)
+            flow.next_seq += 1
+            flow.outstanding += 1
+            if self._tracing:
+                self._trace("inject", source, pkt.uid)
+            if alone and not self._busy[source]:
+                key = queues.pass_through(next_hop)
+                if key is not None:
+                    self._serve(source, pkt, key)
+                    return False
+            accepted, victim = queues.enqueue_data(pkt, next_hop)
+            if not accepted or victim is not None:
+                raise SimulationError(
+                    f"node {source}: sub-queue {queues.key(next_hop)} reported space "
+                    f"but did not take packet {pkt.uid} of flow {flow.key} cleanly")
+            if (flow.next_seq == flow.quota or flow.outstanding == self.config.window
+                    or queues.has_space(next_hop)):
+                return True
+        self._parked.setdefault((source, queues.key(next_hop)), {})[flow.key] = flow
+        flow.parked = True
+        return False
 
-    def _fill_source(self, flow: _Flow) -> None:
+    def _fill_source(self, flow: _Flow, alone: bool = False) -> None:
         """Inject while the flow has backlog, a live source and an open window."""
         limit = self.config.window
         while (flow.next_seq < flow.quota and not flow.abandoned
                and flow.route[0] not in self._fault_time
-               and (limit is None or flow.outstanding < limit) and self._inject(flow)):
+               and (limit is None or flow.outstanding < limit) and self._inject(flow, alone)):
             pass
 
     def _slot_freed(self, node_id: int, key) -> None:
@@ -498,6 +498,7 @@ class Engine:
         parked = self._parked.pop((node_id, key), None)
         if parked:
             for flow in parked.values():
+                flow.parked = False
                 self._fill_source(flow)
 
     # ------------------------------------------------------------ packet fate
@@ -521,8 +522,15 @@ class Engine:
                 self.metrics.dropped_overflow += 1
             else:
                 self.metrics.dropped_fault += 1
-        self._fill_source(flow)
-        self._try_start(flow.route[0])
+        # a parked flow has had no free slot since it parked. A longer refill
+        # queues: a frame passed through would wake parked flows before its end
+        if not flow.parked:
+            self._fill_source(flow, flow.next_seq + 1 == flow.quota
+                              or flow.outstanding + 1 == self.config.window)
+        source = flow.route[0]
+        queues = self.queues.get(source)
+        if queues is not None and (queues.control or queues.queued) and not self._busy[source]:
+            self._try_start(source)
 
     def _lose(self, pkt: Packet) -> None:
         """A frame lost to a fault: a data packet resolves as a fault drop,
@@ -535,10 +543,11 @@ class Engine:
     # ---------------------------------------------------------------- service
 
     def _try_start(self, node_id: int) -> None:
-        if self._busy[node_id] or node_id in self._fault_time:
-            return
+        """Serve the next frame of a live, idle node that holds one; the
+        per-frame handlers test the buffer before they call."""
         queues = self.queues.get(node_id)
-        if queues is None:
+        if (queues is None or not (queues.control or queues.queued)
+                or self._busy[node_id] or node_id in self._fault_time):
             return
         pkt, key = queues.dispatch_next()
         if pkt is not None:
@@ -554,7 +563,7 @@ class Engine:
             next_hop = flow.route[pkt.hop + 1]
             flow.wait_total_s += self._now - pkt.enq_s
             flow.wait_hops += 1
-            if self._parked:
+            if self._parked and (node_id, key) in self._parked:
                 self._slot_freed(node_id, key)
             bucket, source = "tx_data", pkt.source
         else:
@@ -562,7 +571,14 @@ class Engine:
             bucket, source = "tx_control", None
         hop = self._hops.get((node_id, next_hop)) or self._hop(node_id, next_hop)
         occupancy, tx_j, _rx_j = hop.costs[kind]
-        self._debit(node_id, tx_j, bucket, source)
+        residual, metrics = self._residual, self.metrics
+        residual[node_id] -= tx_j
+        metrics.energy_spent_j += tx_j
+        metrics.energy_breakdown_j[bucket] += tx_j
+        if source is not None:
+            metrics.per_source_comm_j[source] += tx_j
+        if residual[node_id] < 0:
+            self._node_failure(node_id)
         self._busy[node_id] = True
         self._busy_time[node_id] += occupancy
         if self._tracing:
@@ -584,7 +600,9 @@ class Engine:
             heapq.heappush(self._events, (self._now + hop.delay_s, _RANK_ARRIVAL, next_hop,
                                           next(self._event_counter), self._on_arrival,
                                           pkt, hop, hop.costs[pkt.kind]))
-        self._try_start(node_id)
+        queues = self.queues[node_id]  # made when it first held this frame
+        if queues.queued or queues.control:
+            self._try_start(node_id)
 
     def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet, hop: _Hop) -> None:
         self.metrics.retransmissions += 1
@@ -603,9 +621,11 @@ class Engine:
         if spent and self._send_beacon(node_id, next_hop, tried=set()):
             # the hop stays blocked while its self-check beacon is out
             queues.block(next_hop)
-        if flow.abandoned or (spent and not queues.is_blocked(next_hop)):
-            # no retry can help an abandoned flow; and a frame at its hop's
-            # retry limit that no block holds (a shared FIFO is never
+        if (flow.abandoned or node_id in self._fault_time
+                or (spent and not queues.is_blocked(next_hop))):
+            # no retry can help an abandoned flow, nor a sender that its own
+            # beacon's transmit debit has just killed; and a frame at its
+            # hop's retry limit that no block holds (a shared FIFO is never
             # blocked) is dropped, as MAC 802.11 drops it, not retried forever
             self._lose(pkt)
         else:
@@ -621,8 +641,14 @@ class Engine:
         data = pkt.kind == "data"
         if node_id not in self._fault_time:  # a dead node spends nothing
             occupancy, _tx_j, rx_j = cost
-            self._debit(node_id, rx_j, "rx_data" if data else "rx_control",
-                        pkt.source if data else None)
+            residual, metrics = self._residual, self.metrics
+            residual[node_id] -= rx_j
+            metrics.energy_spent_j += rx_j
+            metrics.energy_breakdown_j["rx_data" if data else "rx_control"] += rx_j
+            if data:
+                metrics.per_source_comm_j[pkt.source] += rx_j
+            if residual[node_id] < 0:
+                self._node_failure(node_id)
             self._busy_time[node_id] += occupancy
         if node_id in self._fault_time:  # dead before this frame or by its receive debit
             self._lose(pkt)
@@ -661,7 +687,8 @@ class Engine:
             self._packet_resolved(pkt, "overflow")
         else:
             pkt.enq_s = self._now
-        self._try_start(node_id)
+        if not self._busy[node_id]:  # the frame was queued or found its sub-queue full
+            self._try_start(node_id)
 
     # ------------------------------------------------------------ fault logic
 

@@ -1,8 +1,10 @@
+import collections
 import dataclasses
 import gc
 import hashlib
 import itertools
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -692,6 +694,20 @@ def test_beacon_lost_mid_send(fragmented, monkeypatch):
     _conserves_and_balances(metrics)
 
 
+@pytest.mark.parametrize("seed, window, outcome", [(57, None, (91, 84)), (64, 1, (91, 65))])
+def test_sender_killed_by_its_own_beacon_loses_the_failed_frame(seed, window, outcome):
+    # a data frame at its hop's retry limit sends a self-check beacon whose
+    # transmit debit kills the sender and drains its buffer; the frame
+    # used to go back into that dead buffer, and the run stalled
+    sc = configured(crossing_scenario(seed), window=window, fragmented=True,
+                    fault_detection="on")
+    sc.params = dataclasses.replace(sc.params, initial_energy_j=0.0015)
+    metrics = run_scenario(sc)
+    assert (metrics.total_delivered, metrics.total_dropped) == outcome
+    assert metrics.dropped_fault > 0
+    _conserves_and_balances(metrics)
+
+
 def test_second_fault_of_a_dead_node_is_ignored():
     once, twice = fault_beacon_scenario(), fault_beacon_scenario()
     twice.faults.append(FaultDecl(0.2, node=3))
@@ -964,8 +980,8 @@ def test_identical_runs_reproduce_metrics():
 
 def _pass_through_cases():
     """(id, scenario factory) pairs: both disciplines at `window` 1 and
-    null, seeded crossing grids, random losses under detection, a node
-    fault with a spare and link faults."""
+    null, seeded crossing grids, some with one-frame sub-queues, random
+    losses under detection, a node fault with a spare and link faults."""
     for fragmented in (True, False):
         kind = "fragmented" if fragmented else "fifo"
         for window in (1, None):
@@ -990,6 +1006,12 @@ def _pass_through_cases():
     yield "line-link-fault", _line_link_fault
     for seed in range(6):
         yield f"crossing-{seed}", lambda seed=seed: crossing_scenario(seed)
+    # one-frame sub-queues under a window of 2: sources park on every
+    # injection and inject alone on every delivery
+    for seed in range(2):
+        yield (f"crossing-{seed}-window-2-queue-1",
+               lambda seed=seed: configured(crossing_scenario(seed), window=2,
+                                            queue_packets_per_subqueue=1))
 
 
 _PASS_THROUGH_CASES = dict(_pass_through_cases())
@@ -997,23 +1019,62 @@ _PASS_THROUGH_CASES = dict(_pass_through_cases())
 
 @pytest.mark.parametrize("case", list(_PASS_THROUGH_CASES))
 def test_pass_through_leaves_what_enqueue_then_dispatch_leaves(case, monkeypatch):
-    # with the pass-through refused, every arriving frame is queued and
-    # dispatched; the run must not differ in any metric or trace record
+    # with the pass-through refused, every arriving frame and every lone
+    # injected frame is queued and dispatched; the run must not differ in
+    # any metric or trace record
     scenario = configured(_PASS_THROUGH_CASES[case](), record_trace=True)
-    pass_through, taken = _NodeQueues.pass_through, []
+    pass_through, taken = _NodeQueues.pass_through, collections.Counter()
 
     def counted(self, hop):
         key = pass_through(self, hop)
-        taken.append(key is not None)
+        if key is not None:
+            taken[sys._getframe(1).f_code.co_name] += 1  # the calling site
         return key
 
     monkeypatch.setattr(_NodeQueues, "pass_through", counted)
     default = run_scenario(scenario)
     monkeypatch.setattr(_NodeQueues, "pass_through", lambda self, hop: None)
     queued = run_scenario(scenario)
-    assert any(taken)
+    assert taken
+    if scenario.engine.window == 1:  # a delivery frees the one slot of a window
+        assert taken["_inject"]
     for name in (f.name for f in dataclasses.fields(RunMetrics)):
         assert getattr(default, name) == getattr(queued, name), name
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+@pytest.mark.parametrize("window", [1, None], ids=["window-1", "pipelined"])
+def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, window):
+    # on a loss-free, fault-free mesh no buffer is asked for a frame it
+    # does not hold, no parked flow tries to inject again before its wake,
+    # and a service start wakes only a sub-queue that has parked flows
+    dispatch, inject, slot_freed = _NodeQueues.dispatch_next, Engine._inject, Engine._slot_freed
+    seen = collections.Counter()
+
+    def checked_dispatch(self):
+        pkt, key = dispatch(self)
+        assert pkt is not None
+        seen["dispatch"] += 1
+        return pkt, key
+
+    def checked_inject(self, flow, alone):
+        assert all(flow.key not in parked for parked in self._parked.values())
+        seen["inject"] += 1
+        return inject(self, flow, alone)
+
+    def checked_slot_freed(self, node_id, key):
+        assert self._parked.get((node_id, key))
+        seen["wake"] += 1
+        slot_freed(self, node_id, key)
+
+    monkeypatch.setattr(_NodeQueues, "dispatch_next", checked_dispatch)
+    monkeypatch.setattr(Engine, "_inject", checked_inject)
+    monkeypatch.setattr(Engine, "_slot_freed", checked_slot_freed)
+    metrics = run_scenario(configured(mesh_sim, packets=300, window=window,
+                                      fragmented=fragmented))
+    assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
+    assert seen["dispatch"] and seen["inject"]
+    assert bool(seen["wake"]) == (window is None)  # only pipelined sources park
 
 
 def test_run_reports_the_hash_of_the_scenario_it_was_built_from(monkeypatch):

@@ -12,6 +12,12 @@ from one change to the next. A rerun test only compares two runs of the
 same code; these digests compare against the outputs recorded when they
 were first pinned. A change that moves them on purpose updates the digest
 here and says why in CHANGES.md.
+
+Run as a script, the module prints the current `FAMILY_DIGESTS` entries
+of the families it names (of all without names), so that a new family
+can be pinned before the code it guards changes:
+
+    PYTHONPATH=src python tests/test_golden.py crossing-small-buffers
 """
 
 from __future__ import annotations
@@ -373,6 +379,9 @@ CROSSING_PROBED_SEEDS = range(10)
 BATTERY_SEEDS = range(40)
 BATTERY_ENERGIES_J = (0.002, 0.005)          # per node, crossing grids
 BATTERY_MESH_ENERGIES_J = (0.003, 0.006)     # per node, shipped meshes
+SMALL_BUFFER_SEEDS = range(40)
+SMALL_BUFFER_QUEUES = (1, 2)                 # frames per sub-queue
+SMALL_BUFFER_WINDOWS = (2, None)
 DISCOVERY_SEEDS = (701, 702, 703)
 MESH_VARIANTS = {
     "mesh-window-1": {"window": 1},
@@ -396,7 +405,10 @@ def family_runs(family: str, fragmented: bool):
     - battery-death: detection on and no scheduled fault, so every node
       that fails runs out of energy inside a handler: `crossing_scenario`
       seeds 0-39 at `window` 1 and null with 2 and 5 mJ per node, then
-      both shipped meshes at 300 packets per source with 3 and 6 mJ."""
+      both shipped meshes at 300 packets per source with 3 and 6 mJ;
+    - crossing-small-buffers: `crossing_scenario` seeds 0-39, each with 1
+      and 2 frames per sub-queue, each at `window` 2 and null, so that
+      sources keep finding their first-hop sub-queue full."""
     if family.startswith("crossing-fault"):
         bases = (crossing_fault_scenario(seed, fragmented, spare=family.endswith("spare"))
                  for seed in CROSSING_FAULT_SEEDS)
@@ -410,6 +422,11 @@ def family_runs(family: str, fragmented: bool):
     elif family == "battery-death":
         bases = (configured(_with_energy(base, joules), fault_detection="on", **config)
                  for base, joules, config in _battery_cases())
+    elif family == "crossing-small-buffers":
+        bases = (configured(crossing_scenario(seed), queue_packets_per_subqueue=size,
+                            window=window)
+                 for seed in SMALL_BUFFER_SEEDS for size in SMALL_BUFFER_QUEUES
+                 for window in SMALL_BUFFER_WINDOWS)
     else:
         bases = (configured(load_scenario(_scenario(name)), packets=500,
                             **MESH_VARIANTS[family])
@@ -458,6 +475,10 @@ def family_digest(family: str, fragmented: bool) -> str:
 # (family, fragmented); discovery-5000 runs no engine, so it has one
 # entry, under False
 FAMILY_DIGESTS = {
+    ("crossing-small-buffers", False):
+        "1809220c600c5f7c126770f2236953bf0e3d0ee1d292cb84b5a0d42cadf8e805",
+    ("crossing-small-buffers", True):
+        "f6b32ece17447a225a14573b922b1db218a6a07dfb2debef13fa18853d16508f",
     ("battery-death", False):
         "d4bddd239f939f837be1486f082f06dd38acb25ec5a2b0f11637852008039700",
     ("battery-death", True):
@@ -510,3 +531,13 @@ FAMILY_DIGESTS = {
 @pytest.mark.parametrize("family,fragmented", sorted(FAMILY_DIGESTS))
 def test_run_families_match_golden(family, fragmented):
     assert family_digest(family, fragmented) == FAMILY_DIGESTS[(family, fragmented)]
+
+
+if __name__ == "__main__":
+    import sys
+
+    names = sys.argv[1:] or sorted({family for family, _ in FAMILY_DIGESTS})
+    for name in names:
+        for fragmented in ((False,) if name == "discovery-5000" else (False, True)):
+            print(f'    ("{name}", {fragmented}):\n'
+                  f'        "{family_digest(name, fragmented)}",')
