@@ -281,8 +281,8 @@ class RunMetrics:
     detections: list[dict] = field(default_factory=list)
     replacements: list[tuple[int, int]] = field(default_factory=list)
     abandoned: list[tuple[int, int, int]] = field(default_factory=list)
-    event_count: int = 0
-    final_time_s: float = 0.0
+    event_count: int = 0  # events popped from the event queue
+    final_time_s: float = 0.0  # time of the last of them: sensing runs until then
     trace: list[str] = field(default_factory=list)
 
     @property
@@ -339,8 +339,6 @@ class Engine:
         self._event_counter = itertools.count()
         self._events: list[tuple] = []
         self._now = 0.0
-        # watchdog deadlines armed and never pushed; each counts as an event
-        self._held = 0
         # (time, rank, node, counter) of the timer whose handler is acting
         self._acting: tuple | None = None
         # a node's buffer is built when a frame is first queued there; a
@@ -735,7 +733,6 @@ class Engine:
             heapq.heappush(self._events, self._timer_entry(flow, node_id, hold))
         else:
             flow.held[node_id] = hold  # a newer hold leaves the older one a no-op
-            self._held += 1
 
     def _timer_entry(self, flow: _Flow, node_id: int, hold: tuple[int, float, int]) -> tuple:
         """The heap entry of a watchdog deadline armed as `hold`: the next
@@ -757,7 +754,6 @@ class Engine:
         entry = self._timer_entry(flow, node_id, hold)
         if entry[:4] > (self._acting or (self._now, _RANK_ARRIVAL)):
             heapq.heappush(self._events, entry)
-            self._held -= 1
 
     def _on_timer(self, node_id: int, flow: _Flow, hold: tuple[int, float, int],
                   expected_s: float) -> None:
@@ -925,9 +921,6 @@ class Engine:
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
             self._try_start(nid)
-        # the cap bounds what `event_count` reports, the pops and the held
-        # deadlines: it is checked on the pops alone here, and in full at
-        # quiescence, so a run fails it exactly when the sum passes it
         events, pop, cap = self._events, heapq.heappop, self.config.max_events
         processed = 0
         while events:
@@ -935,25 +928,13 @@ class Engine:
             self._now = time
             processed += 1
             if processed > cap:
-                self._over_cap()
+                raise SimulationError(
+                    f"exceeded {cap} events at t={time:.6f}s; "
+                    f"{sum(f.resolved for f in self.flows.values())} packets resolved")
             handler(node, a, b, c)
-        # a held deadline counts as the no-op it would have been, popped
-        # at its own time: the run ends at the latest of them and the last
-        # pop. A flow's newer holds have later deadlines than the ones they
-        # replaced, and a released one was pushed.
-        self._now = max([self._now, *(self._timer_entry(flow, node, hold)[0]
-                                      for flow in self.flows.values()
-                                      for node, hold in flow.held.items())])
-        if processed + self._held > cap:
-            self._over_cap()
-        self.metrics.event_count = processed + self._held
+        self.metrics.event_count = processed
         self.metrics.final_time_s = self._now
         self._finalize()
-
-    def _over_cap(self) -> None:
-        raise SimulationError(
-            f"exceeded {self.config.max_events} events at t={self._now:.6f}s; "
-            f"{sum(f.resolved for f in self.flows.values())} packets resolved")
 
     def _check_quiescent(self) -> None:
         """Raise SimulationError for the first flow, in key order, that has

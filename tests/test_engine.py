@@ -30,6 +30,7 @@ from conftest import (
     crossing_scenario,
     fault_beacon_scenario,
     fault_timer_scenario,
+    fingerprint,
     late_spare_scenario,
     line_scenario,
     random_scenario,
@@ -756,8 +757,8 @@ def test_probe_follows_the_replaced_route():
 
 # digests of the traced late-spare runs (trace, report rows, probe counts)
 LATE_SPARE_DIGESTS = {
-    True: "5e69cfab8cbcd5547da9bb1c756ccd9013ba4c4a64f1e582c21b670bdffd0b37",
-    False: "0a8501b6635d798b0bc17cf3a4a1b11d7759ea974df9808451ebfae5aa49d1c9",
+    True: "8e4bb22a6e03c9a8646a3910dd246573dc7e62b5b0212c37ca367f86d4948c56",
+    False: "d8de23ddb43b753c4ff1e2ffaec90d43121cfb00d7d453914329a6814ba98d88",
 }
 
 
@@ -835,32 +836,43 @@ def _timer_calls(monkeypatch) -> list[int]:
     return calls
 
 
-@pytest.mark.parametrize("window,events,final_time_s", [
-    (1, 3654, 4.240000000000003), (None, 3676, 3.3800000000000026)],
-    ids=["window-1", "pipelined"])
-def test_fault_free_detection_run_pops_no_deadline(mesh, monkeypatch, window, events,
-                                                   final_time_s):
-    # no node fails, so no deadline enters the heap; each still counts as
-    # the event it was when every one was pushed, and the run ends at the
-    # last of them (the figures pushing every deadline gave)
+# the frameworks suite's configs, each traced, with no fault and no loss
+FAULT_FREE_CONFIGS = {
+    "traditional": {"replicate": True, "fragmented": False},
+    "equal": {"replicate": False, "fragmented": True, "scheme": 2},
+    "strategic": {"replicate": False, "fragmented": True, "scheme": 3},
+}
+
+
+@pytest.mark.parametrize("window", [1, None], ids=["window-1", "pipelined"])
+def test_fault_free_detection_run_pops_no_deadline(monkeypatch, window):
+    # no node fails, so no deadline enters the heap, and a run with
+    # detection on reports exactly what the same run with it off reports:
+    # its events, its final time and the sensing drawn until then
     calls = _timer_calls(monkeypatch)
-    metrics = run_scenario(configured(mesh, packets=100, window=window,
-                                      fault_detection="on"))
-    assert calls == []
-    assert metrics.event_count == events
-    assert metrics.final_time_s == final_time_s
+    for name in ("five-path-fan", "three-source-mesh", "three-source-mesh-sim"):
+        for variant, config in FAULT_FREE_CONFIGS.items():
+            on, off = (run_scenario(configured(
+                shipped(name), packets=100, window=window, loss_prob=0.0,
+                fault_detection=detection, record_trace=True, **config))
+                for detection in ("on", "off"))
+            assert calls == [], (name, variant)
+            on.scenario_hash = off.scenario_hash
+            assert fingerprint(on) == fingerprint(off), (name, variant)
 
 
 def test_relay_failure_pops_the_detecting_deadline(monkeypatch):
     # of the watchdog deadlines of the run, only the one that finds the
     # failed relay 2 silent enters the heap: node 3's, armed before the
-    # failure and released by it
+    # failure and released by it. The deadlines held unreleased are not
+    # events, and the run ends at its last delivery
     calls = _timer_calls(monkeypatch)
     metrics = run_scenario(fault_timer_scenario())
     assert calls == [3]
     [found] = metrics.detections
     assert (found["kind"], found["detector"], found["failed"]) == ("receiver_timer", 3, 2)
-    assert metrics.event_count == 45  # 8 deadlines, as when all were pushed
+    assert metrics.event_count == 38
+    assert metrics.final_time_s == metrics.completion_s == pytest.approx(2.40)
 
 
 def test_release_inside_a_timer_handler_pushes_only_deadlines_after_it():
@@ -885,19 +897,19 @@ def test_release_inside_a_timer_handler_pushes_only_deadlines_after_it():
     assert pushed(2, 50) and not pushed(2, 50, armed_s=-1e-3)
 
 
-def test_event_cap_counts_held_deadlines(tmp_path, capsys):
-    # most of this run's 45 events are deadlines that never enter the
-    # heap; the cap bounds the count `events` reports all the same
+def test_event_cap_bounds_the_pops(tmp_path, capsys):
+    # the cap bounds the events the run pops, the count `events` reports
     from wsn_multipath.cli import main
     from wsn_multipath.scenario import save_scenario
 
     sc = fault_timer_scenario()
-    for cap, code in ((45, 0), (44, 3)):
+    assert run_scenario(sc).event_count == 38
+    for cap, code in ((38, 0), (37, 3)):
         sc.engine.max_events = cap
         path = tmp_path / f"cap-{cap}.yaml"
         save_scenario(sc, str(path))
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / str(cap))]) == code
-    assert "exceeded 44 events" in capsys.readouterr().err
+    assert "exceeded 37 events" in capsys.readouterr().err
 
 
 def _line_link_fault():

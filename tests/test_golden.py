@@ -13,11 +13,16 @@ same code; these digests compare against the outputs recorded when they
 were first pinned. A change that moves them on purpose updates the digest
 here and says why in CHANGES.md.
 
-Run as a script, the module prints the current `FAMILY_DIGESTS` entries
-of the families it names (of all without names), so that a new family
-can be pinned before the code it guards changes:
+Run as a script, the module prints the current digests of what it
+names, in the form the tables below write them, ready to paste: a whole
+table (`FAULT_DIGESTS`, `PIPELINED_DIGESTS`, `MODE_DIGESTS`), the line
+`UNIFORM_FAULT_DIGEST = ...`, or the `FAMILY_DIGESTS` entries of a family.
+Without names it prints all of them. So a new family can be pinned before
+the code it guards changes, and a table that a change moves on purpose is
+regenerated with one command:
 
     PYTHONPATH=src python tests/test_golden.py crossing-small-buffers
+    PYTHONPATH=src python tests/test_golden.py FAULT_DIGESTS MODE_DIGESTS
 """
 
 from __future__ import annotations
@@ -153,15 +158,15 @@ PLOT_RUNS = (("frameworks", "three-source-mesh"), ("run", "five-path-fan"),
 # spares in both queue disciplines, and a line whose last link dies
 FAULT_DIGESTS = {
     ("fault-beacon", True):
-        "803015e0bafbf2aa3d8d11c5a7963446ce029ecf7403bd6e54d4cee611c7374b",
+        "0b1fc82aff9a4493f096b1abbfd928194e760b7137aae40f1d7384d1763b7fb3",
     ("fault-beacon", False):
-        "ee8a6cf4accda34348c6e1da875a91cec44f5725480655c45203ac73ae82a261",
+        "ee9a039c8073ae04e4c82f4d8aff73100c8a6cc0de9a895fc787b5946b218231",
     ("fault-timer", True):
-        "3d6d662090b624d54637d01d80606ad1be131a759d0c8dd27a37956fe12599ea",
+        "9c6d0b277ff254a68f02e6460d8aa748a5aec82954d36dcb16575d0881423476",
     ("fault-timer", False):
-        "bf2a5da02c66f767ed3f0f568125f5c90fa192fe75ce3146f811054c89887f3e",
+        "a0994aed99f5901eddf5dd2b7619e5d411aaf0a36ae095f2b087edfcfbaa9275",
     ("line-link-fault", True):
-        "8d5a973245271ec971bfe4d0ef34b560fdbf0a9911bbd81ad25949dddac73d9b",
+        "c8e97e1ed8391a6684bc48cb0bcd8fb5c1413a7ad640243000c6797d2be805fc",
 }
 
 # (mesh, fragmented): the shipped meshes at D=2000 with no window, so
@@ -184,9 +189,9 @@ MODE_DIGESTS = {
     "heterogeneous-links":
         "56d1a90a20c27c48907047629495ecf26115bbb2b0aaa5db0536ef7f701df5ca",
     "lossy-beacon":
-        "cbaab570abb4466fed29a24d1083d38271b3fa879ce11568a7b46a2ec8e23c89",
+        "06f1473424005c4001d6099b476bd2f6da20dbb917a41e0c6c7136465c0ea322",
     "lossy-mesh":
-        "79e95b510373d8b80a7fa83d63cd7e7be0d46aee8da0552889887fd3a6a89ed7",
+        "8f72240f09a1402fba63187f346a503f93c97a96ad50a7de4cf859bacc6f052d",
     "per-packet-idle":
         "4a0a9c99c01580d3861c7515c7d68e9126686f9d02dbe604ff917363ecd63e12",
 }
@@ -194,7 +199,7 @@ MODE_DIGESTS = {
 # a seeded uniform deployment of 1000 nodes at the density of the
 # benchmark's 5000-node one, where a route's middle node fails and one of
 # three spares replaces it; only 54 of its nodes ever hold a frame
-UNIFORM_FAULT_DIGEST = "a35028b399d8967f32dacfd848457bb04663dba3607ef9872b4a728912159f59"
+UNIFORM_FAULT_DIGEST = "e16116f1a2d545668c2cff7858d25b6e203b306d877986cfea64d8be53fa5134"
 
 
 def _sha(data: bytes) -> str:
@@ -357,14 +362,20 @@ def test_engine_mode_runs_match_golden(name):
     assert mode_output(name) == MODE_DIGESTS[name]
 
 
-def test_large_deployment_fault_run_matches_golden():
+def uniform_fault_output() -> tuple[list[tuple[int, int]], str]:
+    """The replacements of the traced 1000-node fault run, and the digest
+    of its trace, report rows, residual energies, detections and
+    replacements."""
     metrics = run_scenario(uniform_fault_scenario(1000, 540.0, 30.0, seed=10,
                                                   packets=100))
-    assert metrics.replacements == [(327, 503)]
     text = "\n".join([*metrics.trace, render_rows(metrics_rows(metrics), "csv"),
                       repr(sorted(metrics.residual_j.items())),
                       repr(metrics.detections), repr(metrics.replacements)])
-    assert _sha(text.encode()) == UNIFORM_FAULT_DIGEST
+    return metrics.replacements, _sha(text.encode())
+
+
+def test_large_deployment_fault_run_matches_golden():
+    assert uniform_fault_output() == ([(327, 503)], UNIFORM_FAULT_DIGEST)
 
 
 # Families of runs, one digest per family and queue discipline: the
@@ -480,27 +491,27 @@ FAMILY_DIGESTS = {
     ("crossing-small-buffers", True):
         "f6b32ece17447a225a14573b922b1db218a6a07dfb2debef13fa18853d16508f",
     ("battery-death", False):
-        "d4bddd239f939f837be1486f082f06dd38acb25ec5a2b0f11637852008039700",
+        "9de1e4c5dc79ecfc41f45d0d6d9477788f9636f88fbb18caa7df298d24e44784",
     ("battery-death", True):
-        "ffda9faad7a10d4486fff51ca02a242eb2df93dbcc506b25565b6d35de7631f5",
+        "88c922acf1b18dc017591296beb5b26192d9eeb06857d938e442979f27736af2",
     ("discovery-5000", False):
         "c0a3e94e270450432c20b0bd86b389718754160f58fe8ee84c9522a969dfeaf1",
     ("crossing-fault", False):
-        "887d2ef690c4299ee8bd83d9b4c99ba2debda90426fb26d15203a2d62ea15778",
+        "45996efb3e4de4bc67ed735c0d7fadd74b8b4eac155725e6a6ccb5b8598022d6",
     ("crossing-fault", True):
-        "b875051e0e3a388dba667f787cba0204cc4174b01c01a2077799a144d8db8c72",
+        "39b0a879e5bbfa674f56779c2ac1c4e3a4152c34da8d0b0d373dd79e0bf368fe",
     ("crossing-fault-spare", False):
-        "a7f5870b41bc036e08e9fed67eca6ffbc4e8e95ea875e6ac5b3d4a22a6c61e27",
+        "39d77db7885c83219641c078d7f3318827c4d6144ca1e22f60a5e5bea6dabfcd",
     ("crossing-fault-spare", True):
-        "c368e466150e1a16ccda3bbae8d314a0441d3025dd92ca91699948b4652bcd63",
+        "3c9b52895d97cdf3474a24afc123110e4053f2a031861c89a0b0ac61d0361c35",
     ("fault-beacon", False):
-        "ea92eb7ba77cc558652fedff7e602baf5a4c09751edd51def000d0d1d5f0bf73",
+        "b2353f28d6f180081f3a60404953ae489bfb47599557202365ae9b7e09872273",
     ("fault-beacon", True):
-        "8c2c016ec224b752f8e270918a74156e556c372afa7427481ef0a0605f677248",
+        "d9e0b2e33443b5fa024f081f536f46b2a2df8d325aa450cb51b0524693ea4bd2",
     ("fault-timer", False):
-        "f87a8308ddd563cf3a5159fb8cfdd5dbf625bcfcaf39d7171ea75eb5c625d6de",
+        "3edcb49e5de869ac9aee2f279298fb5440405d8055e8461f3127550395d28cad",
     ("fault-timer", True):
-        "3002ffe8cae8e915d96fa53c67f082b87de24022ac1ad65feb82e4d93278fb39",
+        "5d02c1f5471848a005c49dc30fd3e366f04ae732fa7079a9c64028b95c448909",
     ("crossing-probed", False):
         "7eb09071f37edce1b98ca031863eb3a1e0a43c0d22a54c9f4f04ec4f2dfc8264",
     ("crossing-probed", True):
@@ -518,9 +529,9 @@ FAMILY_DIGESTS = {
     ("mesh-probed", True):
         "d9d9ed97d0f6135fa59ce842ffd7b6e7b33eb14c05a169eb8069c698b7de37fa",
     ("mesh-lossy", False):
-        "0634ccd97e1d4252f58ec0384ebe106096a005ebd13f343218352c3c2b534e81",
+        "541d3b676a8366f8942838a2e96ad7c98fc890a7d7124060e877f8c3f22a9c4d",
     ("mesh-lossy", True):
-        "0b3a84c768473b91c5b2d560d0d0105850280511e30673257dc731d2d0fd18ed",
+        "48a77a30fa5c500d51e1f15728ddbadc0dc07a54012a1ead55fa560f4170994f",
     ("mesh-replicated", False):
         "7cfe19e7a54761d22113fb3953c9859002c7587a3299ac9ae38d4f40cb40afcf",
     ("mesh-replicated", True):
@@ -533,11 +544,38 @@ def test_run_families_match_golden(family, fragmented):
     assert family_digest(family, fragmented) == FAMILY_DIGESTS[(family, fragmented)]
 
 
+# the tables of single runs the script prints, each with the function
+# that computes one of its digests from its key
+TABLES = {
+    "FAULT_DIGESTS": (FAULT_DIGESTS, fault_output),
+    "PIPELINED_DIGESTS": (PIPELINED_DIGESTS, pipelined_output),
+    "MODE_DIGESTS": (MODE_DIGESTS, mode_output),
+}
+
+
+def _paste(key) -> str:
+    """`key` as the tables above write it."""
+    if isinstance(key, tuple):
+        return f"({', '.join(_paste(k) for k in key)})"
+    return f'"{key}"' if isinstance(key, str) else repr(key)
+
+
 if __name__ == "__main__":
     import sys
 
-    names = sys.argv[1:] or sorted({family for family, _ in FAMILY_DIGESTS})
+    families = sorted({family for family, _ in FAMILY_DIGESTS})
+    names = sys.argv[1:] or [*TABLES, "UNIFORM_FAULT_DIGEST", *families]
     for name in names:
-        for fragmented in ((False,) if name == "discovery-5000" else (False, True)):
-            print(f'    ("{name}", {fragmented}):\n'
-                  f'        "{family_digest(name, fragmented)}",')
+        if name in TABLES:
+            table, output = TABLES[name]
+            print(f"{name} = {{")
+            for key in table:
+                digest = output(*key) if isinstance(key, tuple) else output(key)
+                print(f'    {_paste(key)}:\n        "{digest}",')
+            print("}")
+        elif name == "UNIFORM_FAULT_DIGEST":
+            print(f'{name} = "{uniform_fault_output()[1]}"')
+        else:
+            for fragmented in ((False,) if name == "discovery-5000" else (False, True)):
+                print(f"    {_paste((name, fragmented))}:\n"
+                      f'        "{family_digest(name, fragmented)}",')
