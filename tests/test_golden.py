@@ -55,6 +55,7 @@ from conftest import (
     fingerprint,
     line_scenario,
     uniform_fault_scenario,
+    with_fault,
 )
 
 MESHES = ("three-source-mesh", "three-source-mesh-sim")
@@ -393,6 +394,8 @@ BATTERY_MESH_ENERGIES_J = (0.003, 0.006)     # per node, shipped meshes
 SMALL_BUFFER_SEEDS = range(40)
 SMALL_BUFFER_QUEUES = (1, 2)                 # frames per sub-queue
 SMALL_BUFFER_WINDOWS = (2, None)
+IDLE_SEEDS = range(24)
+IDLE_POWER_W = 2.5e-4
 DISCOVERY_SEEDS = (701, 702, 703)
 MESH_VARIANTS = {
     "mesh-window-1": {"window": 1},
@@ -419,7 +422,11 @@ def family_runs(family: str, fragmented: bool):
       both shipped meshes at 300 packets per source with 3 and 6 mJ;
     - crossing-small-buffers: `crossing_scenario` seeds 0-39, each with 1
       and 2 frames per sub-queue, each at `window` 2 and null, so that
-      sources keep finding their first-hop sub-queue full."""
+      sources keep finding their first-hop sub-queue full;
+    - crossing-idle: `crossing_scenario` seeds 0-23 charging idle energy,
+      each at `window` 1 and null; by seed, fault-free, lossy, with a
+      middle node failing halfway (a spare beside it at seeds 6, 14 and
+      22), or a route's first link going down halfway."""
     if family.startswith("crossing-fault"):
         bases = (crossing_fault_scenario(seed, fragmented, spare=family.endswith("spare"))
                  for seed in CROSSING_FAULT_SEEDS)
@@ -438,6 +445,11 @@ def family_runs(family: str, fragmented: bool):
                             window=window)
                  for seed in SMALL_BUFFER_SEEDS for size in SMALL_BUFFER_QUEUES
                  for window in SMALL_BUFFER_WINDOWS)
+    elif family == "crossing-idle":
+        bases = (configured(base, include_idle=True, idle_power_w=IDLE_POWER_W,
+                            window=window)
+                 for seed in IDLE_SEEDS for base in [_idle_case(seed, fragmented)]
+                 for window in (1, None))
     else:
         bases = (configured(load_scenario(_scenario(name)), packets=500,
                             **MESH_VARIANTS[family])
@@ -460,6 +472,22 @@ def _battery_cases():
     for name in MESHES:
         for joules in BATTERY_MESH_ENERGIES_J:
             yield load_scenario(_scenario(name)), joules, {"packets": 300}
+
+
+def _idle_case(seed: int, fragmented: bool):
+    """The crossing-idle family's scenario of `seed`, before idle energy
+    and the window are set."""
+    base, kind = crossing_scenario(seed), seed % 4
+    if kind == 1:
+        return configured(base, loss_prob=0.2, max_attempts=3, fault_detection="on")
+    if kind == 2:
+        return crossing_fault_scenario(seed, fragmented, spare=seed % 8 == 6)
+    if kind == 3:
+        _topology, specs = build_scenario(base)
+        route = next(p.nodes for spec in specs for p in spec.paths if p.hops > 1)
+        fault = FaultDecl(run_scenario(base).completion_s / 2.0, link=tuple(route[:2]))
+        return with_fault(configured(base, max_attempts=3, fault_detection="on"), fault)
+    return base
 
 
 def discovery_lines():
@@ -486,6 +514,10 @@ def family_digest(family: str, fragmented: bool) -> str:
 # (family, fragmented); discovery-5000 runs no engine, so it has one
 # entry, under False
 FAMILY_DIGESTS = {
+    ("crossing-idle", False):
+        "954868773b8a707f61ebcbac1ca380a0d4639e843ae141ff8a33260c7e2cb701",
+    ("crossing-idle", True):
+        "8953e5431451f9ee83f318b9f802bc5e92f4913ce07ed65e13810f36098a2142",
     ("crossing-small-buffers", False):
         "1809220c600c5f7c126770f2236953bf0e3d0ee1d292cb84b5a0d42cadf8e805",
     ("crossing-small-buffers", True):
