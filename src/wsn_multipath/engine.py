@@ -65,9 +65,10 @@ class _Flow:
     last_delivery_s: float = 0.0
     wait_total_s: float = 0.0
     wait_hops: int = 0
-    last_arrival: dict[int, int] = field(default_factory=dict)  # node -> seq, for its watchdog
-    # node -> its watchdog's deadline while off the heap: (seq, armed_s, counter)
-    held: dict[int, tuple[int, float, int]] = field(default_factory=dict)
+    next_hops: dict[int, _Hop] = field(default_factory=dict)  # node -> hop to its successor
+    last_arrival: dict[int, int] | None = None  # detection only: node -> seq, for its watchdog
+    # detection only: node -> its watchdog's deadline while off the heap: (seq, armed_s, counter)
+    held: dict[int, tuple[int, float, int]] | None = None
 
     @property
     def backlog(self) -> int:
@@ -87,9 +88,11 @@ class _Hop:
     """One directed hop, built by `Engine._hop` for its first frame; only
     `failed` changes, counting data attempts since a success or self-check."""
 
+    receiver: int
     delay_s: float
     pair: tuple[int, int]           # (low id, high id), as link faults name it
     costs: dict[str, tuple[float, float, float]]  # kind -> (service s, tx J, rx J)
+    data: tuple[float, float, float]  # costs["data"]
     failed: int = 0
 
 
@@ -338,6 +341,8 @@ class Engine:
         self._uid = itertools.count(1)
         self._event_counter = itertools.count()
         self._events: list[tuple] = []
+        # an entry kept off the heap: a frame's next event usually sorts first
+        self._next: tuple | None = None
         self._now = 0.0
         # (time, rank, node, counter) of the timer whose handler is acting
         self._acting: tuple | None = None
@@ -345,7 +350,9 @@ class Engine:
         # node without one is empty
         self.queues: dict[int, _NodeQueues] = {}
         self._busy = dict.fromkeys(self.topology.nodes, False)
-        self._busy_time = dict.fromkeys(self.topology.nodes, 0.0)
+        # transmit and receive time, kept only for idle energy, its one reader
+        self._busy_time = (dict.fromkeys(self.topology.nodes, 0.0)
+                           if self.config.include_idle else None)
         self._tracing = self.config.record_trace
         self._loss_prob = self.config.loss_prob
         self._rx_per_bit = receive_energy_per_bit(self.params)
@@ -400,6 +407,8 @@ class Engine:
                 flow = _Flow(key=(spec.node_id, idx), route=list(path.nodes), quota=quota,
                              tau_s=path.tau_s,
                              first_seq=0 if self.config.replicate else sum(quotas[:idx]))
+                if self.detection:
+                    flow.last_arrival, flow.held = {}, {}
                 self.flows[flow.key] = flow
 
     # ------------------------------------------------------------- primitives
@@ -408,7 +417,7 @@ class Engine:
               a=None, b=None, c=None) -> None:
         """Schedule `handler(node, a, b, c)`. The counter makes every entry
         unique before the handler, so handlers are never compared. The
-        per-frame events push their entries inline."""
+        per-frame events schedule their entries inline, into `_next`."""
         heapq.heappush(self._events, (time, rank, node, next(self._event_counter),
                                       handler, a, b, c))
 
@@ -440,8 +449,17 @@ class Engine:
                            if tx_per_bit is None
                            else (occupancy, tx_per_bit * bits, self._rx_per_bit * bits))
         record = self._hops[(sender, receiver)] = _Hop(
-            link.delay_s, (min(sender, receiver), max(sender, receiver)), costs)
+            receiver, link.delay_s, (min(sender, receiver), max(sender, receiver)),
+            costs, costs["data"])
         return record
+
+    def _next_hop(self, flow: _Flow, node_id: int, pkt: Packet) -> _Hop:
+        """`node_id`'s hop toward its successor on `flow`'s route, recorded
+        for the flow's later frames there."""
+        receiver = flow.route[pkt.hop + 1]
+        hop = self._hops.get((node_id, receiver)) or self._hop(node_id, receiver)
+        flow.next_hops[node_id] = hop
+        return hop
 
     # -------------------------------------------------------------- injection
 
@@ -456,10 +474,8 @@ class Engine:
         if queues is None:
             queues = self._queues_at(source)
         if queues.has_space(next_hop):
-            pkt = Packet(kind="data", source=flow.key[0],
-                         destination=flow.route[-1], flow=flow,
-                         seq=flow.first_seq + flow.next_seq,
-                         uid=next(self._uid), enq_s=self._now)
+            pkt = Packet("data", flow.key[0], flow.route[-1], flow,
+                         flow.first_seq + flow.next_seq, next(self._uid), 0, self._now)
             flow.next_seq += 1
             flow.outstanding += 1
             if self._tracing:
@@ -551,24 +567,24 @@ class Engine:
         if pkt is not None:
             self._serve(node_id, pkt, key)
 
-    def _serve(self, node_id: int, pkt: Packet, key) -> None:
-        """Start transmitting `pkt`, which has just left sub-queue `key` of
-        the live, idle `node_id` (a control frame leaves key None). Every
-        transmission starts here, dispatched or passed through."""
-        kind = pkt.kind
-        if kind == "data":
+    def _serve(self, node_id: int, pkt: Packet, key, hop: _Hop | None = None) -> None:
+        """Start transmitting `pkt`, just out of sub-queue `key` (None for a
+        control frame) of the live, idle `node_id`, over `hop` if the caller
+        has it. Every transmission starts here, dispatched or passed through."""
+        if pkt.kind == "data":
             flow = pkt.flow
-            next_hop = flow.route[pkt.hop + 1]
+            if hop is None:
+                hop = flow.next_hops.get(node_id) or self._next_hop(flow, node_id, pkt)
             flow.wait_total_s += self._now - pkt.enq_s
             flow.wait_hops += 1
             if self._parked and (node_id, key) in self._parked:
                 self._slot_freed(node_id, key)
-            bucket, source = "tx_data", pkt.source
+            cost, bucket, source = hop.data, "tx_data", pkt.source
         else:
-            next_hop = pkt.destination
-            bucket, source = "tx_control", None
-        hop = self._hops.get((node_id, next_hop)) or self._hop(node_id, next_hop)
-        occupancy, tx_j, _rx_j = hop.costs[kind]
+            hop = (self._hops.get((node_id, pkt.destination))
+                   or self._hop(node_id, pkt.destination))
+            cost, bucket, source = hop.costs["beacon"], "tx_control", None
+        occupancy, tx_j, _rx_j = cost
         residual, metrics = self._residual, self.metrics
         residual[node_id] -= tx_j
         metrics.energy_spent_j += tx_j
@@ -578,31 +594,34 @@ class Engine:
         if residual[node_id] < 0:
             self._node_failure(node_id)
         self._busy[node_id] = True
-        self._busy_time[node_id] += occupancy
+        if self._busy_time is not None:
+            self._busy_time[node_id] += occupancy
         if self._tracing:
             self._trace("service", node_id, pkt.uid)
-        heapq.heappush(self._events, (self._now + occupancy, _RANK_SERVICE, node_id,
-                                      next(self._event_counter), self._on_service_end,
-                                      pkt, next_hop, hop))
+        entry = (self._now + occupancy, _RANK_SERVICE, node_id, next(self._event_counter),
+                 self._service_end, pkt, hop, cost)
+        if self._next is None:
+            self._next = entry
+        else:
+            heapq.heappush(self._events, entry)
 
-    def _on_service_end(self, node_id: int, pkt: Packet, next_hop: int, hop: _Hop) -> None:
-        """`hop` is the record `_serve` priced the frame with."""
+    def _on_service_end(self, node_id: int, pkt: Packet, hop: _Hop, cost: tuple) -> None:
+        """`hop` and `cost` are what `_serve` priced the frame with."""
         self._busy[node_id] = False
         lost = self._loss_prob > 0.0 and self.rng.random() < self._loss_prob
         if node_id in self._fault_time:
             self._lose(pkt)  # the transmitter died mid-send
-        elif (next_hop in self._fault_time or hop.pair in self._down_links
-              or lost):
-            self._on_attempt_failed(node_id, next_hop, pkt, hop)
-        else:
-            heapq.heappush(self._events, (self._now + hop.delay_s, _RANK_ARRIVAL, next_hop,
-                                          next(self._event_counter), self._on_arrival,
-                                          pkt, hop, hop.costs[pkt.kind]))
+        elif (hop.receiver in self._fault_time
+              or (self._down_links and hop.pair in self._down_links) or lost):
+            self._on_attempt_failed(node_id, pkt, hop)
+        else:  # the loop empties `_next` before a handler, and nothing filled it yet
+            self._next = (self._now + hop.delay_s, _RANK_ARRIVAL, hop.receiver,
+                          next(self._event_counter), self._arrival, pkt, hop, cost)
         queues = self.queues[node_id]  # made when it first held this frame
         if queues.queued or queues.control:
             self._try_start(node_id)
 
-    def _on_attempt_failed(self, node_id: int, next_hop: int, pkt: Packet, hop: _Hop) -> None:
+    def _on_attempt_failed(self, node_id: int, pkt: Packet, hop: _Hop) -> None:
         self.metrics.retransmissions += 1
         if pkt.kind != "data":
             suspect, tried = pkt.flow
@@ -610,7 +629,7 @@ class Engine:
                 self._end_self_check(node_id, suspect)
             return
         hop.failed += 1
-        flow = pkt.flow
+        flow, next_hop = pkt.flow, hop.receiver
         queues = self.queues[node_id]
         # the route's current next hop may already be a replacement node
         # rather than the hop just attempted
@@ -636,19 +655,21 @@ class Engine:
         empty buffer and its key open goes straight to service."""
         if self._tracing:
             self._trace("arrival", node_id, pkt.uid)
+        if node_id in self._fault_time:  # a dead node spends nothing
+            self._lose(pkt)
+            return
         data = pkt.kind == "data"
-        if node_id not in self._fault_time:  # a dead node spends nothing
-            occupancy, _tx_j, rx_j = cost
-            residual, metrics = self._residual, self.metrics
-            residual[node_id] -= rx_j
-            metrics.energy_spent_j += rx_j
-            metrics.energy_breakdown_j["rx_data" if data else "rx_control"] += rx_j
-            if data:
-                metrics.per_source_comm_j[pkt.source] += rx_j
-            if residual[node_id] < 0:
-                self._node_failure(node_id)
+        occupancy, _tx_j, rx_j = cost
+        residual, metrics = self._residual, self.metrics
+        residual[node_id] -= rx_j
+        metrics.energy_spent_j += rx_j
+        metrics.energy_breakdown_j["rx_data" if data else "rx_control"] += rx_j
+        if data:
+            metrics.per_source_comm_j[pkt.source] += rx_j
+        if self._busy_time is not None:
             self._busy_time[node_id] += occupancy
-        if node_id in self._fault_time:  # dead before this frame or by its receive debit
+        if residual[node_id] < 0:  # the receive debit kills it
+            self._node_failure(node_id)
             self._lose(pkt)
             return
         if not data:
@@ -666,7 +687,8 @@ class Engine:
             return
         if self.detection:
             self._arm_receiver_timer(flow, node_id, pkt)
-        next_hop = flow.route[pkt.hop + 1]
+        hop = flow.next_hops.get(node_id) or self._next_hop(flow, node_id, pkt)
+        next_hop = hop.receiver
         queues = self.queues.get(node_id)  # `_queues_at`, inlined per frame
         if queues is None:
             queues = self._queues_at(node_id)
@@ -674,7 +696,7 @@ class Engine:
             key = queues.pass_through(next_hop)
             if key is not None:
                 pkt.enq_s = self._now
-                self._serve(node_id, pkt, key)
+                self._serve(node_id, pkt, key, hop)
                 return
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if victim is not None:
@@ -855,6 +877,7 @@ class Engine:
         self._trace("replace", substitute, 0)
         for flow in affected:
             flow.route[flow.route.index(failed)] = substitute
+            flow.next_hops.clear()
         # flows parked on the failed hop now inject toward the substitute;
         # a node without a buffer has nothing to send
         holders = sorted(self.queues)
@@ -902,6 +925,8 @@ class Engine:
     def run(self) -> RunMetrics:
         """Simulate to quiescence. Whatever fails on the way is the
         engine's fault, not the scenario's: it surfaces as SimulationError."""
+        # bound once per run, and let go after it: a bound method kept is a cycle
+        self._service_end, self._arrival = self._on_service_end, self._on_arrival
         try:
             self._simulate()
         except SimulationError:
@@ -909,6 +934,8 @@ class Engine:
         except Exception as exc:
             raise SimulationError(
                 f"at t={self._now:.9f}s: {type(exc).__name__}: {exc}") from exc
+        finally:
+            del self._service_end, self._arrival
         return self.metrics
 
     def _simulate(self) -> None:
@@ -921,10 +948,13 @@ class Engine:
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
             self._try_start(nid)
-        events, pop, cap = self._events, heapq.heappop, self.config.max_events
-        processed = 0
-        while events:
-            time, _rank, node, _count, handler, a, b, c = pop(events)
+        events, pushpop, pop = self._events, heapq.heappushpop, heapq.heappop
+        cap, processed = self.config.max_events, 0
+        while events or self._next is not None:
+            # the earlier of `_next` and the heap's first: the keys are unique
+            entry, self._next = self._next, None
+            time, _rank, node, _count, handler, a, b, c = (
+                pop(events) if entry is None else pushpop(events, entry))
             self._now = time
             processed += 1
             if processed > cap:

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import gc
 import hashlib
+import heapq
 import itertools
 import math
 import sys
@@ -369,6 +370,7 @@ def test_hop_record_matches_the_per_frame_expressions(energy_mode):
     for sender, receiver in ((1, 11), (11, 2)):
         link = topology.link(sender, receiver)
         hop = engine._hops[(sender, receiver)]
+        assert hop.receiver == receiver
         assert hop.delay_s == link.delay_s
         assert hop.pair == (min(sender, receiver), max(sender, receiver))
         assert set(hop.costs) == {"data", "beacon"}
@@ -383,6 +385,7 @@ def test_hop_record_matches_the_per_frame_expressions(energy_mode):
                 expected = (occupancy, tx_per_bit * size_bits,
                             receive_energy_per_bit(params) * size_bits)
             assert hop.costs[kind] == expected
+        assert hop.data is hop.costs["data"]
 
 
 def test_zero_traffic_costs_nothing_but_sensing():
@@ -1089,6 +1092,120 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
     assert bool(seen["wake"]) == (window is None)  # only pipelined sources park
 
 
+class _HeapOnlyEngine(Engine):
+    """An engine that keeps no entry off the heap: the slot reads empty,
+    and an entry put into it goes onto the heap."""
+
+    slotted = 0
+
+    @property
+    def _next(self):
+        return None
+
+    @_next.setter
+    def _next(self, entry):
+        if entry is not None:
+            self.slotted += 1
+            heapq.heappush(self._events, entry)
+
+
+def _slot_cases():
+    """(id, scenario) pairs in both disciplines: a node fault with a spare,
+    probes pushed beside the frames, deaths by a debit that release held
+    deadlines, a link fault and random losses."""
+    for fragmented in (True, False):
+        kind = "fragmented" if fragmented else "fifo"
+        yield f"crossing-fault-spare-{kind}", crossing_fault_scenario(5, fragmented, spare=True)
+        yield f"crossing-probed-{kind}", configured(
+            crossing_scenario(2), fragmented=fragmented, probe_times=[0.1, 0.3, 0.7])
+        for seed, window in ((0, 1), (6, None)):
+            drained = crossing_scenario(seed)
+            drained = dataclasses.replace(drained, params=dataclasses.replace(
+                drained.params, initial_energy_j=0.002))
+            yield f"battery-death-{seed}-{kind}", configured(
+                drained, fragmented=fragmented, window=window, fault_detection="on")
+        yield f"link-fault-{kind}", with_fault(
+            configured(crossing_scenario(1), fragmented=fragmented, window=1,
+                       max_attempts=3, fault_detection="on"),
+            FaultDecl(0.05 if fragmented else 1.3, link=(2, 3)), spare_beside=3)
+        yield f"lossy-{kind}", configured(
+            shipped("three-source-mesh-sim"), packets=100, window=None,
+            fragmented=fragmented, max_attempts=3, loss_prob=0.2, fault_detection="on")
+
+
+_SLOT_CASES = dict(_slot_cases())
+
+
+@pytest.mark.parametrize("case", list(_SLOT_CASES))
+def test_next_event_slot_pops_what_the_heap_pops(case):
+    # heap keys are unique, so the loop pops the earlier of the slot's entry
+    # and the heap's first in the order the heap alone pops them
+    scenario = configured(_SLOT_CASES[case], record_trace=True)
+    heap_only = _HeapOnlyEngine(scenario)
+    reference = heap_only.run()
+    assert heap_only.slotted and reference.trace
+    assert fingerprint(run_scenario(scenario)) == fingerprint(reference)
+
+
+class _UncachedHopsEngine(Engine):
+    """An engine that looks a data frame's next hop up from its route
+    position at every service start and keeps no per-flow record."""
+
+    def _next_hop(self, flow, node_id, pkt):
+        receiver = flow.route[pkt.hop + 1]
+        return self._hops.get((node_id, receiver)) or self._hop(node_id, receiver)
+
+
+def _sink_link_fault(fragmented: bool):
+    """`crossing_scenario(1)`: the link (2, 3) into the sink 3 goes down,
+    and the beacon that finds it names the live sink, which spare 17 at
+    (40, 1) replaces."""
+    return with_fault(
+        configured(crossing_scenario(1), fragmented=fragmented, window=1,
+                   max_attempts=3, fault_detection="on", record_trace=True),
+        FaultDecl(0.05 if fragmented else 1.3, link=(2, 3)), spare_beside=3)
+
+
+def _relay_link_fault(fragmented: bool):
+    """`crossing_scenario(1)` pipelined with a slow link (1, 2): the link
+    (1, 5) goes down while relay 1 still queues frames for 2, and spare 17
+    beside 1 replaces the live relay."""
+    base = configured(crossing_scenario(1), fragmented=fragmented, window=None,
+                      max_attempts=3, fault_detection="on", record_trace=True)
+    base.link_overrides = {(1, 2): (5000.0, 0.0)}
+    return with_fault(base, FaultDecl(0.5 if fragmented else 0.2, link=(1, 5)),
+                      spare_beside=1)
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_hop_records_follow_the_replaced_route(fragmented):
+    # after a replacement each affected flow's records are those of its
+    # new route; a live relay that the spare replaced serves the frames it
+    # still holds over its own hop, not the spare's
+    for make, failed in ((_sink_link_fault, 3), (_relay_link_fault, 1)):
+        engine = Engine(make(fragmented))
+        metrics = engine.run()
+        assert metrics.replacements == [(failed, 17)]
+        for flow in engine.flows.values():
+            route = flow.route
+            for node, hop in flow.next_hops.items():
+                if node in route:
+                    successor = route[route.index(node) + 1]
+                else:  # the replaced relay, on its old route position
+                    assert node == failed == 1
+                    successor = route[route.index(17) + 1]
+                assert hop is engine._hops[(node, successor)]
+        assert 17 in engine.flows[(9, 0)].route
+        assert fingerprint(metrics) == fingerprint(_UncachedHopsEngine(make(fragmented)).run())
+    # the relay's services after the replacement land at its own successor 2
+    replaced_at = next(i for i, line in enumerate(metrics.trace) if ",replace," in line)
+    later = [line.split(",")[1:] for line in metrics.trace[replaced_at:]]
+    served = [uid for kind, node, uid in later if (kind, node) == ("service", "1")]
+    landed = {uid for kind, node, uid in later if (kind, node) == ("arrival", "2")}
+    assert served and set(served) <= landed
+    assert engine.flows[(9, 0)].next_hops[1] is engine._hops[(1, 2)]
+
+
 def test_run_reports_the_hash_of_the_scenario_it_was_built_from(monkeypatch):
     sc = crossing_fault_scenario(3, fragmented=True, spare=False)
     expected = scenario_hash(sc)
@@ -1134,9 +1251,9 @@ class _MuteRelayEngine(Engine):
     would serve, dispatched or passed through, goes back to the head of its
     sub-queue."""
 
-    def _serve(self, node_id, pkt, key):
+    def _serve(self, node_id, pkt, key, hop=None):
         if node_id != 12:
-            super()._serve(node_id, pkt, key)
+            super()._serve(node_id, pkt, key, hop)
         else:
             self.queues[12].requeue(pkt, pkt.flow.route[pkt.hop + 1])
 
