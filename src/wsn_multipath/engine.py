@@ -65,9 +65,11 @@ class _Flow:
     last_delivery_s: float = 0.0
     wait_total_s: float = 0.0
     wait_hops: int = 0
-    next_hops: dict[int, _Hop] = field(default_factory=dict)  # node -> hop to its successor
-    last_arrival: dict[int, int] | None = None  # detection only: node -> seq, for its watchdog
-    # detection only: node -> its watchdog's deadline while off the heap: (seq, armed_s, counter)
+    # route position -> the hop to the next position, from the last node that sent from it
+    next_hops: dict[int, _Hop] = field(default_factory=dict)
+    # with detection on, for the watchdogs, their only readers: node -> seq,
+    # and node -> its watchdog's deadline while off the heap: (seq, armed_s, counter)
+    last_arrival: dict[int, int] | None = None
     held: dict[int, tuple[int, float, int]] | None = None
 
     @property
@@ -88,6 +90,7 @@ class _Hop:
     """One directed hop, built by `Engine._hop` for its first frame; only
     `failed` changes, counting data attempts since a success or self-check."""
 
+    sender: int
     receiver: int
     delay_s: float
     pair: tuple[int, int]           # (low id, high id), as link faults name it
@@ -341,8 +344,6 @@ class Engine:
         self._uid = itertools.count(1)
         self._event_counter = itertools.count()
         self._events: list[tuple] = []
-        # an entry kept off the heap: a frame's next event usually sorts first
-        self._next: tuple | None = None
         self._now = 0.0
         # (time, rank, node, counter) of the timer whose handler is acting
         self._acting: tuple | None = None
@@ -417,7 +418,7 @@ class Engine:
               a=None, b=None, c=None) -> None:
         """Schedule `handler(node, a, b, c)`. The counter makes every entry
         unique before the handler, so handlers are never compared. The
-        per-frame events schedule their entries inline, into `_next`."""
+        per-frame events push their entries inline."""
         heapq.heappush(self._events, (time, rank, node, next(self._event_counter),
                                       handler, a, b, c))
 
@@ -449,16 +450,16 @@ class Engine:
                            if tx_per_bit is None
                            else (occupancy, tx_per_bit * bits, self._rx_per_bit * bits))
         record = self._hops[(sender, receiver)] = _Hop(
-            receiver, link.delay_s, (min(sender, receiver), max(sender, receiver)),
+            sender, receiver, link.delay_s, (min(sender, receiver), max(sender, receiver)),
             costs, costs["data"])
         return record
 
     def _next_hop(self, flow: _Flow, node_id: int, pkt: Packet) -> _Hop:
-        """`node_id`'s hop toward its successor on `flow`'s route, recorded
-        for the flow's later frames there."""
+        """`node_id`'s hop toward the successor of `pkt`'s route position,
+        recorded for the flow's later frames there."""
         receiver = flow.route[pkt.hop + 1]
         hop = self._hops.get((node_id, receiver)) or self._hop(node_id, receiver)
-        flow.next_hops[node_id] = hop
+        flow.next_hops[pkt.hop] = hop
         return hop
 
     # -------------------------------------------------------------- injection
@@ -574,7 +575,9 @@ class Engine:
         if pkt.kind == "data":
             flow = pkt.flow
             if hop is None:
-                hop = flow.next_hops.get(node_id) or self._next_hop(flow, node_id, pkt)
+                hop = flow.next_hops.get(pkt.hop)
+                if hop is None or hop.sender != node_id:  # none yet, or another node's here
+                    hop = self._next_hop(flow, node_id, pkt)
             flow.wait_total_s += self._now - pkt.enq_s
             flow.wait_hops += 1
             if self._parked and (node_id, key) in self._parked:
@@ -598,12 +601,9 @@ class Engine:
             self._busy_time[node_id] += occupancy
         if self._tracing:
             self._trace("service", node_id, pkt.uid)
-        entry = (self._now + occupancy, _RANK_SERVICE, node_id, next(self._event_counter),
-                 self._service_end, pkt, hop, cost)
-        if self._next is None:
-            self._next = entry
-        else:
-            heapq.heappush(self._events, entry)
+        heapq.heappush(self._events, (self._now + occupancy, _RANK_SERVICE, node_id,
+                                      next(self._event_counter), self._on_service_end,
+                                      pkt, hop, cost))
 
     def _on_service_end(self, node_id: int, pkt: Packet, hop: _Hop, cost: tuple) -> None:
         """`hop` and `cost` are what `_serve` priced the frame with."""
@@ -614,9 +614,10 @@ class Engine:
         elif (hop.receiver in self._fault_time
               or (self._down_links and hop.pair in self._down_links) or lost):
             self._on_attempt_failed(node_id, pkt, hop)
-        else:  # the loop empties `_next` before a handler, and nothing filled it yet
-            self._next = (self._now + hop.delay_s, _RANK_ARRIVAL, hop.receiver,
-                          next(self._event_counter), self._arrival, pkt, hop, cost)
+        else:
+            heapq.heappush(self._events, (self._now + hop.delay_s, _RANK_ARRIVAL, hop.receiver,
+                                          next(self._event_counter), self._on_arrival,
+                                          pkt, hop, cost))
         queues = self.queues[node_id]  # made when it first held this frame
         if queues.queued or queues.control:
             self._try_start(node_id)
@@ -687,7 +688,9 @@ class Engine:
             return
         if self.detection:
             self._arm_receiver_timer(flow, node_id, pkt)
-        hop = flow.next_hops.get(node_id) or self._next_hop(flow, node_id, pkt)
+        hop = flow.next_hops.get(pkt.hop)
+        if hop is None or hop.sender != node_id:  # none yet, or another node's here
+            hop = self._next_hop(flow, node_id, pkt)
         next_hop = hop.receiver
         queues = self.queues.get(node_id)  # `_queues_at`, inlined per frame
         if queues is None:
@@ -925,8 +928,6 @@ class Engine:
     def run(self) -> RunMetrics:
         """Simulate to quiescence. Whatever fails on the way is the
         engine's fault, not the scenario's: it surfaces as SimulationError."""
-        # bound once per run, and let go after it: a bound method kept is a cycle
-        self._service_end, self._arrival = self._on_service_end, self._on_arrival
         try:
             self._simulate()
         except SimulationError:
@@ -934,8 +935,6 @@ class Engine:
         except Exception as exc:
             raise SimulationError(
                 f"at t={self._now:.9f}s: {type(exc).__name__}: {exc}") from exc
-        finally:
-            del self._service_end, self._arrival
         return self.metrics
 
     def _simulate(self) -> None:
@@ -948,13 +947,10 @@ class Engine:
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
             self._try_start(nid)
-        events, pushpop, pop = self._events, heapq.heappushpop, heapq.heappop
-        cap, processed = self.config.max_events, 0
-        while events or self._next is not None:
-            # the earlier of `_next` and the heap's first: the keys are unique
-            entry, self._next = self._next, None
-            time, _rank, node, _count, handler, a, b, c = (
-                pop(events) if entry is None else pushpop(events, entry))
+        events, pop, cap = self._events, heapq.heappop, self.config.max_events
+        processed = 0
+        while events:
+            time, _rank, node, _count, handler, a, b, c = pop(events)
             self._now = time
             processed += 1
             if processed > cap:

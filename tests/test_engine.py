@@ -2,7 +2,6 @@ import collections
 import dataclasses
 import gc
 import hashlib
-import heapq
 import itertools
 import math
 import sys
@@ -370,7 +369,7 @@ def test_hop_record_matches_the_per_frame_expressions(energy_mode):
     for sender, receiver in ((1, 11), (11, 2)):
         link = topology.link(sender, receiver)
         hop = engine._hops[(sender, receiver)]
-        assert hop.receiver == receiver
+        assert (hop.sender, hop.receiver) == (sender, receiver)
         assert hop.delay_s == link.delay_s
         assert hop.pair == (min(sender, receiver), max(sender, receiver))
         assert set(hop.costs) == {"data", "beacon"}
@@ -1092,61 +1091,6 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
     assert bool(seen["wake"]) == (window is None)  # only pipelined sources park
 
 
-class _HeapOnlyEngine(Engine):
-    """An engine that keeps no entry off the heap: the slot reads empty,
-    and an entry put into it goes onto the heap."""
-
-    slotted = 0
-
-    @property
-    def _next(self):
-        return None
-
-    @_next.setter
-    def _next(self, entry):
-        if entry is not None:
-            self.slotted += 1
-            heapq.heappush(self._events, entry)
-
-
-def _slot_cases():
-    """(id, scenario) pairs in both disciplines: a node fault with a spare,
-    probes pushed beside the frames, deaths by a debit that release held
-    deadlines, a link fault and random losses."""
-    for fragmented in (True, False):
-        kind = "fragmented" if fragmented else "fifo"
-        yield f"crossing-fault-spare-{kind}", crossing_fault_scenario(5, fragmented, spare=True)
-        yield f"crossing-probed-{kind}", configured(
-            crossing_scenario(2), fragmented=fragmented, probe_times=[0.1, 0.3, 0.7])
-        for seed, window in ((0, 1), (6, None)):
-            drained = crossing_scenario(seed)
-            drained = dataclasses.replace(drained, params=dataclasses.replace(
-                drained.params, initial_energy_j=0.002))
-            yield f"battery-death-{seed}-{kind}", configured(
-                drained, fragmented=fragmented, window=window, fault_detection="on")
-        yield f"link-fault-{kind}", with_fault(
-            configured(crossing_scenario(1), fragmented=fragmented, window=1,
-                       max_attempts=3, fault_detection="on"),
-            FaultDecl(0.05 if fragmented else 1.3, link=(2, 3)), spare_beside=3)
-        yield f"lossy-{kind}", configured(
-            shipped("three-source-mesh-sim"), packets=100, window=None,
-            fragmented=fragmented, max_attempts=3, loss_prob=0.2, fault_detection="on")
-
-
-_SLOT_CASES = dict(_slot_cases())
-
-
-@pytest.mark.parametrize("case", list(_SLOT_CASES))
-def test_next_event_slot_pops_what_the_heap_pops(case):
-    # heap keys are unique, so the loop pops the earlier of the slot's entry
-    # and the heap's first in the order the heap alone pops them
-    scenario = configured(_SLOT_CASES[case], record_trace=True)
-    heap_only = _HeapOnlyEngine(scenario)
-    reference = heap_only.run()
-    assert heap_only.slotted and reference.trace
-    assert fingerprint(run_scenario(scenario)) == fingerprint(reference)
-
-
 class _UncachedHopsEngine(Engine):
     """An engine that looks a data frame's next hop up from its route
     position at every service start and keeps no per-flow record."""
@@ -1188,13 +1132,10 @@ def test_hop_records_follow_the_replaced_route(fragmented):
         assert metrics.replacements == [(failed, 17)]
         for flow in engine.flows.values():
             route = flow.route
-            for node, hop in flow.next_hops.items():
-                if node in route:
-                    successor = route[route.index(node) + 1]
-                else:  # the replaced relay, on its old route position
-                    assert node == failed == 1
-                    successor = route[route.index(17) + 1]
-                assert hop is engine._hops[(node, successor)]
+            for position, hop in flow.next_hops.items():
+                # the node now there, or the replaced relay on its old position
+                assert hop.sender == route[position] or (hop.sender, route[position]) == (1, 17)
+                assert hop is engine._hops[(hop.sender, route[position + 1])]
         assert 17 in engine.flows[(9, 0)].route
         assert fingerprint(metrics) == fingerprint(_UncachedHopsEngine(make(fragmented)).run())
     # the relay's services after the replacement land at its own successor 2
@@ -1203,7 +1144,39 @@ def test_hop_records_follow_the_replaced_route(fragmented):
     served = [uid for kind, node, uid in later if (kind, node) == ("service", "1")]
     landed = {uid for kind, node, uid in later if (kind, node) == ("arrival", "2")}
     assert served and set(served) <= landed
-    assert engine.flows[(9, 0)].next_hops[1] is engine._hops[(1, 2)]
+
+
+def _spare_at_two_positions(fragmented: bool):
+    """Spare 2 sits on the declared route 1-2-3-4-5-6 and queues frames
+    behind a slow link (2, 3). The link (1, 2) goes down, and spare 7
+    replaces the live node 2, which stays a spare; node 4 then fails, and
+    node 2, beside both of 4's neighbours 3 and 5, replaces it while it
+    still holds frames of its first position."""
+    positions = {1: (-20.0, 0.0), 2: (0.0, 0.0), 3: (0.0, 20.0), 4: (20.0, 20.0),
+                 5: (20.0, 0.0), 6: (40.0, 0.0), 7: (-1.0, 1.0)}
+    return Scenario(
+        name="spare-at-two-positions", params=small_params(), positions=positions, sink=6,
+        sources=[SourceDecl(1, 60, paths=[[1, 2, 3, 4, 5, 6]])],
+        link_overrides={(2, 3): (2000.0, 0.0)}, redundant=(2, 7),
+        faults=[FaultDecl(0.1, link=(1, 2)), FaultDecl(0.3, node=4)],
+        engine=RunConfig(scheme=2, window=None, max_attempts=3, fragmented=fragmented,
+                         fault_detection="on", record_trace=True))
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_node_at_two_route_positions_serves_each_over_its_own_hop(fragmented):
+    # the flow's records are kept per route position: a node that holds
+    # frames of one flow at two positions sends each to its own successor
+    metrics = run_scenario(_spare_at_two_positions(fragmented))
+    assert metrics.replacements == [(2, 7), (4, 2)]
+    replaced_at = [i for i, line in enumerate(metrics.trace) if ",replace," in line][-1]
+    later = [line.split(",")[1:] for line in metrics.trace[replaced_at:]]
+    served = {uid for kind, node, uid in later if (kind, node) == ("service", "2")}
+    landed = {node: {uid for kind, at, uid in later if (kind, at) == ("arrival", node)}
+              for node in ("3", "5")}
+    assert served & landed["3"] and served & landed["5"]
+    reference = _UncachedHopsEngine(_spare_at_two_positions(fragmented)).run()
+    assert fingerprint(metrics) == fingerprint(reference)
 
 
 def test_run_reports_the_hash_of_the_scenario_it_was_built_from(monkeypatch):
