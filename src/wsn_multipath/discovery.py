@@ -23,30 +23,45 @@ def _lex_shortest_path(topology: Topology, source: int, sink: int,
                        blocked: set[int]) -> tuple[int, ...] | None:
     """Hop-count shortest path, lexicographically smallest node sequence.
 
-    BFS from the sink gives distances-to-sink; the path is then
-    reconstructed greedily from the source, always stepping to the
-    lowest-id neighbor one level closer. The search ends with the level
-    that reaches the source: reconstruction reads only nodes nearer the
-    sink, and all of them are known by then. `blocked` nodes are unusable
-    as interior nodes; it never holds the source or the sink.
+    A ball grows from each end, one whole level at a time, always the
+    one with the smaller frontier (Pohl, "Bi-directional search", 1971).
+    The first level that touches the other ball gives the length: before
+    it the balls were disjoint, so every touching node lies on a shortest
+    path. Walking the source's ball back from the touching nodes gives
+    each node on a shortest path its distance to the sink, which the
+    sink's ball knows for the rest. The path is then reconstructed
+    greedily from the source, always stepping to the lowest-id neighbor
+    one level closer to the sink. A ball that empties first is cut off.
+    `blocked` nodes are unusable as interior nodes; it never holds the
+    source or the sink.
     """
     adjacency = topology.adjacency
-    dist = {sink: 0}
-    seen = blocked | {sink}
-    frontier = [sink]
-    level = 0
-    while frontier and source not in seen:
-        level += 1
+    dist, from_source = {sink: 0}, {source: 0}    # hops to the sink, from the source
+    # each end: its ball, the other end's ball, what it has seen, its frontier
+    ends = [[dist, from_source, blocked | {sink}, [sink]],
+            [from_source, dist, blocked | {source}, [source]]]
+    while True:
+        end = min(ends, key=lambda e: len(e[3]))
+        ball, other, seen, frontier = end
+        level = ball[frontier[0]] + 1
         nxt = []
         for n in frontier:
             for m in adjacency[n]:
                 if m not in seen:
                     seen.add(m)
                     nxt.append(m)
-        dist.update(dict.fromkeys(nxt, level))
-        frontier = nxt
-    if source not in seen:
-        return None
+        if not nxt:
+            return None
+        ball.update(dict.fromkeys(nxt, level))
+        end[3] = nxt
+        touching = [m for m in nxt if m in other]
+        if touching:
+            break
+    length = dist[touching[0]] + from_source[touching[0]]
+    layer = touching
+    for hops in range(from_source[touching[0]] - 1, -1, -1):
+        layer = {n for m in layer for n in adjacency[m] if from_source.get(n) == hops}
+        dist.update(dict.fromkeys(layer, length - hops))
     path = [source]
     current = source
     while current != sink:

@@ -38,7 +38,8 @@ class SimulationError(RuntimeError):
 
 
 # event ranks: scheduled faults fire before transmissions complete, which
-# fire before arrivals land, which fire before watchdog timers and probes
+# fire before arrivals land, which fire before watchdog timers and probes.
+# A rank names its event's handler, `_on_fault` to `_on_probe` in order.
 _RANK_FAULT = 0
 _RANK_SERVICE = 1
 _RANK_ARRIVAL = 2
@@ -414,13 +415,11 @@ class Engine:
 
     # ------------------------------------------------------------- primitives
 
-    def _push(self, time: float, rank: int, node: int, handler,
-              a=None, b=None, c=None) -> None:
-        """Schedule `handler(node, a, b, c)`. The counter makes every entry
-        unique before the handler, so handlers are never compared. The
-        per-frame events push their entries inline."""
-        heapq.heappush(self._events, (time, rank, node, next(self._event_counter),
-                                      handler, a, b, c))
+    def _push(self, time: float, rank: int, node: int, a=None, b=None, c=None) -> None:
+        """Schedule the handler of `rank` as `handler(node, a, b, c)`. The
+        counter makes every entry unique before its arguments, so those are
+        never compared. The per-frame events push their entries inline."""
+        heapq.heappush(self._events, (time, rank, node, next(self._event_counter), a, b, c))
 
     def _trace(self, kind: str, node: int, pkt_uid: int) -> None:
         if self._tracing:
@@ -602,8 +601,7 @@ class Engine:
         if self._tracing:
             self._trace("service", node_id, pkt.uid)
         heapq.heappush(self._events, (self._now + occupancy, _RANK_SERVICE, node_id,
-                                      next(self._event_counter), self._on_service_end,
-                                      pkt, hop, cost))
+                                      next(self._event_counter), pkt, hop, cost))
 
     def _on_service_end(self, node_id: int, pkt: Packet, hop: _Hop, cost: tuple) -> None:
         """`hop` and `cost` are what `_serve` priced the frame with."""
@@ -616,8 +614,7 @@ class Engine:
             self._on_attempt_failed(node_id, pkt, hop)
         else:
             heapq.heappush(self._events, (self._now + hop.delay_s, _RANK_ARRIVAL, hop.receiver,
-                                          next(self._event_counter), self._on_arrival,
-                                          pkt, hop, cost))
+                                          next(self._event_counter), pkt, hop, cost))
         queues = self.queues[node_id]  # made when it first held this frame
         if queues.queued or queues.control:
             self._try_start(node_id)
@@ -768,7 +765,7 @@ class Engine:
         cycle = (len(flow.route) - 1) * flow.tau_s if self.config.window else flow.tau_s
         allowance = self.config.max_attempts * flow.tau_s
         return (armed_s + cycle + allowance, _RANK_TIMER, node_id, counter,
-                self._on_timer, flow, hold, armed_s + cycle)
+                flow, hold, armed_s + cycle)
 
     def _release(self, flow: _Flow, node_id: int, hold: tuple[int, float, int]) -> None:
         """The node upstream of `node_id` on `flow` has died: push its held
@@ -838,9 +835,12 @@ class Engine:
         self._slot_freed(origin, queues.key(suspect))
         self._try_start(origin)
 
-    def _nearest_redundant(self, detector: int) -> int | None:
+    def _nearest_redundant(self, detector: int, failed: int) -> int | None:
+        """The live spare nearest the detector, other than `failed`: a spare
+        on a route whose link into it failed is alive, yet cannot replace
+        itself."""
         live = [(self.topology.distance(detector, nid), nid)
-                for nid in self._spares if nid not in self._fault_time]
+                for nid in self._spares if nid != failed and nid not in self._fault_time]
         return min(live)[1] if live else None
 
     def _substitution_fits(self, flow: _Flow, failed: int, substitute: int) -> bool:
@@ -867,7 +867,7 @@ class Engine:
         })
         affected = [f for f in self.flows.values()
                     if failed in f.route and not f.finished and not f.abandoned]
-        substitute = self._nearest_redundant(detector)
+        substitute = self._nearest_redundant(detector, failed)
         usable = (substitute is not None
                   and all(self._substitution_fits(f, failed, substitute)
                           for f in affected))
@@ -940,24 +940,26 @@ class Engine:
     def _simulate(self) -> None:
         for fault in self.scenario.faults:
             node = fault.node if fault.node is not None else 0
-            self._push(fault.time, _RANK_FAULT, node, self._on_fault, fault.link)
+            self._push(fault.time, _RANK_FAULT, node, fault.link)
         for when in self.config.probe_times:
-            self._push(when, _RANK_PROBE, 0, self._on_probe)
+            self._push(when, _RANK_PROBE, 0)
         for key in sorted(self.flows):
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
             self._try_start(nid)
         events, pop, cap = self._events, heapq.heappop, self.config.max_events
+        handlers = (self._on_fault, self._on_service_end, self._on_arrival,
+                    self._on_timer, self._on_probe)
         processed = 0
         while events:
-            time, _rank, node, _count, handler, a, b, c = pop(events)
+            time, rank, node, _count, a, b, c = pop(events)
             self._now = time
             processed += 1
             if processed > cap:
                 raise SimulationError(
                     f"exceeded {cap} events at t={time:.6f}s; "
                     f"{sum(f.resolved for f in self.flows.values())} packets resolved")
-            handler(node, a, b, c)
+            handlers[rank](node, a, b, c)
         self.metrics.event_count = processed
         self.metrics.final_time_s = self._now
         self._finalize()

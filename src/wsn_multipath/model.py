@@ -9,6 +9,7 @@ are left, which links are down), and packets carry their own progress.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -171,28 +172,36 @@ class Packet:
 
 class Topology:
     """Immutable radio-range adjacency over a fixed node deployment:
-    `nodes` maps each node id to its position, `adjacency` each node id to
-    its neighbours in ascending order, and `links` holds each pair
-    (low id, high id) in ascending order. `build_topology` builds it."""
+    `nodes` maps each node id to its position, and `adjacency` each node id
+    to its neighbours in ascending order. A pair's link is its override's
+    record, or else the one `default` every other pair shares.
+    `build_topology` builds it."""
 
     def __init__(self, nodes: dict[int, tuple[float, float]],
                  adjacency: dict[int, tuple[int, ...]],
-                 links: dict[tuple[int, int], Link]):
+                 overrides: dict[tuple[int, int], Link], default: Link | None):
         self.nodes = nodes
         self.adjacency = adjacency
-        self.links = links
+        self.overrides = overrides      # (low id, high id) -> its own record
+        self.default = default          # None when no pair takes it
+
+    @functools.cached_property
+    def links(self) -> dict[tuple[int, int], Link]:
+        """Each pair (low id, high id) in ascending order with its link,
+        built when first read: a run looks up its few pairs by `link`."""
+        return {(a, b): self.overrides.get((a, b), self.default)
+                for a in sorted(self.adjacency) for b in self.adjacency[a] if a < b}
 
     def neighbors(self, node_id: int) -> tuple[int, ...]:
         return self.adjacency[node_id]
 
     def are_adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.links
+        return b in self.adjacency.get(a, ())
 
     def link(self, a: int, b: int) -> Link:
-        try:
-            return self.links[(min(a, b), max(a, b))]
-        except KeyError:
-            raise RoutingError(f"no link between {a} and {b}") from None
+        if b not in self.adjacency.get(a, ()):
+            raise RoutingError(f"no link between {a} and {b}")
+        return self.overrides.get((a, b) if a < b else (b, a), self.default)
 
     def distance(self, a: int, b: int) -> float:
         (ax, ay), (bx, by) = self.nodes[a], self.nodes[b]
@@ -249,8 +258,7 @@ def build_topology(positions: dict[int, tuple[float, float]], radio_range_m: flo
                    ) -> Topology:
     """Build the adjacency containing exactly the node pairs within radio range.
 
-    `links` holds them in ascending (low id, high id) order; an override
-    of a pair out of range is ignored.
+    An override of a pair out of range is ignored.
     """
     if not radio_range_m > 0:
         raise DomainError("radio range must be positive")
@@ -265,10 +273,7 @@ def build_topology(positions: dict[int, tuple[float, float]], radio_range_m: flo
     # invalid default raises where a record per pair would have raised
     pairs = sum(map(len, adjacency.values())) // 2
     default = Link(link_speed_bps, link_delay_s) if len(own) < pairs else None
-    links = {(a, b): default for a in sorted(adjacency) for b in adjacency[a] if a < b}
-    for pair in own:
-        links[pair] = Link(*overrides[pair])
-    return Topology(nodes, adjacency, links)
+    return Topology(nodes, adjacency, {pair: Link(*overrides[pair]) for pair in own}, default)
 
 
 def validate_path(topology: Topology, sequence: tuple[int, ...] | list[int]) -> PathInfo:

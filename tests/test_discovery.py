@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from wsn_multipath.discovery import (
+    _lex_shortest_path,
     choke_probe,
     discover_paths,
 )
@@ -76,6 +78,72 @@ def test_discovery_deterministic(mesh):
     topo2, _ = build_scenario(mesh)
     assert ([p.nodes for p in discover_paths(topo1, 3, 6)]
             == [p.nodes for p in discover_paths(topo2, 3, 6)])
+
+
+def _one_ended_lex_shortest_path(topology, source, sink, blocked):
+    """The reference search: one ball grown from the sink until its level
+    reaches the source, then the greedy lowest-id walk down its levels."""
+    adjacency = topology.adjacency
+    dist = {sink: 0}
+    seen = blocked | {sink}
+    frontier = [sink]
+    level = 0
+    while frontier and source not in seen:
+        level += 1
+        nxt = []
+        for n in frontier:
+            for m in adjacency[n]:
+                if m not in seen:
+                    seen.add(m)
+                    nxt.append(m)
+        dist.update(dict.fromkeys(nxt, level))
+        frontier = nxt
+    if source not in seen:
+        return None
+    path = [source]
+    current = source
+    while current != sink:
+        step = min(m for m in adjacency[current]
+                   if dist.get(m) == dist[current] - 1)
+        path.append(step)
+        current = step
+    return tuple(path)
+
+
+@st.composite
+def _searches(draw):
+    """A random geometric graph in the unit square, a source and a sink,
+    and a random set of blocked interior nodes."""
+    radius = draw(st.sampled_from([0.15, 0.25, 0.4]))
+    ids = draw(st.lists(st.integers(1, 99), min_size=2, max_size=60, unique=True))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    positions = {nid: (draw(unit), draw(unit)) for nid in ids}
+    source, sink = draw(st.permutations(ids))[:2]
+    blocked = set(draw(st.lists(st.sampled_from(ids), max_size=len(ids))))
+    return positions, radius, source, sink, blocked - {source, sink}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_searches())
+# the source next to the sink, beside a two-hop route
+@example(({1: (0.0, 0.0), 2: (0.2, 0.0), 3: (0.1, 0.1)}, 0.25, 1, 2, set()))
+# the source cut off by the blocked set, in a component of many nodes
+@example(({1: (0.0, 0.0), 5: (0.1, 0.0),
+           **{n: (0.2 + 0.1 * (n % 5), 0.1 * (n // 5 - 2)) for n in range(10, 40)}},
+          0.15, 1, 39, {5}))
+# a deck of two components, the sink's larger
+@example(({1: (0.0, 0.0), 2: (0.1, 0.0),
+           **{n: (0.6 + 0.05 * (n % 6), 0.05 * (n // 6)) for n in range(10, 40)}},
+          0.15, 1, 25, set()))
+# several shortest routes that tie on length: the lowest ids win
+@example(({1: (0.0, 0.5), 2: (0.2, 0.3), 3: (0.2, 0.7), 4: (0.2, 0.5),
+           5: (0.4, 0.5)}, 0.3, 1, 5, set()))
+def test_two_ended_search_returns_the_one_ended_path(search):
+    positions, radius, source, sink, blocked = search
+    topo = build_topology(positions, radius)
+    expected = _one_ended_lex_shortest_path(topo, source, sink, set(blocked))
+    assert _lex_shortest_path(topo, source, sink, blocked) == expected
+    assert blocked == search[4]  # the search leaves its argument as it was
 
 
 def _mesh_path(mesh, nodes):

@@ -1179,6 +1179,24 @@ def test_node_at_two_route_positions_serves_each_over_its_own_hop(fragmented):
     assert fingerprint(metrics) == fingerprint(reference)
 
 
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_spare_named_by_a_link_fault_is_not_its_own_substitute(fragmented):
+    # the link (1, 2) fails and detector 1 names the live spare 2 on its
+    # route; spare 7 replaces it whether 7 is nearer node 1 than node 2 is
+    # (19.0 m against 20 m) or farther (21.0 m)
+    delivered = []
+    for spare_xy in [(-1.0, 1.0), (1.0, 1.0)]:
+        sc = dataclasses.replace(_spare_at_two_positions(fragmented),
+                                 faults=[FaultDecl(0.1, link=(1, 2))])
+        sc.positions[7] = spare_xy
+        metrics = run_scenario(sc)
+        assert metrics.replacements == [(2, 7)]
+        assert metrics.abandoned == []
+        delivered.append(metrics.delivered)
+    # the shared FIFO drops the frame that spent its attempts on the link
+    assert delivered == [{1: 60 if fragmented else 59}] * 2
+
+
 def test_run_reports_the_hash_of_the_scenario_it_was_built_from(monkeypatch):
     sc = crossing_fault_scenario(3, fragmented=True, spare=False)
     expected = scenario_hash(sc)

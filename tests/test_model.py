@@ -16,7 +16,10 @@ from wsn_multipath.model import (
     path_tau,
     validate_path,
 )
+from wsn_multipath.engine import run_scenario
 from wsn_multipath.scenario import Scenario, SourceDecl, build_scenario
+
+from conftest import uniform_fault_scenario
 
 
 def test_params_reject_nonpositive_fields():
@@ -123,6 +126,34 @@ def test_grid_build_equals_all_pairs_build(deployment):
     for nid in positions:
         assert topo.neighbors(nid) == tuple(sorted(
             b if a == nid else a for a, b in expected if nid in (a, b)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_deployments())
+def test_pair_lookups_agree_with_the_link_table(deployment):
+    # `are_adjacent` and `link` read the adjacency and the overrides; the
+    # table, built when first read, holds the same records. Every ordered
+    # pair is asked, a node with itself and an id outside the deck too.
+    positions, radius, overrides = deployment
+    topo = build_topology(positions, radius, link_overrides=overrides)
+    ids = [*positions, max(positions, default=0) + 1]
+    for a in ids:
+        for b in ids:
+            pair = (min(a, b), max(a, b))
+            assert topo.are_adjacent(a, b) == (pair in topo.links)
+            if pair in topo.links:
+                assert topo.link(a, b) is topo.links[pair]
+            else:
+                with pytest.raises(RoutingError, match=f"^no link between {a} and {b}$"):
+                    topo.link(a, b)
+
+
+def test_a_run_builds_no_link_table():
+    sc = uniform_fault_scenario(1000, 540.0, 30.0, seed=10, packets=20)
+    built = build_scenario(sc)
+    metrics = run_scenario(sc, built)
+    assert metrics.replacements  # the run looked links up, and replaced a node
+    assert "links" not in vars(built[0])
 
 
 def test_mesh_pinned_neighbor_counts(mesh):
