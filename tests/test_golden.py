@@ -396,6 +396,7 @@ SMALL_BUFFER_QUEUES = (1, 2)                 # frames per sub-queue
 SMALL_BUFFER_WINDOWS = (2, None)
 IDLE_SEEDS = range(24)
 IDLE_POWER_W = 2.5e-4
+RELAY_LINK_SEEDS = range(40)
 DISCOVERY_SEEDS = (701, 702, 703)
 MESH_VARIANTS = {
     "mesh-window-1": {"window": 1},
@@ -426,7 +427,13 @@ def family_runs(family: str, fragmented: bool):
     - crossing-idle: `crossing_scenario` seeds 0-23 charging idle energy,
       each at `window` 1 and null; by seed, fault-free, lossy, with a
       middle node failing halfway (a spare beside it at seeds 6, 14 and
-      22), or a route's first link going down halfway."""
+      22), or a route's first link going down halfway;
+    - relay-link-fault: `crossing_scenario` seeds 0-39 at `window` 1 and
+      null, with detection on and 3 attempts: the first link of the
+      seed's first route of 3 or more hops goes down halfway through the
+      fault-free run, with a spare beside its far end or its near end,
+      each alone and again with the route's third node failing at 1.25
+      times the link's down time, a spare of its own beside it."""
     if family.startswith("crossing-fault"):
         bases = (crossing_fault_scenario(seed, fragmented, spare=family.endswith("spare"))
                  for seed in CROSSING_FAULT_SEEDS)
@@ -450,6 +457,9 @@ def family_runs(family: str, fragmented: bool):
                             window=window)
                  for seed in IDLE_SEEDS for base in [_idle_case(seed, fragmented)]
                  for window in (1, None))
+    elif family == "relay-link-fault":
+        bases = (case for seed in RELAY_LINK_SEEDS for window in (1, None)
+                 for case in _relay_link_cases(seed, window, fragmented))
     else:
         bases = (configured(load_scenario(_scenario(name)), packets=500,
                             **MESH_VARIANTS[family])
@@ -488,6 +498,24 @@ def _idle_case(seed: int, fragmented: bool):
         fault = FaultDecl(run_scenario(base).completion_s / 2.0, link=tuple(route[:2]))
         return with_fault(configured(base, max_attempts=3, fault_detection="on"), fault)
     return base
+
+
+def _relay_link_cases(seed: int, window, fragmented: bool):
+    """The relay-link-fault family's four scenarios of `seed` and `window`."""
+    base = configured(crossing_scenario(seed), window=window, max_attempts=3,
+                      fault_detection="on", fragmented=fragmented)
+    _topology, specs = build_scenario(base)
+    route = next(p.nodes for spec in specs for p in spec.paths if p.hops >= 3)
+    down_s = run_scenario(base).completion_s / 2.0
+    for beside in route[1], route[0]:
+        single = with_fault(base, FaultDecl(down_s, link=tuple(route[:2])), beside)
+        yield single
+        x, y = single.positions[route[2]]
+        spare = max(single.positions) + 1
+        yield dataclasses.replace(
+            single, positions={**single.positions, spare: (x, y + 1.0)},
+            redundant=(*single.redundant, spare),
+            faults=[*single.faults, FaultDecl(1.25 * down_s, node=route[2])])
 
 
 def discovery_lines():
@@ -548,6 +576,10 @@ FAMILY_DIGESTS = {
         "7eb09071f37edce1b98ca031863eb3a1e0a43c0d22a54c9f4f04ec4f2dfc8264",
     ("crossing-probed", True):
         "c0b40f310787011852b45e853559b9c7e981fec346ee27a5f6eeada8ab6504eb",
+    ("relay-link-fault", False):
+        "fcd159e68817a73e16e40cdd6fc56f1a926cc49eeeaa1b5c8abb4c060cfce288",
+    ("relay-link-fault", True):
+        "0541909dc3ef117341ab7a244e6cc74f40eacc11f42e51e55ced6e8b3379b085",
     ("mesh-window-1", False):
         "53bca3d35b2f14c1f14fb53d904c9ceee361cb2b843327b3c2312ba7a4027e9f",
     ("mesh-window-1", True):
