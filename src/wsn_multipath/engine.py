@@ -66,8 +66,9 @@ class _Flow:
     last_delivery_s: float = 0.0
     wait_total_s: float = 0.0
     wait_hops: int = 0
-    # route position -> the hop to the next position, from the last node that sent from it
-    next_hops: dict[int, _Hop] = field(default_factory=dict)
+    # node -> its hop on the flow, built when the run starts; a replacement
+    # redirects the hops into the node it replaces
+    hops: dict[int, _Hop] = field(default_factory=dict)
     # with detection on, for the watchdogs, their only readers: node -> seq,
     # and node -> its watchdog's deadline while off the heap: (seq, armed_s, counter)
     last_arrival: dict[int, int] | None = None
@@ -88,15 +89,15 @@ class _Flow:
 
 @dataclass(slots=True)
 class _Hop:
-    """One directed hop, built by `Engine._hop` for its first frame; only
+    """One directed hop, built by `Engine._hop` when first asked for; only
     `failed` changes, counting data attempts since a success or self-check."""
 
     sender: int
     receiver: int
     delay_s: float
     pair: tuple[int, int]           # (low id, high id), as link faults name it
-    costs: dict[str, tuple[float, float, float]]  # kind -> (service s, tx J, rx J)
-    data: tuple[float, float, float]  # costs["data"]
+    data: tuple[float, float, float]    # a data frame's (service s, tx J, rx J)
+    beacon: tuple[float, float, float]  # a beacon's
     failed: int = 0
 
 
@@ -358,7 +359,7 @@ class Engine:
         self._tracing = self.config.record_trace
         self._loss_prob = self.config.loss_prob
         self._rx_per_bit = receive_energy_per_bit(self.params)
-        # (sender, receiver) -> the hop's record, made by its first frame
+        # (sender, receiver) -> the hop's record, made when first asked for
         self._hops: dict[tuple[int, int], _Hop] = {}
         # run state; the topology and specs are never written. A node is
         # dead exactly when it has a fault time, a link down exactly when
@@ -435,31 +436,25 @@ class Engine:
         return queues
 
     def _hop(self, sender: int, receiver: int) -> _Hop:
-        """Build the hop's record for its first frame. The link is looked up
-        first, so that a missing one raises RoutingError before any energy
-        error."""
+        """The hop's record, built when first asked for. The link is looked
+        up first, so that a missing one raises RoutingError before any
+        energy error."""
+        record = self._hops.get((sender, receiver))
+        if record is not None:
+            return record
         link, config = self.topology.link(sender, receiver), self.config
         tx_per_bit = None if config.energy_mode == "per_packet" else transmit_energy_per_bit(
             self.params, self.topology.distance(sender, receiver))
-        costs = {}
-        for kind, bits in (("data", self.params.packet_size_bits),
-                           ("beacon", config.control_size_bits)):
+        costs = []  # data, then beacon
+        for bits in (self.params.packet_size_bits, config.control_size_bits):
             occupancy = bits / link.speed_bps
-            costs[kind] = ((occupancy, config.tx_power_w * occupancy, config.rx_power_w * occupancy)
-                           if tx_per_bit is None
-                           else (occupancy, tx_per_bit * bits, self._rx_per_bit * bits))
+            costs.append((occupancy, config.tx_power_w * occupancy, config.rx_power_w * occupancy)
+                         if tx_per_bit is None
+                         else (occupancy, tx_per_bit * bits, self._rx_per_bit * bits))
         record = self._hops[(sender, receiver)] = _Hop(
             sender, receiver, link.delay_s, (min(sender, receiver), max(sender, receiver)),
-            costs, costs["data"])
+            *costs)
         return record
-
-    def _next_hop(self, flow: _Flow, node_id: int, pkt: Packet) -> _Hop:
-        """`node_id`'s hop toward the successor of `pkt`'s route position,
-        recorded for the flow's later frames there."""
-        receiver = flow.route[pkt.hop + 1]
-        hop = self._hops.get((node_id, receiver)) or self._hop(node_id, receiver)
-        flow.next_hops[pkt.hop] = hop
-        return hop
 
     # -------------------------------------------------------------- injection
 
@@ -475,7 +470,7 @@ class Engine:
             queues = self._queues_at(source)
         if queues.has_space(next_hop):
             pkt = Packet("data", flow.key[0], flow.route[-1], flow,
-                         flow.first_seq + flow.next_seq, next(self._uid), 0, self._now)
+                         flow.first_seq + flow.next_seq, next(self._uid), self._now)
             flow.next_seq += 1
             flow.outstanding += 1
             if self._tracing:
@@ -574,18 +569,15 @@ class Engine:
         if pkt.kind == "data":
             flow = pkt.flow
             if hop is None:
-                hop = flow.next_hops.get(pkt.hop)
-                if hop is None or hop.sender != node_id:  # none yet, or another node's here
-                    hop = self._next_hop(flow, node_id, pkt)
+                hop = flow.hops[node_id]
             flow.wait_total_s += self._now - pkt.enq_s
             flow.wait_hops += 1
             if self._parked and (node_id, key) in self._parked:
                 self._slot_freed(node_id, key)
             cost, bucket, source = hop.data, "tx_data", pkt.source
         else:
-            hop = (self._hops.get((node_id, pkt.destination))
-                   or self._hop(node_id, pkt.destination))
-            cost, bucket, source = hop.costs["beacon"], "tx_control", None
+            hop = self._hop(node_id, pkt.destination)
+            cost, bucket, source = hop.beacon, "tx_control", None
         occupancy, tx_j, _rx_j = cost
         residual, metrics = self._residual, self.metrics
         residual[node_id] -= tx_j
@@ -629,9 +621,8 @@ class Engine:
         hop.failed += 1
         flow, next_hop = pkt.flow, hop.receiver
         queues = self.queues[node_id]
-        # the route's current next hop may already be a replacement node
-        # rather than the hop just attempted
-        requeue_hop = flow.route[pkt.hop + 1]
+        # the node's hop may have been redirected since this attempt started
+        requeue_hop = flow.hops[node_id].receiver
         spent = requeue_hop == next_hop and hop.failed >= self.config.max_attempts
         if spent and self._send_beacon(node_id, next_hop, tried=set()):
             # the hop stays blocked while its self-check beacon is out
@@ -674,21 +665,18 @@ class Engine:
             self._on_beacon_arrived(pkt)
             return
         flow = pkt.flow
-        pkt.hop += 1
         hop.failed = 0  # success resets the counter
-        # the last hop delivers, by position: after a link fault into the
-        # sink, a spare may hold the route's end while this packet flew on
-        if pkt.hop == len(flow.route) - 1:
+        onward = flow.hops.get(node_id)
+        # a node without a hop on the flow delivers: the route's end, or a
+        # sink that a spare replaced while this packet flew to it
+        if onward is None:
             if self._tracing:
                 self._trace("deliver", node_id, pkt.uid)
             self._packet_resolved(pkt, "delivered")
             return
         if self.detection:
-            self._arm_receiver_timer(flow, node_id, pkt)
-        hop = flow.next_hops.get(pkt.hop)
-        if hop is None or hop.sender != node_id:  # none yet, or another node's here
-            hop = self._next_hop(flow, node_id, pkt)
-        next_hop = hop.receiver
+            self._arm_receiver_timer(flow, node_id, pkt.seq, hop.sender)
+        next_hop = onward.receiver
         queues = self.queues.get(node_id)  # `_queues_at`, inlined per frame
         if queues is None:
             queues = self._queues_at(node_id)
@@ -696,7 +684,7 @@ class Engine:
             key = queues.pass_through(next_hop)
             if key is not None:
                 pkt.enq_s = self._now
-                self._serve(node_id, pkt, key, hop)
+                self._serve(node_id, pkt, key, onward)
                 return
         accepted, victim = queues.enqueue_data(pkt, next_hop)
         if victim is not None:
@@ -742,16 +730,16 @@ class Engine:
         flow.dropped += lost
         self.metrics.dropped_fault += lost
 
-    def _arm_receiver_timer(self, flow: _Flow, node_id: int, pkt: Packet) -> None:
-        """Packet `pkt` of `flow` has reached `node_id` at route position
-        `pkt.hop`; its watchdog waits for the next one. The deadline takes
-        its heap key now, but enters the heap only once the node upstream
-        is dead: only then can it act. Until then the flow holds it."""
-        flow.last_arrival[node_id] = pkt.seq
+    def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int, sender: int) -> None:
+        """Packet `seq` of `flow` has reached `node_id` from `sender`; its
+        watchdog waits for the next one. The deadline takes its heap key
+        now, but enters the heap only once the sender is dead: only then
+        can it act. Until then the flow holds it."""
+        flow.last_arrival[node_id] = seq
         if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
-        hold = (pkt.seq, self._now, next(self._event_counter))
-        if flow.route[pkt.hop - 1] in self._fault_time:
+        hold = (seq, self._now, next(self._event_counter))
+        if sender in self._fault_time:
             heapq.heappush(self._events, self._timer_entry(flow, node_id, hold))
         else:
             flow.held[node_id] = hold  # a newer hold leaves the older one a no-op
@@ -878,12 +866,22 @@ class Engine:
         self._spares.discard(substitute)
         self.metrics.replacements.append((failed, substitute))
         self._trace("replace", substitute, 0)
+        # every sender into the failed node that hears the substitute sends
+        # to it instead; one that does not keeps its hop, and what it holds
+        # of the flow fails there
+        redirected = set()
         for flow in affected:
-            flow.route[flow.route.index(failed)] = substitute
-            flow.next_hops.clear()
+            route, hops, at = flow.route, flow.hops, flow.route.index(failed)
+            route[at] = substitute
+            if at + 1 < len(route):
+                hops[substitute] = self._hop(substitute, route[at + 1])
+            for sender, hop in hops.items():
+                if hop.receiver == failed and self.topology.are_adjacent(sender, substitute):
+                    hops[sender] = self._hop(sender, substitute)
+                    redirected.add(sender)
         # flows parked on the failed hop now inject toward the substitute;
         # a node without a buffer has nothing to send
-        holders = sorted(self.queues)
+        holders = sorted(redirected & self.queues.keys())
         for nid in holders:
             self.queues[nid].retarget(failed, substitute)
             self._slot_freed(nid, failed)
@@ -943,6 +941,8 @@ class Engine:
             self._push(fault.time, _RANK_FAULT, node, fault.link)
         for when in self.config.probe_times:
             self._push(when, _RANK_PROBE, 0)
+        for flow in self.flows.values():
+            flow.hops = {a: self._hop(a, b) for a, b in itertools.pairwise(flow.route)}
         for key in sorted(self.flows):
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):

@@ -155,8 +155,8 @@ class SourceSpec:
 
 @dataclass(eq=False, slots=True)
 class Packet:
-    """One frame. A data packet carries its flow and its own progress along
-    the flow's route; the engine moves it by updating `hop` and `enq_s` in
+    """One frame. A data packet carries its flow; the node holding it sends
+    it on by that node's hop on the flow, and the engine updates `enq_s` in
     place."""
 
     kind: str                   # data | beacon
@@ -166,7 +166,6 @@ class Packet:
                                 # record, a beacon's (suspect, targets tried)
     seq: int
     uid: int = 0                # global injection order; larger = newer
-    hop: int = 0                # route index of the node holding the packet
     enq_s: float = 0.0          # when it last entered a sub-queue
 
 

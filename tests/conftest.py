@@ -276,6 +276,17 @@ def with_fault(base: Scenario, fault: FaultDecl, spare_beside: int | None = None
                  for decl, spec in zip(base.sources, specs)])
 
 
+def with_another_fault(base: Scenario, fault: FaultDecl, spare_beside: int) -> Scenario:
+    """`base` with `fault` after its own, and a spare of its own 1 m from
+    node `spare_beside`."""
+    from dataclasses import replace
+
+    x, y = base.positions[spare_beside]
+    spare = max(base.positions) + 1
+    return replace(base, positions={**base.positions, spare: (x, y + 1.0)},
+                   redundant=(*base.redundant, spare), faults=[*base.faults, fault])
+
+
 def crossing_fault_scenario(seed: int, fragmented: bool, spare: bool) -> Scenario:
     """`crossing_scenario(seed)` in the given queue discipline, where the
     middle interior node of the first route with one fails halfway through

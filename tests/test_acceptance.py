@@ -33,9 +33,10 @@ from conftest import (
     random_scenario,
     shipped,
     small_params,
+    with_another_fault,
     with_fault,
 )
-from test_engine import _line_link_fault, _star_scenario
+from test_engine import _line_link_fault, _replaced_successor_out_of_range, _star_scenario
 
 PARAMS = NetworkParams()
 
@@ -236,7 +237,8 @@ def faulted_runs(draw):
     deployment, in either queue discipline, with a drawn window and loss
     rate, where one node or link of a route fails within the fault-free,
     lossless run, with or without a spare beside it, under any fault
-    detection mode."""
+    detection mode; and maybe, later, the route's next node past that one
+    fails too, with a spare of its own beside it."""
     family = draw(st.sampled_from(("line", "crossing", "uniform")))
     if family == "line":
         base = line_scenario(packets=draw(st.integers(3, 30)),
@@ -256,14 +258,18 @@ def faulted_runs(draw):
     route = draw(st.sampled_from([p.nodes for spec in specs for p in spec.paths]))
     at = draw(st.integers(0, len(route) - 2))
     link = (route[at], route[at + 1]) if draw(st.booleans()) else None
-    time_s = (draw(st.floats(0.0, 1.0))
-              * run_scenario(configured(base, loss_prob=0.0)).completion_s)
+    completion_s = run_scenario(configured(base, loss_prob=0.0)).completion_s
+    time_s = draw(st.floats(0.0, 1.0)) * completion_s
     spare_beside = ((route[at + 1] if link else route[at])
                     if draw(st.booleans()) else None)
-    return configured(
-        with_fault(base, FaultDecl(time_s, node=None if link else route[at], link=link),
-                    spare_beside),
-        loss_prob=draw(st.sampled_from((0.0, 0.1, 0.3))))
+    scenario = with_fault(base, FaultDecl(time_s, node=None if link else route[at], link=link),
+                          spare_beside)
+    after = at + 2 if link else at + 1  # the route's next node past the fault
+    if after < len(route) - 1 and draw(st.booleans()):
+        later_s = time_s + draw(st.floats(0.0, 1.0, exclude_min=True)) * completion_s
+        scenario = with_another_fault(scenario, FaultDecl(later_s, node=route[after]),
+                                      route[after])
+    return configured(scenario, loss_prob=draw(st.sampled_from((0.0, 0.1, 0.3))))
 
 
 @settings(max_examples=60, derandomize=True, deadline=None, database=None)
@@ -281,6 +287,10 @@ def faulted_runs(draw):
     configured(crossing_scenario(1), fragmented=True, window=1, max_attempts=3,
                fault_detection="on"),
     FaultDecl(0.05, link=(2, 3)), spare_beside=3))
+# a relay that a spare replaced still held frames for its successor when
+# that failed, and the successor's spare was out of the relay's range
+@example(scenario=_replaced_successor_out_of_range(fragmented=True))
+@example(scenario=_replaced_successor_out_of_range(fragmented=False))
 def test_criterion_08_faulted_runs_property(scenario):
     _topology, specs = build_scenario(scenario)
     hops = max(p.hops for spec in specs for p in spec.paths)

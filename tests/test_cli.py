@@ -500,9 +500,11 @@ def test_file_that_is_no_scenario_is_scenario_error(tmp_path, text, message, cap
 @pytest.mark.parametrize("command, out, message", [
     ("run", "taken", "--out {out} names a file, not a directory"),
     ("run", "taken/results", "--out {out} lies under the file {taken}"),
+    ("run", "taken/a/b", "--out {out} lies under the file {taken}"),
     ("gen-topology", "results", "--out {out} names a directory, not a file"),
     ("gen-topology", "taken/random.yaml", "--out {out} lies under the file {taken}"),
-], ids=["run-file", "run-under-file", "gen-topology-directory", "gen-topology-under-file"])
+], ids=["run-file", "run-under-file", "run-two-under-file", "gen-topology-directory",
+        "gen-topology-under-file"])
 def test_out_that_cannot_be_written_is_usage_error(mesh_file, tmp_path, command, out,
                                                    message, monkeypatch, capsys):
     taken = tmp_path / "taken"
@@ -520,6 +522,14 @@ def test_out_that_cannot_be_written_is_usage_error(mesh_file, tmp_path, command,
         f"error: {message.format(out=out, taken=taken)}\n")
     assert taken.read_text() == "kept\n"
     assert os.listdir(tmp_path / "results") == []
+
+
+def test_out_under_missing_directories_is_made(fan_file, tmp_path):
+    # the check walks up past every missing directory to one that exists,
+    # and the run makes them all
+    out = tmp_path / "a" / "b" / "c"
+    assert main(["run", "--scenario", fan_file, "--out", str(out)]) == 0
+    assert (out / "summary.txt").is_file()
 
 
 def test_gen_topology_needs_a_source_and_a_sink(tmp_path, capsys):

@@ -372,7 +372,6 @@ def test_hop_record_matches_the_per_frame_expressions(energy_mode):
         assert (hop.sender, hop.receiver) == (sender, receiver)
         assert hop.delay_s == link.delay_s
         assert hop.pair == (min(sender, receiver), max(sender, receiver))
-        assert set(hop.costs) == {"data", "beacon"}
         for kind, size_bits in (("data", params.packet_size_bits),
                                 ("beacon", config.control_size_bits)):
             occupancy = size_bits / link.speed_bps
@@ -383,8 +382,7 @@ def test_hop_record_matches_the_per_frame_expressions(energy_mode):
                 tx_per_bit = transmit_energy_per_bit(params, topology.distance(sender, receiver))
                 expected = (occupancy, tx_per_bit * size_bits,
                             receive_energy_per_bit(params) * size_bits)
-            assert hop.costs[kind] == expected
-        assert hop.data is hop.costs["data"]
+            assert getattr(hop, kind) == expected
 
 
 def test_zero_traffic_costs_nothing_but_sensing():
@@ -1091,15 +1089,6 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
     assert bool(seen["wake"]) == (window is None)  # only pipelined sources park
 
 
-class _UncachedHopsEngine(Engine):
-    """An engine that looks a data frame's next hop up from its route
-    position at every service start and keeps no per-flow record."""
-
-    def _next_hop(self, flow, node_id, pkt):
-        receiver = flow.route[pkt.hop + 1]
-        return self._hops.get((node_id, receiver)) or self._hop(node_id, receiver)
-
-
 def _sink_link_fault(fragmented: bool):
     """`crossing_scenario(1)`: the link (2, 3) into the sink 3 goes down,
     and the beacon that finds it names the live sink, which spare 17 at
@@ -1121,23 +1110,41 @@ def _relay_link_fault(fragmented: bool):
                       spare_beside=1)
 
 
+# the fingerprints of the two link-fault fixtures as the engine that
+# forwarded a frame by its route position left them
+LINK_FAULT_FINGERPRINTS = {
+    ("_sink_link_fault", True):
+        "7c04c680333903d7683ea830c7126f2e421ccfa65e61b056726716cb520b10b8",
+    ("_sink_link_fault", False):
+        "16c7dc1ec13ae6149f80bf86f8f14ffb8f8a8af265052b34eb4fa60a397f2517",
+    ("_relay_link_fault", True):
+        "ef2c6aea8359a933cc0162e3c2c22681815e1e499e1686992ed2518176c660b9",
+    ("_relay_link_fault", False):
+        "cf01c3c597b548dfcbe4f9d72280f1a43becc6c5a75f7b010b7c5fbb0c8e6ae3",
+}
+
+
 @pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
 def test_hop_records_follow_the_replaced_route(fragmented):
-    # after a replacement each affected flow's records are those of its
-    # new route; a live relay that the spare replaced serves the frames it
-    # still holds over its own hop, not the spare's
+    # after a replacement each affected flow holds one hop per node, from
+    # that node: the route's hops, the substitute's included, and the hop
+    # a live relay that the spare replaced keeps for the frames it holds
     for make, failed in ((_sink_link_fault, 3), (_relay_link_fault, 1)):
         engine = Engine(make(fragmented))
         metrics = engine.run()
         assert metrics.replacements == [(failed, 17)]
         for flow in engine.flows.values():
             route = flow.route
-            for position, hop in flow.next_hops.items():
-                # the node now there, or the replaced relay on its old position
-                assert hop.sender == route[position] or (hop.sender, route[position]) == (1, 17)
-                assert hop is engine._hops[(hop.sender, route[position + 1])]
-        assert 17 in engine.flows[(9, 0)].route
-        assert fingerprint(metrics) == fingerprint(_UncachedHopsEngine(make(fragmented)).run())
+            for node, hop in flow.hops.items():
+                assert hop.sender == node
+                assert hop is engine._hops[(node, hop.receiver)]
+            for a, b in zip(route, route[1:]):
+                assert flow.hops[a].receiver == b
+        relayed = engine.flows[(9, 0)]
+        assert 17 in relayed.route
+        if failed == 1:
+            assert relayed.hops[1].receiver == relayed.hops[17].receiver == 2
+        assert fingerprint(metrics) == LINK_FAULT_FINGERPRINTS[(make.__name__, fragmented)]
     # the relay's services after the replacement land at its own successor 2
     replaced_at = next(i for i, line in enumerate(metrics.trace) if ",replace," in line)
     later = [line.split(",")[1:] for line in metrics.trace[replaced_at:]]
@@ -1164,19 +1171,80 @@ def _spare_at_two_positions(fragmented: bool):
 
 
 @pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
-def test_node_at_two_route_positions_serves_each_over_its_own_hop(fragmented):
-    # the flow's records are kept per route position: a node that holds
-    # frames of one flow at two positions sends each to its own successor
-    metrics = run_scenario(_spare_at_two_positions(fragmented))
+def test_node_at_two_route_positions_keeps_one_hop_per_flow(fragmented):
+    # a flow keeps one hop per node: once node 2 substitutes for 4, every
+    # frame of the flow that it holds, those of its first position too,
+    # leaves over its new hop to 5, and none goes to 3 again
+    engine = Engine(_spare_at_two_positions(fragmented))
+    metrics = engine.run()
     assert metrics.replacements == [(2, 7), (4, 2)]
+    assert metrics.abandoned == []
+    flow = engine.flows[(1, 0)]
+    assert flow.route == [1, 7, 3, 2, 5, 6]
+    assert flow.hops[2].receiver == 5
     replaced_at = [i for i, line in enumerate(metrics.trace) if ",replace," in line][-1]
-    later = [line.split(",")[1:] for line in metrics.trace[replaced_at:]]
-    served = {uid for kind, node, uid in later if (kind, node) == ("service", "2")}
-    landed = {node: {uid for kind, at, uid in later if (kind, at) == ("arrival", node)}
-              for node in ("3", "5")}
-    assert served & landed["3"] and served & landed["5"]
-    reference = _UncachedHopsEngine(_spare_at_two_positions(fragmented)).run()
-    assert fingerprint(metrics) == fingerprint(reference)
+    data = {line.split(",")[3] for line in metrics.trace if ",inject," in line}
+    sender, hops_taken = {}, set()  # data uid -> its last server; (sender, receiver)
+    for line in metrics.trace[replaced_at:]:
+        _time, kind, node, uid = line.split(",")
+        if uid not in data:
+            continue
+        if kind == "service":
+            sender[uid] = node
+        elif kind == "arrival" and uid in sender:
+            hops_taken.add((sender[uid], node))
+    assert {hop for hop in hops_taken if hop[0] == "2"} == {("2", "5")}
+    assert (metrics.delivered, metrics.dropped_fault) == (
+        ({1: 59}, 1) if fragmented else ({1: 57}, 3))
+
+
+def _replaced_successor_out_of_range(fragmented: bool, spare_xy=(-4.1, 25.5)):
+    """The declared route 1-2-3-4-5-6 with a slow link (2, 3): the link
+    (1, 2) goes down and spare 7 replaces the live node 2, which still
+    queues frames for 3; then node 3 fails and spare 8, beside 7 and 4
+    (24.7 m from each) but 25.8 m from node 2, replaces it."""
+    positions = {1: (-20.0, 0.0), 2: (0.0, 0.0), 3: (0.0, 20.0), 4: (20.0, 20.0),
+                 5: (20.0, 0.0), 6: (40.0, 0.0), 7: (-1.0, 1.0), 8: spare_xy}
+    return Scenario(
+        name="replaced-successor-out-of-range", params=small_params(), positions=positions,
+        sink=6, sources=[SourceDecl(1, 60, paths=[[1, 2, 3, 4, 5, 6]])],
+        link_overrides={(2, 3): (2000.0, 0.0)}, redundant=(7, 8),
+        faults=[FaultDecl(0.1, link=(1, 2)), FaultDecl(0.3, node=3)],
+        engine=RunConfig(scheme=2, window=None, max_attempts=3, fragmented=fragmented,
+                         fault_detection="on", record_trace=True))
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_replaced_relay_out_of_range_of_the_next_spare_drops_as_faults(fragmented):
+    # node 2, replaced but alive, keeps its hop into the failed node 3,
+    # since it cannot hear spare 8: what it holds of the flow fails there
+    # and drops as faults, and the run completes
+    engine = Engine(_replaced_successor_out_of_range(fragmented))
+    metrics = engine.run()
+    assert metrics.replacements == [(2, 7), (3, 8)]
+    assert metrics.abandoned == []
+    flow = engine.flows[(1, 0)]
+    assert (flow.hops[2].receiver, flow.hops[7].receiver) == (3, 8)
+    assert (metrics.delivered, metrics.dropped_fault) == (
+        ({1: 55}, 5) if fragmented else ({1: 53}, 7))
+
+
+# with spare 8 at (-3, 22), within range of node 2, every sender into the
+# failed node is redirected; the fingerprints are those that the engine
+# forwarding a frame by its route position left
+IN_RANGE_FINGERPRINTS = {
+    True: "b51495017ec46664f1e1ac0c5ed5e6a5a1be11117b81e24b11e9d3e88beb7bf0",
+    False: "e17569a57ca5ee7b83e0d9dcd1ed93f40c7f340e0d20e78656fd0bb3e51be4c0",
+}
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_replaced_relay_in_range_of_the_next_spare_follows_it(fragmented):
+    engine = Engine(_replaced_successor_out_of_range(fragmented, spare_xy=(-3.0, 22.0)))
+    metrics = engine.run()
+    assert metrics.replacements == [(2, 7), (3, 8)]
+    assert engine.flows[(1, 0)].hops[2].receiver == 8
+    assert fingerprint(metrics) == IN_RANGE_FINGERPRINTS[fragmented]
 
 
 @pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
@@ -1221,6 +1289,15 @@ def test_livelock_guard_fires():
         run_scenario(sc)
 
 
+def test_sub_queue_that_refuses_an_injection_it_had_room_for_is_a_simulation_error(
+        monkeypatch):
+    monkeypatch.setattr(_NodeQueues, "enqueue_data", lambda self, pkt, hop: (False, None))
+    with pytest.raises(SimulationError, match=(
+            r"node 1: sub-queue 11 reported space but did not take packet 1 "
+            r"of flow \(1, 0\) cleanly")):
+        run_scenario(line_scenario(packets=3, hops=2, window=None))
+
+
 class _NoWakeEngine(Engine):
     """An engine whose freed sub-queue slots wake no source."""
 
@@ -1246,7 +1323,7 @@ class _MuteRelayEngine(Engine):
         if node_id != 12:
             super()._serve(node_id, pkt, key, hop)
         else:
-            self.queues[12].requeue(pkt, pkt.flow.route[pkt.hop + 1])
+            self.queues[12].requeue(pkt, pkt.flow.hops[12].receiver)
 
 
 @pytest.mark.parametrize("fragmented, key", [(True, "2"), (False, "shared")])

@@ -55,6 +55,7 @@ from conftest import (
     fingerprint,
     line_scenario,
     uniform_fault_scenario,
+    with_another_fault,
     with_fault,
 )
 
@@ -510,12 +511,7 @@ def _relay_link_cases(seed: int, window, fragmented: bool):
     for beside in route[1], route[0]:
         single = with_fault(base, FaultDecl(down_s, link=tuple(route[:2])), beside)
         yield single
-        x, y = single.positions[route[2]]
-        spare = max(single.positions) + 1
-        yield dataclasses.replace(
-            single, positions={**single.positions, spare: (x, y + 1.0)},
-            redundant=(*single.redundant, spare),
-            faults=[*single.faults, FaultDecl(1.25 * down_s, node=route[2])])
+        yield with_another_fault(single, FaultDecl(1.25 * down_s, node=route[2]), route[2])
 
 
 def discovery_lines():
