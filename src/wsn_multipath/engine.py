@@ -53,7 +53,7 @@ class _Flow:
     counts; `RunMetrics.per_path` is built from it at the end of a run."""
 
     key: tuple[int, int]            # (source node, path index)
-    route: list[int]                # current route; replacement rewrites it
+    head: int                       # the node that injects: the source, or its spare
     quota: int
     tau_s: float
     first_seq: int = 0              # seq of its first packet
@@ -66,13 +66,23 @@ class _Flow:
     last_delivery_s: float = 0.0
     wait_total_s: float = 0.0
     wait_hops: int = 0
-    # node -> its hop on the flow, built when the run starts; a replacement
-    # redirects the hops into the node it replaces
+    # node -> its hop on the flow, built when the run starts, and the route's
+    # one record; a replacement redirects the hops into the node it replaces
     hops: dict[int, _Hop] = field(default_factory=dict)
     # with detection on, for the watchdogs, their only readers: node -> seq,
     # and node -> its watchdog's deadline while off the heap: (seq, armed_s, counter)
     last_arrival: dict[int, int] | None = None
     held: dict[int, tuple[int, float, int]] | None = None
+
+    @property
+    def route(self) -> list[int]:
+        """The head, then each hop's receiver up to a node with no hop."""
+        route = [self.head]
+        while (hop := self.hops.get(route[-1])) is not None:
+            if len(route) > len(self.hops):
+                raise SimulationError(f"flow {self.key}: its hops loop through {route}")
+            route.append(hop.receiver)
+        return route
 
     @property
     def backlog(self) -> int:
@@ -407,7 +417,7 @@ class Engine:
             # paths number theirs in consecutive blocks of their quotas
             self._first_copy[spec.node_id] = bytearray(spec.packets)
             for idx, (path, quota) in enumerate(zip(spec.paths, quotas)):
-                flow = _Flow(key=(spec.node_id, idx), route=list(path.nodes), quota=quota,
+                flow = _Flow(key=(spec.node_id, idx), head=spec.node_id, quota=quota,
                              tau_s=path.tau_s,
                              first_seq=0 if self.config.replicate else sum(quotas[:idx]))
                 if self.detection:
@@ -464,12 +474,12 @@ class Engine:
         the flow there if the sub-queue is full or blocked, or once this
         packet fills it and the flow would try again. Returns whether it may
         inject again."""
-        source, next_hop = flow.route[0], flow.route[1]
+        source, next_hop = flow.head, flow.hops[flow.head].receiver
         queues = self.queues.get(source)  # `_queues_at`, inlined per frame
         if queues is None:
             queues = self._queues_at(source)
         if queues.has_space(next_hop):
-            pkt = Packet("data", flow.key[0], flow.route[-1], flow,
+            pkt = Packet("data", flow.key[0], self.scenario.sink, flow,
                          flow.first_seq + flow.next_seq, next(self._uid), self._now)
             flow.next_seq += 1
             flow.outstanding += 1
@@ -496,7 +506,7 @@ class Engine:
         """Inject while the flow has backlog, a live source and an open window."""
         limit = self.config.window
         while (flow.next_seq < flow.quota and not flow.abandoned
-               and flow.route[0] not in self._fault_time
+               and flow.head not in self._fault_time
                and (limit is None or flow.outstanding < limit) and self._inject(flow, alone)):
             pass
 
@@ -536,7 +546,7 @@ class Engine:
         if not flow.parked:
             self._fill_source(flow, flow.next_seq + 1 == flow.quota
                               or flow.outstanding + 1 == self.config.window)
-        source = flow.route[0]
+        source = flow.head
         queues = self.queues.get(source)
         if queues is not None and (queues.control or queues.queued) and not self._busy[source]:
             self._try_start(source)
@@ -712,15 +722,14 @@ class Engine:
             for pkt in queues.drain():
                 self._lose(pkt)
         for flow in self.flows.values():
-            route = flow.route
-            if route[0] == node_id:
+            if flow.head == node_id:
                 self._discard_backlog(flow)  # data held at a dead source is gone with it
-            # the watchdog just downstream may now act: its deadline enters the heap
-            if flow.held and node_id in route[:-1]:
-                watched = route[route.index(node_id) + 1]
-                hold = flow.held.pop(watched, None)
+            # the watchdog just downstream on the route may now act: its deadline enters the heap
+            hop = flow.hops.get(node_id)
+            if flow.held and hop is not None and node_id in flow.route:
+                hold = flow.held.pop(hop.receiver, None)
                 if hold is not None:
-                    self._release(flow, watched, hold)
+                    self._release(flow, hop.receiver, hold)
 
     def _discard_backlog(self, flow: _Flow) -> None:
         lost = flow.backlog
@@ -733,13 +742,14 @@ class Engine:
     def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int, sender: int) -> None:
         """Packet `seq` of `flow` has reached `node_id` from `sender`; its
         watchdog waits for the next one. The deadline takes its heap key
-        now, but enters the heap only once the sender is dead: only then
-        can it act. Until then the flow holds it."""
+        now, but enters the heap only once the sender is dead and its fault
+        unresolved: only then can it act. Until then the flow holds it, and
+        the death of the node upstream on the route releases it."""
         flow.last_arrival[node_id] = seq
         if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
         hold = (seq, self._now, next(self._event_counter))
-        if sender in self._fault_time:
+        if sender in self._fault_time and sender not in self._fault_resolved:
             heapq.heappush(self._events, self._timer_entry(flow, node_id, hold))
         else:
             flow.held[node_id] = hold  # a newer hold leaves the older one a no-op
@@ -774,11 +784,10 @@ class Engine:
             return  # newer traffic arrived; no silence to act on
         if node_id in self._fault_time:
             return
-        try:
-            pos = flow.route.index(node_id)
-        except ValueError:
+        route = flow.route
+        if node_id not in route:
             return
-        upstream = flow.route[pos - 1]
+        upstream = route[route.index(node_id) - 1]
         if upstream in self._fault_time:
             self._acting = (self._now, _RANK_TIMER, node_id, counter)
             self._detect("receiver_timer", node_id, upstream,
@@ -833,11 +842,13 @@ class Engine:
 
     def _substitution_fits(self, flow: _Flow, failed: int, substitute: int) -> bool:
         """The substitute is adjacent to the failed node's neighbours on the
-        route, and not on it already: a route visits each node once."""
-        route, idx = flow.route, flow.route.index(failed)
-        return substitute not in route and all(
-            self.topology.are_adjacent(other, substitute)
-            for other in route[max(idx - 1, 0):idx] + route[idx + 1:idx + 2])
+        route, and not on it already: a route visits each node once. It takes
+        the route's end only with no hop on the flow to lead frames on."""
+        route, hops = flow.route, flow.hops
+        idx = route.index(failed)
+        return (substitute not in route and (failed in hops or substitute not in hops)
+                and all(self.topology.are_adjacent(other, substitute)
+                        for other in route[max(idx - 1, 0):idx] + route[idx + 1:idx + 2]))
 
     def _detect(self, kind: str, detector: int, failed: int, down_s: float,
                 expected_s: float) -> None:
@@ -854,7 +865,7 @@ class Engine:
             "since_fault_s": self._now - down_s,
         })
         affected = [f for f in self.flows.values()
-                    if failed in f.route and not f.finished and not f.abandoned]
+                    if not f.finished and not f.abandoned and failed in f.route]
         substitute = self._nearest_redundant(detector, failed)
         usable = (substitute is not None
                   and all(self._substitution_fits(f, failed, substitute)
@@ -871,13 +882,13 @@ class Engine:
         # of the flow fails there
         redirected = set()
         for flow in affected:
-            route, hops, at = flow.route, flow.hops, flow.route.index(failed)
-            route[at] = substitute
-            if at + 1 < len(route):
-                hops[substitute] = self._hop(substitute, route[at + 1])
-            for sender, hop in hops.items():
+            if flow.head == failed:
+                flow.head = substitute
+            if failed in flow.hops:
+                flow.hops[substitute] = self._hop(substitute, flow.hops[failed].receiver)
+            for sender, hop in flow.hops.items():
                 if hop.receiver == failed and self.topology.are_adjacent(sender, substitute):
-                    hops[sender] = self._hop(sender, substitute)
+                    flow.hops[sender] = self._hop(sender, substitute)
                     redirected.add(sender)
         # flows parked on the failed hop now inject toward the substitute;
         # a node without a buffer has nothing to send
@@ -914,13 +925,14 @@ class Engine:
 
     def _on_probe(self, *_unused) -> None:
         for key, flow in self.flows.items():
+            route = flow.route
             # a failed node not yet replaced makes the route stale: no sample
-            if flow.abandoned or any(nid in self._fault_time for nid in flow.route[1:]):
+            if flow.abandoned or any(nid in self._fault_time for nid in route[1:]):
                 continue
             occupancy = {nid: (self.queues[nid].occupancy() if nid in self.queues
                                else 0.0)
-                         for nid in flow.route[1:]}
-            count = choke_probe(occupancy, flow.route)
+                         for nid in route[1:]}
+            count = choke_probe(occupancy, route)
             self.metrics.contention_history.setdefault(key, []).append(count)
 
     def run(self) -> RunMetrics:
@@ -941,8 +953,8 @@ class Engine:
             self._push(fault.time, _RANK_FAULT, node, fault.link)
         for when in self.config.probe_times:
             self._push(when, _RANK_PROBE, 0)
-        for flow in self.flows.values():
-            flow.hops = {a: self._hop(a, b) for a, b in itertools.pairwise(flow.route)}
+        for flow, path in zip(self.flows.values(), (p for s in self.specs for p in s.paths)):
+            flow.hops = {a: self._hop(a, b) for a, b in itertools.pairwise(path.nodes)}
         for key in sorted(self.flows):
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
@@ -972,7 +984,7 @@ class Engine:
         for key in sorted(self.flows):
             flow = self.flows[key]
             if not flow.finished:
-                source, hop = flow.route[0], flow.route[1]
+                source, hop = flow.head, flow.hops[flow.head].receiver
                 held = ", ".join(
                     f"sub-queue {qkey} of node {nid} ({count} frames)"
                     for nid in sorted(self.queues)

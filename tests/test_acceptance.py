@@ -36,7 +36,12 @@ from conftest import (
     with_another_fault,
     with_fault,
 )
-from test_engine import _line_link_fault, _replaced_successor_out_of_range, _star_scenario
+from test_engine import (
+    _line_link_fault,
+    _replaced_successor_out_of_range,
+    _spare_taking_the_route_end,
+    _star_scenario,
+)
 
 PARAMS = NetworkParams()
 
@@ -238,7 +243,9 @@ def faulted_runs(draw):
     rate, where one node or link of a route fails within the fault-free,
     lossless run, with or without a spare beside it, under any fault
     detection mode; and maybe, later, the route's next node past that one
-    fails too, with a spare of its own beside it."""
+    fails too, with a spare of its own beside it. An interior node of the
+    route may also be declared a spare, which a fault can make a
+    substitute at a second position."""
     family = draw(st.sampled_from(("line", "crossing", "uniform")))
     if family == "line":
         base = line_scenario(packets=draw(st.integers(3, 30)),
@@ -269,6 +276,9 @@ def faulted_runs(draw):
         later_s = time_s + draw(st.floats(0.0, 1.0, exclude_min=True)) * completion_s
         scenario = with_another_fault(scenario, FaultDecl(later_s, node=route[after]),
                                       route[after])
+    if len(route) > 2 and draw(st.booleans()):
+        scenario = dataclasses.replace(scenario, redundant=(
+            *scenario.redundant, draw(st.sampled_from(route[1:-1]))))
     return configured(scenario, loss_prob=draw(st.sampled_from((0.0, 0.1, 0.3))))
 
 
@@ -291,6 +301,10 @@ def faulted_runs(draw):
 # that failed, and the successor's spare was out of the relay's range
 @example(scenario=_replaced_successor_out_of_range(fragmented=True))
 @example(scenario=_replaced_successor_out_of_range(fragmented=False))
+# a spare replaced alive took the route's end with its old hop, and
+# frames circled until the event cap
+@example(scenario=_spare_taking_the_route_end(fragmented=True))
+@example(scenario=_spare_taking_the_route_end(fragmented=False))
 def test_criterion_08_faulted_runs_property(scenario):
     _topology, specs = build_scenario(scenario)
     hops = max(p.hops for spec in specs for p in spec.paths)

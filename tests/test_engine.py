@@ -40,10 +40,11 @@ from conftest import (
     with_fault,
     y_scenario,
 )
+from test_golden import _relay_link_cases
 
 
 def _flow(path=0):
-    return _Flow(key=(1, path), route=[1, 9], quota=1, tau_s=0.0)
+    return _Flow(key=(1, path), head=1, quota=1, tau_s=0.0)
 
 
 def _pkt(uid, kind="data", seq=0):
@@ -875,6 +876,29 @@ def test_relay_failure_pops_the_detecting_deadline(monkeypatch):
     assert metrics.final_time_s == metrics.completion_s == pytest.approx(2.40)
 
 
+# the fingerprint of the run below when the engine pushed a deadline armed
+# from any dead sender, with its two no-op pops counted in `event_count`
+REPLACED_SENDER_FINGERPRINT = (
+    "2e38a1a59f610f1f53919473f2a711537048c9dd7c9326fa92de21ee6b927eb0")
+
+
+def test_deadline_armed_from_a_replaced_sender_is_held():
+    # on `crossing_scenario(6)` with 0.08 s links, node 4 fails halfway
+    # and spare 37 beside it replaces it while frames that 4 sent still
+    # fly. Their arrivals arm deadlines against the dead 4, which is no
+    # longer upstream; the flow holds them, for the death of the
+    # substitute to release, and the two that popped as no-ops are gone
+    base = configured(dataclasses.replace(crossing_scenario(6), link_delay_s=0.08),
+                      fragmented=True, window=None, max_attempts=3,
+                      fault_detection="on", record_trace=True)
+    half_s = run_scenario(base).completion_s / 2.0
+    metrics = run_scenario(with_fault(base, FaultDecl(half_s, node=4), spare_beside=4))
+    assert metrics.replacements == [(4, 37)]
+    assert metrics.event_count == 1040
+    assert fingerprint(dataclasses.replace(metrics, event_count=1042)) == (
+        REPLACED_SENDER_FINGERPRINT)
+
+
 def test_release_inside_a_timer_handler_pushes_only_deadlines_after_it():
     # a node that dies while a timer's handler acts releases a deadline
     # due at that very time only if the deadline sorts after that timer,
@@ -1138,8 +1162,9 @@ def test_hop_records_follow_the_replaced_route(fragmented):
             for node, hop in flow.hops.items():
                 assert hop.sender == node
                 assert hop is engine._hops[(node, hop.receiver)]
-            for a, b in zip(route, route[1:]):
-                assert flow.hops[a].receiver == b
+            # the walk from the head visits each node once and ends at a
+            # node with no hop
+            assert len(set(route)) == len(route) and route[-1] not in flow.hops
         relayed = engine.flows[(9, 0)]
         assert 17 in relayed.route
         if failed == 1:
@@ -1196,6 +1221,58 @@ def test_node_at_two_route_positions_keeps_one_hop_per_flow(fragmented):
     assert {hop for hop in hops_taken if hop[0] == "2"} == {("2", "5")}
     assert (metrics.delivered, metrics.dropped_fault) == (
         ({1: 59}, 1) if fragmented else ({1: 57}, 3))
+
+
+def _spare_taking_the_route_end(fragmented: bool):
+    """`_spare_at_two_positions` with the link (5, 6) into the sink 6
+    going down at 0.5 s in place of the node fault: the beacon that finds
+    it names the live sink, and the nearest spare left is node 2, which
+    hears node 5 but still has its hop 2 -> 3 on the flow. A low event cap
+    ends a run whose frames circle."""
+    scenario = _spare_at_two_positions(fragmented)
+    return dataclasses.replace(
+        scenario, faults=[FaultDecl(0.1, link=(1, 2)), FaultDecl(0.5, link=(5, 6))],
+        engine=dataclasses.replace(scenario.engine, max_events=20_000))
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_spare_with_a_hop_on_the_flow_does_not_take_the_route_end(fragmented):
+    # at the route's end spare 2 would keep its hop 2 -> 3 and frames
+    # would circle 2-3-4-5-2 until the event cap; it does not fit, and
+    # the flow is abandoned
+    engine = Engine(_spare_taking_the_route_end(fragmented))
+    metrics = engine.run()
+    assert metrics.replacements == [(2, 7)]
+    assert metrics.abandoned == [(1, 0, 0)]
+    flow = engine.flows[(1, 0)]
+    assert flow.route == [1, 7, 3, 4, 5, 6] and flow.hops[2].receiver == 3
+    assert (metrics.delivered, metrics.dropped_fault, metrics.event_count) == (
+        ({1: 13}, 47, 227) if fragmented else ({1: 12}, 48, 219))
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_spare_that_replaces_a_source_becomes_the_head(fragmented):
+    # crossing-6 of the relay-link-fault family, pipelined: source 3
+    # fails, and spare 38 beside it heads the route of its open flow
+    scenario = list(_relay_link_cases(6, None, fragmented))[1]
+    engine = Engine(scenario)
+    metrics = engine.run()
+    assert metrics.replacements == [(3, 38)]
+    flow = engine.flows[(3, 1)]
+    assert flow.head == 38 and flow.route == [38, 9, 10, 11, 12, 6]
+    assert (flow.delivered, flow.dropped) == ((9, 22) if fragmented else (17, 14))
+
+
+def test_hops_that_close_a_loop_fail_the_route_walk():
+    flow = _flow()
+    assert flow.route == [1]  # the head alone until the run builds the hops
+    flow.hops = {a: engine_module._Hop(a, b, 0.0, (min(a, b), max(a, b)), (0.0,) * 3,
+                                       (0.0,) * 3)
+                 for a, b in ((1, 2), (2, 3))}
+    assert flow.route == [1, 2, 3]
+    flow.hops[3] = engine_module._Hop(3, 2, 0.0, (2, 3), (0.0,) * 3, (0.0,) * 3)
+    with pytest.raises(SimulationError, match=r"flow \(1, 0\)"):
+        flow.route
 
 
 def _replaced_successor_out_of_range(fragmented: bool, spare_xy=(-4.1, 25.5)):
