@@ -21,16 +21,15 @@ import os
 import sys
 import traceback
 
-from .allocator import AllocationInput, PathParams, scheme_allocation
-from .engine import Engine, SimulationError
+from .engine import Engine, SimulationError, source_allocation
 from .experiments import (
+    SUITES,
     Report,
     configured,
     metrics_rows,
+    path_plots,
     render_rows,
-    run_multisource_frameworks,
-    run_scheme_comparison,
-    write_plot_data,
+    run_suite,
     write_rows_csv,
 )
 from .model import ScenarioError
@@ -89,7 +88,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="run a packaged suite")
     common(p)
-    p.add_argument("--suite", choices=("schemes", "frameworks"), required=True)
+    p.add_argument("--suite", choices=tuple(SUITES), required=True)
     p.add_argument("--packets", dest="volumes", metavar="D", type=int, nargs="+",
                    default=[100, 200])
     p.add_argument("--jobs", type=int, default=1)
@@ -119,11 +118,10 @@ def _load(args):
 
 def _emit(args, name: str, rows: list[dict], files: dict[str, str] | None = None,
           report: Report | None = None) -> int:
-    """The output rule. With --out, write the rows to `name` as CSV, each
-    of `files`, and with --plot-data the plot series, and print nothing; a
-    report writes its own CSV and its text as `{suite}.txt`. Without
-    --out, print the rows in --format; a report's text format is its own
-    table with its check lines."""
+    """The output rule. With --out, write the rows to `name` as CSV and
+    each of `files`, and print nothing; a report writes its own CSV and
+    its text as `{suite}.txt`. Without --out, print the rows in --format;
+    a report's text format is its own table with its check lines."""
     if args.out is None:
         fmt = args.format or "text"
         if fmt == "json-lines":
@@ -139,12 +137,10 @@ def _emit(args, name: str, rows: list[dict], files: dict[str, str] | None = None
         write_rows_csv(rows, path)
     else:
         report.to_csv(path)
-        files = {f"{report.suite}.txt": report.to_text()}
+        files = {f"{report.suite}.txt": report.to_text(), **(files or {})}
     for file_name, text in (files or {}).items():
         with open(os.path.join(args.out, file_name), "w") as fh:
             fh.write(text)
-    if getattr(args, "plot_data", False):
-        write_plot_data(rows, args.out)
     return EXIT_OK
 
 
@@ -186,17 +182,12 @@ def cmd_allocate(args) -> int:
     for spec in specs:
         if args.source is not None and spec.node_id != args.source:
             continue
-        paths = [PathParams(p.hops, p.tau_s, contention.get((spec.node_id, i), 0))
-                 for i, p in enumerate(spec.paths)]
-        alloc = scheme_allocation(
-            scenario.engine.scheme,
-            AllocationInput(params=scenario.params, total_packets=spec.packets,
-                            paths=paths, source_sink_dist_m=spec.source_sink_dist_m))
+        alloc = source_allocation(scenario.engine, scenario.params, spec, contention)
         for idx, (p, quota) in enumerate(zip(spec.paths, alloc.quotas)):
             rows.append({
                 "source": spec.node_id, "path": idx,
                 "route": "-".join(str(n) for n in p.nodes),
-                "hops": p.hops, "contention": paths[idx].contention,
+                "hops": p.hops, "contention": contention.get((spec.node_id, idx), 0),
                 "quota": quota, "raw_bound": alloc.raw_quotas[idx],
                 "budget_edp_js": alloc.budget_edp,
                 "exceeds_bound": alloc.exceeds_bound[idx],
@@ -210,6 +201,8 @@ def cmd_run(args) -> int:
     files = {"summary.txt": _summary_text(metrics)}
     if scenario.engine.record_trace:  # from the file or --trace
         files["trace.txt"] = "\n".join(metrics.trace) + ("\n" if metrics.trace else "")
+    if args.plot_data:
+        files.update(path_plots(metrics))
     return _emit(args, "metrics.csv", metrics_rows(metrics), files)
 
 
@@ -231,10 +224,9 @@ def _summary_text(metrics) -> str:
 
 
 def cmd_experiment(args) -> int:
-    run_suite = (run_scheme_comparison if args.suite == "schemes"
-                 else run_multisource_frameworks)
-    report = run_suite(_load(args), args.volumes, jobs=args.jobs)
-    return _emit(args, f"{args.suite}.csv", report.rows, report=report)
+    report = run_suite(args.suite, _load(args), args.volumes, jobs=args.jobs)
+    return _emit(args, f"{args.suite}.csv", report.rows,
+                 report.plots if args.plot_data else None, report)
 
 
 def cmd_gen_topology(args) -> int:

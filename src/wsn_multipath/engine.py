@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 
-from .allocator import AllocationInput, PathParams, scheme_allocation
+from .allocator import Allocation, AllocationInput, PathParams, scheme_allocation
 from .discovery import choke_probe
 from .metrics import (
     path_delay,
@@ -27,7 +27,7 @@ from .metrics import (
     receive_energy_per_bit,
     transmit_energy_per_bit,
 )
-from .model import Packet, RoutingError, SourceSpec, Topology
+from .model import NetworkParams, Packet, RoutingError, SourceSpec, Topology
 from .scenario import RunConfig, Scenario, build_scenario, scenario_hash
 
 
@@ -396,20 +396,9 @@ class Engine:
 
     # ------------------------------------------------------------------ setup
 
-    def _allocate(self, spec: SourceSpec) -> list[int]:
-        if self.config.replicate:
-            return [spec.packets] * len(spec.paths)
-        inp = AllocationInput(
-            params=self.params,
-            total_packets=spec.packets,
-            paths=[PathParams(p.hops, p.tau_s) for p in spec.paths],
-            source_sink_dist_m=spec.source_sink_dist_m,
-        )
-        return scheme_allocation(self.config.scheme, inp).quotas
-
     def _init_flows(self) -> None:
         for spec in self.specs:
-            quotas = self._allocate(spec)
+            quotas = source_allocation(self.config, self.params, spec).quotas
             self.metrics.injected[spec.node_id] = sum(quotas)
             self.metrics.per_source_comm_j[spec.node_id] = 0.0
             self.metrics.per_source_completion_s[spec.node_id] = 0.0
@@ -1051,11 +1040,29 @@ class Engine:
                 f"nodes were drained of {drained!r} J but {spent!r} J were spent")
 
 
+def source_allocation(config: RunConfig, params: NetworkParams, spec: SourceSpec,
+                      contention: dict[tuple[int, int], int] | None = None) -> Allocation:
+    """The source's per-path quotas under the run config. A replicated run
+    sends all its packets on every path, under no budget; otherwise the
+    scheme splits them, each path discounted by its (source, path) count
+    in `contention`, 0 where it has none."""
+    if config.replicate:
+        quotas = [spec.packets] * len(spec.paths)
+        return Allocation(quotas=quotas, raw_quotas=[float(q) for q in quotas],
+                          exceeds_bound=[False] * len(quotas))
+    counts = contention or {}
+    paths = [PathParams(p.hops, p.tau_s, counts.get((spec.node_id, i), 0))
+             for i, p in enumerate(spec.paths)]
+    return scheme_allocation(config.scheme, AllocationInput(
+        params=params, total_packets=spec.packets, paths=paths,
+        source_sink_dist_m=spec.source_sink_dist_m))
+
+
 def run_scenario(scenario: Scenario,
                  built: tuple[Topology, list[SourceSpec]] | None = None) -> RunMetrics:
     return Engine(scenario, built).run()
 
 
 __all__ = [
-    "Engine", "RunMetrics", "SimulationError", "run_scenario",
+    "Engine", "RunMetrics", "SimulationError", "run_scenario", "source_allocation",
 ]

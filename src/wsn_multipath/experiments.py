@@ -1,6 +1,9 @@
-"""Packaged experiment suites: the three single-source distribution schemes
-on one scenario, and the three multi-source frameworks (replicated
-traditional, equal split, strategic split) on another.
+"""Packaged experiment suites: the three single-source distribution
+schemes, and the three multi-source frameworks (replicated traditional,
+equal split, strategic split). Each is a `SUITES` entry that declares its
+variants (run-config overrides, in row order), a cell's rows, its
+orderings for the network and per source, and its plot files, built from
+its runs; `run_suite` runs any entry, one cell per (volume, variant).
 
 Every report row carries the scenario hash and seed; rerunning a suite
 reproduces each cell exactly.
@@ -11,9 +14,9 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .engine import RunMetrics, run_scenario
 from .scenario import Scenario, build_scenario, scenario_hash
@@ -27,25 +30,14 @@ def configured(scenario: Scenario, packets: int | None = None,
     return dataclasses.replace(scenario, sources=sources, engine=engine)
 
 
-# each suite's variants in row order: the name its rows carry and the run
-# config it overrides
-_VARIANTS = {
-    "schemes": {scheme: {"scheme": scheme} for scheme in (1, 2, 3)},
-    "frameworks": {
-        "traditional": {"replicate": True, "fragmented": False},
-        "equal": {"replicate": False, "fragmented": True, "scheme": 2},
-        "strategic": {"replicate": False, "fragmented": True, "scheme": 3},
-    },
-}
-FRAMEWORKS = tuple(_VARIANTS["frameworks"])
-
-
 @dataclass
 class Report:
     suite: str
     scenario_hash: str
     rows: list[dict] = field(default_factory=list)
     checks: list[tuple[str, bool]] = field(default_factory=list)
+    # file name -> text of the suite's plot files, which --plot-data writes
+    plots: dict[str, str] = field(default_factory=dict)
 
     def to_csv(self, path: str) -> None:
         write_rows_csv(self.rows, path)
@@ -59,9 +51,7 @@ class Report:
 
 
 def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_rows(rows: list[dict], fmt: str) -> str:
@@ -80,59 +70,27 @@ def render_rows(rows: list[dict], fmt: str) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-# a pool worker's copy of the suite's shared build, sent once per worker
-_worker_build: tuple | None = None
+def _plot_files(series: dict[str, list[tuple]]) -> dict[str, str]:
+    """Each series with a point as a file's text: one "x y" line a point."""
+    return {name: "".join(f"{_cell(x)} {_cell(y)}\n" for x, y in points)
+            for name, points in series.items() if points}
 
 
-def _share_build(built) -> None:
-    global _worker_build
-    _worker_build = built
+def path_plots(metrics: RunMetrics, tag: str = "") -> dict[str, str]:
+    """The run's paths in (source, path) order, their 1-based index against
+    quota in ``allocation_per_path{tag}.dat`` and against simulated delay
+    in ``delay_per_path{tag}.dat``; a path that delivered nothing has a
+    quota but no delay."""
+    paths = sorted(metrics.per_path.items())
+    return _plot_files({
+        f"allocation_per_path{tag}.dat": [(i + 1, s["quota"]) for (_src, i), s in paths],
+        f"delay_per_path{tag}.dat": [(i + 1, s["sim_delay_s"])
+                                     for (_src, i), s in paths if s["delivered"]]})
 
 
-def _run_cell(scenario: Scenario) -> RunMetrics:
-    return run_scenario(scenario, _worker_build)
-
-
-def _run_suite(suite: str, scenario: Scenario, packet_counts: list[int], jobs: int,
-               rows) -> tuple[Report, dict[tuple, RunMetrics]]:
-    """Run the suite's cells, one per (traffic volume, variant) in that
-    order and `jobs` at a time, and tabulate them: `rows(d, variant,
-    metrics)` gives a cell's rows, which follow the provenance columns.
-    Returns the report, without checks, and the runs by cell.
-
-    The cells differ from the scenario only in packet counts and run
-    config, so they share its one build: one topology and one path set per
-    source, which reaches each pool worker once. The report's hash is the
-    only one computed."""
-    report = Report(suite=suite, scenario_hash=scenario_hash(scenario))
-    variants = _VARIANTS[suite]
-    keys = [(d, v) for d in packet_counts for v in variants]
-    cells = [configured(scenario, packets=d, **variants[v]) for d, v in keys]
-    built = build_scenario(scenario)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_share_build,
-                                 initargs=(built,)) as pool:
-            results = list(pool.map(_run_cell, cells))
-    else:
-        results = [run_scenario(c, built) for c in cells]
-    base = {"suite": suite, "scenario": scenario.name, "scenario_hash": report.scenario_hash}
-    for (d, variant), metrics in zip(keys, results):
-        report.rows += [{**base, "seed": metrics.seed, **row}
-                        for row in rows(d, variant, metrics)]
-    return report, dict(zip(keys, results))
-
-
-def _ordering(label: str, ranked: list[tuple[str, float]]) -> tuple[str, bool]:
-    """The check that the values of `ranked` do not decrease along it,
-    labelled `label` and its names joined by " <= "."""
-    values = [value for _name, value in ranked]
-    return (f"{label} " + " <= ".join(name for name, _value in ranked),
-            all(a <= b for a, b in zip(values, values[1:])))
-
-
-def _scheme_rows(d: int, scheme: int, metrics: RunMetrics) -> list[dict]:
-    return [{"packets": d, "scheme": scheme, "source": src, "path": idx,
-             "hops": stats["hops"], "quota": stats["quota"],
+def _scheme_rows(d: int, _variant: str, metrics: RunMetrics) -> list[dict]:
+    return [{"packets": d, "scheme": metrics.scenario.engine.scheme, "source": src,
+             "path": idx, "hops": stats["hops"], "quota": stats["quota"],
              "delivered": stats["delivered"], "dropped": stats["dropped"],
              "path_delay_sim_s": stats["sim_delay_s"],
              "path_delay_model_s": stats["model_delay_s"],
@@ -143,18 +101,13 @@ def _scheme_rows(d: int, scheme: int, metrics: RunMetrics) -> list[dict]:
             for (src, idx), stats in sorted(metrics.per_path.items())]
 
 
-def run_scheme_comparison(scenario: Scenario, packet_counts: list[int],
-                          jobs: int = 1) -> Report:
-    """Run each distribution scheme at each traffic volume and tabulate
-    per-scheme totals plus per-path delay and allocation."""
-    report, runs = _run_suite("schemes", scenario, packet_counts, jobs, _scheme_rows)
-    for d in packet_counts:
-        report.checks += [
-            _ordering(f"D={d}: delay", [(f"scheme{s}", runs[(d, s)].completion_s)
-                                        for s in (3, 2, 1)]),
-            _ordering(f"D={d}: energy", [(f"scheme{s}", runs[(d, s)].energy_spent_j)
-                                         for s in (1, 3, 2)])]
-    return report
+def _scheme_plots(d: int, runs: dict[str, RunMetrics]) -> dict[str, str]:
+    """The strategic run's path series and each scheme's net delay and
+    energy against its number, suffixed ``_d{d}``."""
+    schemes = [(m.scenario.engine.scheme, m) for m in runs.values()]
+    return {**path_plots(runs["scheme3"], f"_d{d}"), **_plot_files({
+        f"delay_vs_scheme_d{d}.dat": [(s, m.completion_s) for s, m in schemes],
+        f"energy_vs_scheme_d{d}.dat": [(s, m.energy_spent_j) for s, m in schemes]})}
 
 
 def _framework_rows(d: int, framework: str, metrics: RunMetrics) -> list[dict]:
@@ -171,23 +124,103 @@ def _framework_rows(d: int, framework: str, metrics: RunMetrics) -> list[dict]:
             for src in sorted(metrics.per_source_completion_s)]
 
 
-def run_multisource_frameworks(scenario: Scenario, packet_counts: list[int],
-                               jobs: int = 1) -> Report:
-    """Compare replicated traditional delivery against the fragmented-queue
-    machinery with equal and strategic splits."""
-    report, runs = _run_suite("frameworks", scenario, packet_counts, jobs,
-                              _framework_rows)
+@dataclass(frozen=True)
+class Suite:
+    # variant name -> the run config it overrides, in row order
+    variants: dict[str, dict]
+    # (packets, variant, metrics) -> the cell's rows, after the provenance columns
+    rows: Callable[[int, str, RunMetrics], list[dict]]
+    # (label, RunMetrics attribute, variant order): the check that the
+    # attribute does not decrease along the order, for the network and, on
+    # an attribute that maps each source to its value, for each source
+    orderings: tuple[tuple[str, str, tuple[str, ...]], ...]
+    source_orderings: tuple[tuple[str, str, tuple[str, ...]], ...] = ()
+    # (packets, that volume's runs by variant) -> plot file name -> text
+    plots: Callable[[int, dict[str, RunMetrics]], dict[str, str]] | None = None
+
+
+_BEST_FIRST = ("strategic", "equal", "traditional")
+
+SUITES = {
+    "schemes": Suite(
+        variants={f"scheme{s}": {"scheme": s} for s in (1, 2, 3)},
+        rows=_scheme_rows,
+        orderings=(("delay", "completion_s", ("scheme3", "scheme2", "scheme1")),
+                   ("energy", "energy_spent_j", ("scheme1", "scheme3", "scheme2"))),
+        plots=_scheme_plots),
+    "frameworks": Suite(
+        variants={
+            "traditional": {"replicate": True, "fragmented": False},
+            "equal": {"replicate": False, "fragmented": True, "scheme": 2},
+            "strategic": {"replicate": False, "fragmented": True, "scheme": 3},
+        },
+        rows=_framework_rows,
+        orderings=(("net delay", "completion_s", _BEST_FIRST),
+                   ("net energy", "energy_spent_j", _BEST_FIRST)),
+        source_orderings=(("delay", "per_source_completion_s", _BEST_FIRST),
+                          ("energy", "per_source_comm_j", _BEST_FIRST))),
+}
+
+
+# a pool worker's copy of the suite's shared build, sent once per worker
+_worker_build: tuple | None = None
+
+
+def _share_build(built) -> None:
+    global _worker_build
+    _worker_build = built
+
+
+def _run_cell(scenario: Scenario) -> RunMetrics:
+    return run_scenario(scenario, _worker_build)
+
+
+def _ordering(label: str, order: tuple[str, ...], values: list[float]) -> tuple[str, bool]:
+    """The check that `values` do not decrease along `order`, labelled
+    `label` and the order joined by " <= "."""
+    return (f"{label} " + " <= ".join(order),
+            all(a <= b for a, b in zip(values, values[1:])))
+
+
+def run_suite(name: str, scenario: Scenario, packet_counts: list[int],
+              jobs: int = 1) -> Report:
+    """Run the suite's cells, one per (traffic volume, variant) in that
+    order and up to `jobs` at a time, and report their rows, their
+    orderings as checks and their plot files.
+
+    The cells differ from the scenario only in packet counts and run
+    config, so they share its one build: one topology and one path set per
+    source, which reaches each pool worker once. The report's hash is the
+    only one computed."""
+    suite = SUITES[name]
+    report = Report(suite=name, scenario_hash=scenario_hash(scenario))
+    keys = [(d, v) for d in packet_counts for v in suite.variants]
+    cells = [configured(scenario, packets=d, **suite.variants[v]) for d, v in keys]
+    built = build_scenario(scenario)
+    workers = min(jobs, len(cells))  # a pool starts all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_share_build,
+                                 initargs=(built,)) as pool:
+            results = list(pool.map(_run_cell, cells))
+    else:
+        results = [run_scenario(c, built) for c in cells]
+    base = {"suite": name, "scenario": scenario.name, "scenario_hash": report.scenario_hash}
+    runs = dict(zip(keys, results))
+    for (d, variant), metrics in runs.items():
+        report.rows += [{**base, "seed": metrics.seed, **row}
+                        for row in suite.rows(d, variant, metrics)]
     for d in packet_counts:
-        ranked = [(f, runs[(d, f)]) for f in reversed(FRAMEWORKS)]
+        cell = {v: runs[d, v] for v in suite.variants}
         report.checks += [
-            _ordering(f"D={d}: net delay", [(f, m.completion_s) for f, m in ranked]),
-            _ordering(f"D={d}: net energy", [(f, m.energy_spent_j) for f, m in ranked])]
-        for src in sorted(ranked[0][1].per_source_completion_s):
+            _ordering(f"D={d}: {label}", order, [getattr(cell[v], attr) for v in order])
+            for label, attr, order in suite.orderings]
+        for src in sorted(results[0].per_source_completion_s):
             report.checks += [
-                _ordering(f"D={d} source {src}: delay",
-                          [(f, m.per_source_completion_s[src]) for f, m in ranked]),
-                _ordering(f"D={d} source {src}: energy",
-                          [(f, m.per_source_comm_j[src]) for f, m in ranked])]
+                _ordering(f"D={d} source {src}: {label}", order,
+                          [getattr(cell[v], attr)[src] for v in order])
+                for label, attr, order in suite.source_orderings]
+        if suite.plots is not None:
+            report.plots.update(suite.plots(d, cell))
     return report
 
 
@@ -232,44 +265,7 @@ def write_rows_csv(rows: list[dict], path: str) -> None:
         fh.write(render_rows(rows, "csv"))
 
 
-def write_plot_data(rows: list[dict], out_dir: str) -> None:
-    """Two-column numeric series for the standard figures, one ``.dat``
-    file each, from the rows of one run (`metrics_rows`) or of the schemes
-    suite; other rows give none.
-
-    A run's path rows give their 1-based path index against quota and
-    simulated delay, in row order; a path that delivered nothing has a
-    quota but no delay. The schemes suite gives the same for
-    its strategic runs and each scheme's net delay and energy, in files
-    suffixed ``_d{D}``."""
-    series: dict[str, list[tuple]] = {}
-    runs: dict[tuple[int, int], dict] = {}
-    for row in rows:
-        if "scheme" in row:
-            runs.setdefault((row["packets"], row["scheme"]), row)
-            if row["scheme"] != 3:
-                continue
-            tag, delay = f"_d{row['packets']}", row["path_delay_sim_s"]
-        elif row.get("record") == "path":
-            tag, delay = "", row["delay_sim_s"]
-        else:
-            continue
-        series.setdefault(f"allocation_per_path{tag}.dat", []).append(
-            (row["path"] + 1, row["quota"]))
-        if row["delivered"]:  # a path that delivered nothing has no delay
-            series.setdefault(f"delay_per_path{tag}.dat", []).append((row["path"] + 1, delay))
-    for (d, scheme), row in sorted(runs.items()):
-        series.setdefault(f"delay_vs_scheme_d{d}.dat", []).append(
-            (scheme, row["net_delay_s"]))
-        series.setdefault(f"energy_vs_scheme_d{d}.dat", []).append(
-            (scheme, row["net_energy_j"]))
-    for name, pairs in series.items():
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.writelines(f"{_cell(x)} {_cell(y)}\n" for x, y in pairs)
-
-
 __all__ = [
-    "FRAMEWORKS", "Report", "configured", "metrics_rows",
-    "render_rows", "run_multisource_frameworks", "run_scheme_comparison",
-    "write_plot_data", "write_rows_csv",
+    "Report", "SUITES", "Suite", "configured", "metrics_rows", "path_plots",
+    "render_rows", "run_suite", "write_rows_csv",
 ]

@@ -18,7 +18,7 @@ from wsn_multipath.allocator import (
     solve_quota_bound,
 )
 from wsn_multipath.engine import run_scenario
-from wsn_multipath.experiments import configured, run_multisource_frameworks
+from wsn_multipath.experiments import configured, run_suite
 from wsn_multipath.metrics import average_edp, path_edp
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, build_scenario, generate_random_scenario
@@ -157,7 +157,7 @@ def test_criterion_05_scheme_orderings_and_dispersion():
 
 
 def test_criterion_06_framework_orderings():
-    report = run_multisource_frameworks(shipped("three-source-mesh-sim"), [1000, 2000])
+    report = run_suite("frameworks", shipped("three-source-mesh-sim"), [1000, 2000])
     net_checks = [ok for label, ok in report.checks if "net" in label]
     assert all(net_checks), report.checks
     source_delay = [ok for label, ok in report.checks

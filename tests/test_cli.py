@@ -10,8 +10,8 @@ import pytest
 import yaml
 
 from wsn_multipath.cli import main
-from wsn_multipath.engine import Engine
-from wsn_multipath.experiments import configured
+from wsn_multipath.engine import Engine, run_scenario
+from wsn_multipath.experiments import SUITES, configured
 from wsn_multipath.model import NetworkParams
 from wsn_multipath.scenario import FaultDecl, Scenario, SourceDecl, save_scenario
 
@@ -139,6 +139,23 @@ def test_allocate_without_probes_runs_no_engine(mesh_file, monkeypatch, capsys):
     monkeypatch.setattr(Engine, "run", no_run)
     assert main(["allocate", "--scenario", mesh_file, "--scheme", "3"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 10
+
+
+@pytest.mark.parametrize("variant", SUITES["frameworks"].variants)
+def test_allocate_prints_the_quotas_a_run_sends(variant, tmp_path, capsys):
+    # a replicated run sends every packet on every path; a split run sends
+    # the scheme's quotas
+    scenario = configured(shipped("three-source-mesh-sim"), packets=30,
+                          **SUITES["frameworks"].variants[variant])
+    path = tmp_path / "scenario.yaml"
+    save_scenario(scenario, str(path))
+    assert main(["allocate", "--scenario", str(path), "--format", "json-lines"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert {(r["source"], r["path"]): r["quota"] for r in rows} == {
+        key: stats["quota"] for key, stats in run_scenario(scenario).per_path.items()}
+    if scenario.engine.replicate:  # no split, so no bound and no budget
+        assert all(r["raw_bound"] == r["quota"] == 30 and r["budget_edp_js"] == 0.0
+                   and r["exceeds_bound"] is False for r in rows)
 
 
 def test_allocate_unknown_source_is_usage_error(mesh_file, capsys):

@@ -6,17 +6,20 @@ from wsn_multipath import engine as engine_module
 from wsn_multipath import experiments
 from wsn_multipath import scenario as scenario_module
 from wsn_multipath.experiments import (
-    Report,
+    SUITES,
     configured,
     metrics_rows,
-    run_multisource_frameworks,
-    run_scheme_comparison,
-    write_plot_data,
+    path_plots,
+    run_suite,
     write_rows_csv,
 )
 from wsn_multipath.engine import run_scenario
 
 from conftest import fingerprint, shipped
+
+# every suite on each shipped scenario that runs in simulation
+SUITE_CASES = [(suite, name) for suite in SUITES
+               for name in ("five-path-fan", "three-source-mesh-sim")]
 
 
 def test_configured_overrides_do_not_touch_original(fan):
@@ -28,7 +31,7 @@ def test_configured_overrides_do_not_touch_original(fan):
 
 
 def test_scheme_comparison_small(fan):
-    report = run_scheme_comparison(fan, [30])
+    report = run_suite("schemes", fan, [30])
     assert all(ok for _, ok in report.checks), report.checks
     schemes = {r["scheme"] for r in report.rows}
     assert schemes == {1, 2, 3}
@@ -37,7 +40,7 @@ def test_scheme_comparison_small(fan):
 
 
 def test_scheme_comparison_zero_traffic_collapses(fan):
-    report = run_scheme_comparison(fan, [0])
+    report = run_suite("schemes", fan, [0])
     delays = {r["scheme"]: r["net_delay_s"] for r in report.rows}
     energies = {r["scheme"]: r["net_energy_j"] for r in report.rows}
     assert set(delays.values()) == {0.0}
@@ -45,7 +48,7 @@ def test_scheme_comparison_zero_traffic_collapses(fan):
 
 
 def test_framework_report_shape(mesh_sim):
-    report = run_multisource_frameworks(configured(mesh_sim), [60])
+    report = run_suite("frameworks", configured(mesh_sim), [60])
     frameworks = {r["framework"] for r in report.rows}
     assert frameworks == {"traditional", "equal", "strategic"}
     assert len(report.rows) == 9  # 3 frameworks x 3 sources x 1 volume
@@ -60,7 +63,7 @@ def test_framework_traditional_counts_duplicates(mesh_sim):
     # once on each of its 3 paths: the run's two extra copies of each of
     # the 90 numbers are 180 duplicates, a run total that every row
     # carries. The split frameworks send each number once.
-    report = run_multisource_frameworks(configured(mesh_sim), [30])
+    report = run_suite("frameworks", configured(mesh_sim), [30])
     duplicates = {(r["framework"], r["source"]): r["duplicates"] for r in report.rows}
     assert duplicates == {(f, src): 180 if f == "traditional" else 0
                           for f in ("traditional", "equal", "strategic")
@@ -85,24 +88,48 @@ def test_replicated_completion_is_the_first_copy_of_the_last_number(
     assert metrics.per_path[(1, 2)]["sim_delay_s"] == path_1_2 == latest[1]
 
 
-def test_report_determinism(mesh_sim):
-    a = run_multisource_frameworks(mesh_sim, [40])
-    b = run_multisource_frameworks(mesh_sim, [40])
-    assert a.rows == b.rows
-    assert a.checks == b.checks
+@pytest.mark.parametrize("suite,name", SUITE_CASES)
+def test_report_determinism(suite, name):
+    # rows, checks and plot files alike
+    assert run_suite(suite, shipped(name), [40]) == run_suite(suite, shipped(name), [40])
 
 
-def test_parallel_jobs_match_serial(fan):
-    serial = run_scheme_comparison(fan, [20], jobs=1)
-    parallel = run_scheme_comparison(fan, [20], jobs=2)
-    assert serial.rows == parallel.rows
+@pytest.mark.parametrize("suite,name", SUITE_CASES)
+def test_parallel_jobs_match_serial(suite, name):
+    serial = run_suite(suite, shipped(name), [20, 40], jobs=1)
+    assert run_suite(suite, shipped(name), [20, 40], jobs=2) == serial
 
 
-@pytest.mark.parametrize("run_suite,name", [
-    (run_scheme_comparison, "five-path-fan"),
-    (run_multisource_frameworks, "three-source-mesh-sim"),
-])
-def test_suite_cells_equal_runs_alone(run_suite, name, monkeypatch):
+def test_pool_starts_no_more_workers_than_the_suite_has_cells(mesh_sim, monkeypatch):
+    # a process pool starts all of its workers at its first task; a
+    # stand-in runs the cells in this process and records the pool's size
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    serial = run_suite("frameworks", mesh_sim, [20, 40])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiments, "_worker_build", None)
+    assert run_suite("frameworks", mesh_sim, [20, 40], jobs=64) == serial
+    assert run_suite("frameworks", mesh_sim, [20], jobs=2) == run_suite(
+        "frameworks", mesh_sim, [20])
+    assert sizes == [6, 2]
+
+
+@pytest.mark.parametrize("suite,name", SUITE_CASES)
+def test_suite_cells_equal_runs_alone(suite, name, monkeypatch):
     # every cell runs on the suite's one build; each must report what
     # its own scenario reports when it builds its own
     cells = []
@@ -113,8 +140,8 @@ def test_suite_cells_equal_runs_alone(run_suite, name, monkeypatch):
         return metrics
 
     monkeypatch.setattr(experiments, "run_scenario", recorded)
-    run_suite(configured(shipped(name), record_trace=True), [40, 80])
-    assert len(cells) == 2 * 3
+    run_suite(suite, configured(shipped(name), record_trace=True), [40, 80])
+    assert len(cells) == 2 * len(SUITES[suite].variants)
     for cell, metrics in cells:
         assert fingerprint(metrics) == fingerprint(run_scenario(cell))
 
@@ -133,13 +160,13 @@ def test_suite_builds_once_and_hashes_once(mesh_sim, monkeypatch):
     for module in (engine_module, experiments):
         monkeypatch.setattr(module, "scenario_hash",
                             counted("hash", module.scenario_hash))
-    report = run_multisource_frameworks(mesh_sim, [20, 40])
+    report = run_suite("frameworks", mesh_sim, [20, 40])
     assert len(report.rows) == 2 * 3 * 3
     assert calls == {"topology": 1, "hash": 1}
 
 
 def test_rows_carry_provenance(fan):
-    report = run_scheme_comparison(fan, [10])
+    report = run_suite("schemes", fan, [10])
     for row in report.rows:
         assert row["scenario_hash"] == report.scenario_hash
         assert row["seed"] == fan.seed
@@ -158,24 +185,23 @@ def test_metrics_rows_and_csv(tmp_path, fan):
 
 
 def test_report_text_includes_checks(fan):
-    report = run_scheme_comparison(fan, [20])
+    report = run_suite("schemes", fan, [20])
     text = report.to_text()
     assert "[PASS]" in text or "[FAIL]" in text
 
 
 def test_plot_data_leaves_a_path_that_delivered_nothing_out_of_the_delay_series(
-        mesh_sim, tmp_path):
+        mesh_sim):
     # replicated over a shared FIFO, path (1, 0) drops every copy: its
     # CSV delay reads 0.0, which a plot would show as the fastest path
     metrics = run_scenario(configured(mesh_sim, packets=200, window=None,
                                       replicate=True, fragmented=False))
     assert metrics.per_path[(1, 0)]["delivered"] == 0
-    rows = metrics_rows(metrics)
-    paths = [r for r in rows if r.get("record") == "path"]
-    write_plot_data(rows, str(tmp_path))
+    paths = [r for r in metrics_rows(metrics) if r.get("record") == "path"]
+    files = path_plots(metrics)
 
     def points(name):
-        return (tmp_path / name).read_text().splitlines()
+        return files[name].splitlines()
 
     assert len(points("allocation_per_path.dat")) == len(paths)
     assert points("delay_per_path.dat") == [
