@@ -14,6 +14,7 @@ import copy
 import functools
 import heapq
 import itertools
+import operator
 import random
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -987,21 +988,28 @@ class Engine:
 
     def _finalize(self) -> None:
         self._check_quiescent()
-        duration = self._now
-        for nid in sorted(self._residual):
-            alive_span = self._fault_time.get(nid, duration)
-            sensing = self.params.sensing_w * alive_span
-            self._residual[nid] -= sensing
-            self.metrics.energy_spent_j += sensing
-            self.metrics.energy_breakdown_j["sensing"] += sensing
-            if self.config.include_idle:
+        duration, metrics, residual = self._now, self.metrics, self._residual
+        # the ledger's running sums as locals, each added to in the order the
+        # nodes are walked, and written back after the walk
+        buckets = metrics.energy_breakdown_j
+        spent, sensed, idled = metrics.energy_spent_j, buckets["sensing"], buckets["idle"]
+        fault_time, sensing_w = self._fault_time, self.params.sensing_w
+        include_idle, idle_power_w = self.config.include_idle, self.config.idle_power_w
+        for nid in sorted(residual):
+            alive_span = fault_time.get(nid, duration)
+            sensing = sensing_w * alive_span
+            residual[nid] -= sensing
+            spent += sensing
+            sensed += sensing
+            if include_idle:
                 idle_span = max(0.0, alive_span - self._busy_time[nid])
-                idle = self.config.idle_power_w * idle_span
-                self._residual[nid] -= idle
-                self.metrics.energy_spent_j += idle
-                self.metrics.energy_breakdown_j["idle"] += idle
-            self.metrics.residual_j[nid] = self._residual[nid]
-            self.metrics.initial_j[nid] = self.params.initial_energy_j
+                idle = idle_power_w * idle_span
+                residual[nid] -= idle
+                spent += idle
+                idled += idle
+            metrics.residual_j[nid] = residual[nid]
+        metrics.energy_spent_j, buckets["sensing"], buckets["idle"] = spent, sensed, idled
+        metrics.initial_j.update(dict.fromkeys(metrics.residual_j, self.params.initial_energy_j))
         for spec in self.specs:
             flows = [self.flows[(spec.node_id, i)] for i in range(len(spec.paths))]
             self.metrics.delivered[spec.node_id] = sum(f.delivered for f in flows)
@@ -1032,7 +1040,8 @@ class Engine:
         if abs(buckets - spent) > 1e-9 * abs(spent):
             raise SimulationError(
                 f"energy buckets sum to {buckets!r} J but {spent!r} J were spent")
-        drained = sum(m.initial_j[n] - m.residual_j[n] for n in m.initial_j)
+        # both tables list the nodes in one order, the one `_finalize` walked
+        drained = sum(map(operator.sub, m.initial_j.values(), m.residual_j.values()))
         # each debit rounds a residual at the scale of its initial energy,
         # so a run that spends little misses the relative bound alone
         if abs(drained - spent) > 1e-6 * abs(spent) + 1e-12 * sum(m.initial_j.values()):

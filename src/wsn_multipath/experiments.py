@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -199,6 +198,8 @@ def run_suite(name: str, scenario: Scenario, packet_counts: list[int],
     built = build_scenario(scenario)
     workers = min(jobs, len(cells))  # a pool starts all its workers at once
     if workers > 1:
+        # imported here: `multiprocessing` costs every serial process memory
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_share_build,
                                  initargs=(built,)) as pool:
             results = list(pool.map(_run_cell, cells))

@@ -10,6 +10,7 @@ are left, which links are down), and packets carry their own progress.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -220,9 +221,10 @@ class Topology:
         return seen
 
 
-def _neighbors_in_range(positions: dict[int, tuple[float, float]],
-                        radio_range_m: float) -> dict[int, tuple[int, ...]]:
-    """Each node's neighbours within radio range, in ascending order.
+def _neighbors_in_range(positions: dict[int, tuple[float, float]], radio_range_m: float
+                        ) -> tuple[dict[int, tuple[int, ...]], int]:
+    """Each node's neighbours within radio range, in ascending order, and
+    the number of in-range pairs.
 
     Fixed-radius near-neighbour grid (Bentley, Stanat & Williams, 1977):
     nodes are bucketed into square cells, and each pair of nodes in one
@@ -232,7 +234,7 @@ def _neighbors_in_range(positions: dict[int, tuple[float, float]],
     coordinate, so that the rounding of ``x / width`` can never put an
     in-range pair two cells apart.
     """
-    extent = max((max(abs(x), abs(y)) for x, y in positions.values()), default=0.0)
+    extent = max(map(abs, itertools.chain.from_iterable(positions.values())), default=0.0)
     width = radio_range_m * (1.0 + 2.0 ** -40 * max(1.0, extent / radio_range_m))
     cells: dict[tuple[int, int], list[tuple]] = {}
     for nid, (x, y) in positions.items():
@@ -242,13 +244,22 @@ def _neighbors_in_range(positions: dict[int, tuple[float, float]],
     for (cx, cy), members in cells.items():
         after = [node for dx, dy in ((1, -1), (1, 0), (1, 1), (0, 1))
                  for node in cells.get((cx + dx, cy + dy), ())]
-        for i, (a, ax, ay) in enumerate(members):
+        for i, (a, ax, ay) in enumerate(members, 1):
             near = adjacency[a]
-            for b, bx, by in members[i + 1:] + after:
+            for b, bx, by in members[i:]:
                 if hypot(ax - bx, ay - by) <= radio_range_m:
                     near.append(b)
                     adjacency[b].append(a)
-    return {nid: tuple(sorted(near)) for nid, near in adjacency.items()}
+            for b, bx, by in after:
+                if hypot(ax - bx, ay - by) <= radio_range_m:
+                    near.append(b)
+                    adjacency[b].append(a)
+    ends = 0  # each pair has two
+    for nid, near in adjacency.items():
+        near.sort()
+        ends += len(near)
+        adjacency[nid] = tuple(near)
+    return adjacency, ends // 2
 
 
 def build_topology(positions: dict[int, tuple[float, float]], radio_range_m: float,
@@ -261,16 +272,16 @@ def build_topology(positions: dict[int, tuple[float, float]], radio_range_m: flo
     """
     if not radio_range_m > 0:
         raise DomainError("radio range must be positive")
+    isfinite, nodes = math.isfinite, {}
     for nid, (x, y) in positions.items():
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not (isfinite(x) and isfinite(y)):
             raise DomainError(f"node {nid} has a non-finite position")
-    nodes = {nid: (float(x), float(y)) for nid, (x, y) in positions.items()}
-    adjacency = _neighbors_in_range(positions, radio_range_m)
+        nodes[nid] = (float(x), float(y))
+    adjacency, pairs = _neighbors_in_range(nodes, radio_range_m)
     overrides = link_overrides or {}
     own = sorted((a, b) for a, b in overrides if a < b and b in adjacency.get(a, ()))
     # one shared default, built only when some pair takes it, so that an
     # invalid default raises where a record per pair would have raised
-    pairs = sum(map(len, adjacency.values())) // 2
     default = Link(link_speed_bps, link_delay_s) if len(own) < pairs else None
     return Topology(nodes, adjacency, {pair: Link(*overrides[pair]) for pair in own}, default)
 

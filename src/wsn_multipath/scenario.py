@@ -11,6 +11,7 @@ import random
 import re
 from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
+from itertools import compress
 
 import yaml
 
@@ -198,9 +199,14 @@ class Scenario:
                 ("sources", data["sources"], _SOURCE_TABLE), ("faults", faults, _FAULT_TABLE)]:
             for i, entry in enumerate(entries):
                 check(entry, table, f"{path}[{i}]")
-        positions = {n["id"]: (float(n["x"]), float(n["y"])) for n in nodes}
-        if len(positions) < len(nodes):
-            twice = Counter(n["id"] for n in nodes).most_common(1)[0][0]
+        if type(nodes) is _ReadNodes:
+            ids, positions, spares = nodes, nodes.positions, nodes.spares
+        else:
+            ids = [n["id"] for n in nodes]
+            positions = {n["id"]: (float(n["x"]), float(n["y"])) for n in nodes}
+            spares = [n["id"] for n in nodes if n.get("redundant")]
+        if len(positions) < len(ids):
+            twice = Counter(ids).most_common(1)[0][0]
             raise ScenarioError(f"node id {twice} is declared twice")
         return cls(
             name=data.get("name", "scenario"),
@@ -213,7 +219,7 @@ class Scenario:
             link_delay_s=float(links.get("delay_s", 0.0)),
             link_overrides={(min(o["a"], o["b"]), max(o["a"], o["b"])):
                             (float(o["speed_bps"]), float(o["delay_s"])) for o in overrides},
-            redundant=tuple(sorted(n["id"] for n in nodes if n.get("redundant"))),
+            redundant=tuple(sorted(spares)),
             faults=[FaultDecl(float(f["time"]), f.get("node"),
                               None if f.get("link") is None else tuple(f["link"]))
                     for f in faults],
@@ -229,16 +235,23 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 # The node list as `save_scenario` writes it: a top-level `nodes:` key, then
 # one entry per node with a decimal id, `redundant: true` when set and two
 # finite floats as YAML's safe representer writes them. The block ends at
-# the first line that starts with neither "-" nor a space.
+# the first line that starts with neither "-" nor a space. `_NODE` captures
+# each whole entry, then its id, spare line, x and y.
 _NODE_BLOCK = re.compile(r"^nodes:\n((?:[- ].*\n?)*)", re.MULTILINE)
 _FLOAT = r"(-?[0-9]+\.[0-9]+(?:e[-+][0-9]+)?)"
-_NODE = re.compile(r"- id: (-?(?:0|[1-9][0-9]*))\n(  redundant: true\n)?"
-                   rf"  x: {_FLOAT}\n  y: {_FLOAT}\n")
+_NODE = re.compile(r"(- id: (-?(?:0|[1-9][0-9]*))\n(  redundant: true\n)?"
+                   rf"  x: {_FLOAT}\n  y: {_FLOAT}\n)")
 _NODES_TAKEN = "wsn-multipath-node-table"
 
 
 class _ReadNodes(list):
-    """Node entries as `_NODE` reads them, which the node table accepts."""
+    """The ids of the node entries `_NODE` reads, in file order, which the
+    node table accepts, with their `positions` and the ids of the `spares`."""
+
+    def __init__(self, ids: list[int], positions: dict[int, tuple[float, float]],
+                 spares: list[int]):
+        super().__init__(ids)
+        self.positions, self.spares = positions, spares
 
 
 def _read_node_table(text: str) -> dict | None:
@@ -250,7 +263,9 @@ def _read_node_table(text: str) -> dict | None:
     if block is None or _NODES_TAKEN in text:
         return None
     entries = block.group(1)
-    if not entries or _NODE.sub("", entries):
+    # the matches cover the block exactly when, joined, they are the block
+    columns = list(zip(*_NODE.findall(entries)))  # entries, ids, spares, xs, ys
+    if not columns or "".join(columns[0]) != entries:
         return None
     # a block scalar: a flow collection that holds the key cannot parse it
     rest = f"{text[:block.start()]}nodes: |-\n  {_NODES_TAKEN}\n{text[block.end():]}"
@@ -261,9 +276,10 @@ def _read_node_table(text: str) -> dict | None:
     if not isinstance(data, dict) or data.get("nodes") != _NODES_TAKEN:
         return None
     # `_NODE` admits only int ids, finite floats and `redundant: true`
-    data["nodes"] = _ReadNodes(
-        {"id": int(nid), "x": float(x), "y": float(y), "redundant": bool(spare)}
-        for nid, spare, x, y in _NODE.findall(entries))
+    _, ids, spares, xs, ys = columns
+    ids = list(map(int, ids))
+    data["nodes"] = _ReadNodes(ids, dict(zip(ids, zip(map(float, xs), map(float, ys)))),
+                               list(compress(ids, spares)))
     return data
 
 
@@ -296,16 +312,22 @@ def _yaml_float(value: float) -> str:
     return text
 
 
+# node entries per piece of `_pieces`: a hash digests a few pieces, not
+# one per node
+_ENTRIES_PER_PIECE = 1000
+
+
 def _pieces(scenario: Scenario, sort_keys: bool):
     """The text of `yaml.dump(scenario.to_dict(), sort_keys=sort_keys)`, in
     pieces.
 
     Each top-level key is dumped on its own, in the dump's order, except
     the node list, whose entries are written here straight from the
-    positions, one piece per node: a block sequence of mappings with an
-    int id, `redundant: true` when set and two floats, in the same order
-    with sorted keys or without. That skips building and resolving a YAML
-    node, or a dict, for every entry of a large deployment."""
+    positions, `_ENTRIES_PER_PIECE` to a piece: a block sequence of
+    mappings with an int id, `redundant: true` when set and two floats, in
+    the same order with sorted keys or without. That skips building and
+    resolving a YAML node, or a dict, for every entry of a large
+    deployment."""
     data = scenario._mapping(nodes=None)
     for key in sorted(data) if sort_keys else data:
         if key != "nodes":
@@ -315,11 +337,27 @@ def _pieces(scenario: Scenario, sort_keys: bool):
         else:
             yield "nodes:\n"
             positions, redundant = scenario.positions, set(scenario.redundant)
-            for nid in sorted(positions):
-                x, y = positions[nid]
-                spare = "  redundant: true\n" if nid in redundant else ""
-                yield (f"- id: {nid}\n{spare}  x: {_yaml_float(float(x))}\n"
-                       f"  y: {_yaml_float(float(y))}\n")
+            ids = sorted(positions)
+            for start in range(0, len(ids), _ENTRIES_PER_PIECE):
+                yield _node_entries(positions, redundant,
+                                    ids[start:start + _ENTRIES_PER_PIECE])
+
+
+def _node_entries(positions: dict[int, tuple[float, float]], redundant: set[int],
+                  ids: list[int]) -> str:
+    """The node list's entries of the nodes `ids`, in that order."""
+    entries = []
+    for nid in ids:
+        x, y = positions[nid]
+        x, y = float(x), float(y)
+        spare = "  redundant: true\n" if nid in redundant else ""
+        # in this range `repr` writes no exponent, and is what YAML writes
+        if 1e-4 <= abs(x) < 1e16 and 1e-4 <= abs(y) < 1e16:
+            entries.append(f"- id: {nid}\n{spare}  x: {x!r}\n  y: {y!r}\n")
+        else:
+            entries.append(f"- id: {nid}\n{spare}  x: {_yaml_float(x)}\n"
+                           f"  y: {_yaml_float(y)}\n")
+    return "".join(entries)
 
 
 def scenario_hash(scenario: Scenario) -> str:
@@ -384,11 +422,12 @@ def build_scenario(scenario: Scenario) -> tuple[Topology, list[SourceSpec]]:
                 else not topo.are_adjacent(*fault.link)):
             raise ScenarioError(
                 f"fault at t={fault.time}s names no node or link of the topology")
-    first_at: dict[tuple[float, float], int] = {}
-    for nid, position in topo.nodes.items():
-        other = first_at.setdefault(position, nid)
-        if other != nid:
-            raise ScenarioError(f"nodes {other} and {nid} share position {position}")
+    if len(set(topo.nodes.values())) < len(topo.nodes):
+        first_at: dict[tuple[float, float], int] = {}
+        for nid, position in topo.nodes.items():
+            other = first_at.setdefault(position, nid)
+            if other != nid:
+                raise ScenarioError(f"nodes {other} and {nid} share position {position}")
     specs = []
     for decl in scenario.sources:
         if decl.paths:

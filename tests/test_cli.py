@@ -671,3 +671,15 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "discover" in result.stdout
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only `--jobs` above 1 starts a pool; a serial process never loads
+    # `multiprocessing`
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, wsn_multipath.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', "
+         "'concurrent.futures.process'))))"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import pytest
@@ -120,7 +121,7 @@ def test_pool_starts_no_more_workers_than_the_suite_has_cells(mesh_sim, monkeypa
             return map(fn, cells)
 
     serial = run_suite("frameworks", mesh_sim, [20, 40])
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiments, "_worker_build", None)
     assert run_suite("frameworks", mesh_sim, [20, 40], jobs=64) == serial
     assert run_suite("frameworks", mesh_sim, [20], jobs=2) == run_suite(

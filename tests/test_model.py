@@ -118,6 +118,10 @@ def _deployments(draw):
 # overrides on pairs in range, (1, 2) and (2, 3), and out of range, (1, 4)
 @example(({1: (0, 0), 2: (10, 0), 3: (20, 0), 4: (50, 0)}, 12.0,
           {(1, 2): (25000.0, 0.002), (2, 3): (1e6, 0.0), (1, 4): (1e6, 0.003)}))
+# integer coordinates, which the scan reads through the build's float copy:
+# pairs exactly one radius apart across cell edges, and one just out of range
+@example(({1: (-7500, 3), 2: (-7470, 3), 3: (-7500, 33), 4: (-7531, 3), 5: (-7441, 3)},
+          30.0, {(1, 2): (1e6, 0.0)}))
 def test_grid_build_equals_all_pairs_build(deployment):
     positions, radius, overrides = deployment
     topo = build_topology(positions, radius, link_overrides=overrides)

@@ -222,7 +222,11 @@ def test_scenario_hashes_are_pinned():
 _COORDS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 0.1, 1e16, 1e17, -1e17, 1e-5, 5e-324, -2.5e-300,
-                     1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+                     1.7976931348623157e308, math.inf, -math.inf, math.nan,
+                     # either side of each end of the range `repr` writes
+                     # without an exponent
+                     1e-4, -1e-4, 9.999999999999999e-05, 9999999999999998.0,
+                     -9999999999999998.0]),
 )
 _NAMES = st.one_of(
     st.text(max_size=30),
@@ -438,6 +442,15 @@ def test_spare_that_names_no_node_is_scenario_error():
     # can name a spare the deployment lacks
     sc = dataclasses.replace(shipped("three-source-mesh"), redundant=(999,))
     with pytest.raises(ScenarioError, match="spare 999 names no node of the deployment"):
+        build_scenario(sc)
+
+
+def test_shared_position_is_scenario_error():
+    # no energy model covers a hop of zero length; of three nodes at one
+    # spot, the first two in node order are named
+    sc = Scenario(name="stacked", params=small_params(), sink=9, sources=[SourceDecl(4, 5)],
+                  positions={4: (1.5, 2.0), 9: (0.0, 0.0), 2: (1.5, 2.0), 7: (1.5, 2.0)})
+    with pytest.raises(ScenarioError, match=r"^nodes 4 and 2 share position \(1\.5, 2\.0\)$"):
         build_scenario(sc)
 
 
