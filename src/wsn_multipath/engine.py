@@ -55,6 +55,7 @@ class _Flow:
 
     key: tuple[int, int]            # (source node, path index)
     head: int                       # the node that injects: the source, or its spare
+    source: _Source                 # its source's record, shared by the source's flows
     quota: int
     tau_s: float
     first_seq: int = 0              # seq of its first packet
@@ -99,6 +100,29 @@ class _Flow:
 
 
 @dataclass(slots=True)
+class _Node:
+    """A node's run state, built by `Engine._node` when a hop, a buffer or
+    a fault first names the node, and the only record of it; a node
+    without one was never touched and is alive with a full battery."""
+
+    id: int
+    residual_j: float               # less its frames' debits; sensing and idle come at the end
+    busy: bool = False              # transmitting
+    busy_s: float = 0.0             # transmit and receive time
+    fault_s: float | None = None    # time of death; None while alive
+    queues: _NodeQueues | None = None   # its buffer, built for its first frame
+
+
+@dataclass(slots=True)
+class _Source:
+    """A source's run state, shared by its flows."""
+
+    landed: bytearray               # one byte per sequence number, set by its first copy
+    comm_j: float = 0.0             # transmit and receive energy of its data frames
+    completion_s: float = 0.0       # when the first copy of its latest number landed
+
+
+@dataclass(slots=True)
 class _Hop:
     """One directed hop, built by `Engine._hop` when first asked for; only
     `failed` changes, counting data attempts since a success or self-check."""
@@ -109,6 +133,8 @@ class _Hop:
     pair: tuple[int, int]           # (low id, high id), as link faults name it
     data: tuple[float, float, float]    # a data frame's (service s, tx J, rx J)
     beacon: tuple[float, float, float]  # a beacon's
+    tx: _Node                       # the sender's record
+    rx: _Node                       # the receiver's
     failed: int = 0
 
 
@@ -360,32 +386,19 @@ class Engine:
         self._now = 0.0
         # (time, rank, node, counter) of the timer whose handler is acting
         self._acting: tuple | None = None
-        # a node's buffer is built when a frame is first queued there; a
-        # node without one is empty
-        self.queues: dict[int, _NodeQueues] = {}
-        self._busy = dict.fromkeys(self.topology.nodes, False)
-        # transmit and receive time, kept only for idle energy, its one reader
-        self._busy_time = (dict.fromkeys(self.topology.nodes, 0.0)
-                           if self.config.include_idle else None)
         self._tracing = self.config.record_trace
         self._loss_prob = self.config.loss_prob
         self._rx_per_bit = receive_energy_per_bit(self.params)
-        # (sender, receiver) -> the hop's record, made when first asked for
+        # run state; the topology and specs are never written. A node's
+        # record is made when first named, its hop records when first asked
+        # for: (sender, receiver) -> the hop's record
+        self._nodes: dict[int, _Node] = {}
         self._hops: dict[tuple[int, int], _Hop] = {}
-        # run state; the topology and specs are never written. A node is
-        # dead exactly when it has a fault time, a link down exactly when
-        # it has a down time.
-        self._residual = dict.fromkeys(self.topology.nodes,
-                                       self.params.initial_energy_j)
-        self._fault_time: dict[int, float] = {}
+        # a link is down exactly when it has a down time
         self._spares = set(scenario.redundant)
         self._down_links: dict[tuple[int, int], float] = {}
         self._fault_resolved: set[int] = set()
-        # source -> one byte per sequence number, set by its first copy to
-        # land; a source completes when the first copy of its last packet
-        # lands, and event time never decreases, so the latest first copy
-        # is its completion
-        self._first_copy: dict[int, bytearray] = {}
+        self._sources: dict[int, _Source] = {}
         self.flows: dict[tuple[int, int], _Flow] = {}
         # (source, first-hop queue key) -> flows that found it full or
         # blocked, by flow key, in the order they did
@@ -401,14 +414,12 @@ class Engine:
         for spec in self.specs:
             quotas = source_allocation(self.config, self.params, spec).quotas
             self.metrics.injected[spec.node_id] = sum(quotas)
-            self.metrics.per_source_comm_j[spec.node_id] = 0.0
-            self.metrics.per_source_completion_s[spec.node_id] = 0.0
             # each replicated path numbers its copies 0..packets-1; other
             # paths number theirs in consecutive blocks of their quotas
-            self._first_copy[spec.node_id] = bytearray(spec.packets)
+            source = self._sources[spec.node_id] = _Source(bytearray(spec.packets))
             for idx, (path, quota) in enumerate(zip(spec.paths, quotas)):
                 flow = _Flow(key=(spec.node_id, idx), head=spec.node_id, quota=quota,
-                             tau_s=path.tau_s,
+                             tau_s=path.tau_s, source=source,
                              first_seq=0 if self.config.replicate else sum(quotas[:idx]))
                 if self.detection:
                     flow.last_arrival, flow.held = {}, {}
@@ -426,14 +437,34 @@ class Engine:
         if self._tracing:
             self.metrics.trace.append(f"{self._now:.9f},{kind},{node},{pkt_uid}")
 
+    @property
+    def queues(self) -> dict[int, _NodeQueues]:
+        """The buffers built so far, by node: a node without one never
+        queued a frame."""
+        return {nid: node.queues for nid, node in self._nodes.items()
+                if node.queues is not None}
+
+    def _node(self, node_id: int) -> _Node:
+        """The node's record, built when a hop, a buffer or a fault first
+        names the node."""
+        node = self._nodes.get(node_id)
+        if node is None:
+            node = self._nodes[node_id] = _Node(node_id, self.params.initial_energy_j)
+        return node
+
+    def _fault_s(self, node_id: int) -> float | None:
+        """When the node died, or None while it lives."""
+        node = self._nodes.get(node_id)
+        return None if node is None else node.fault_s
+
     def _queues_at(self, node_id: int) -> _NodeQueues:
         """The node's buffer, built for its first frame."""
-        queues = self.queues.get(node_id)
-        if queues is None:
-            queues = self.queues[node_id] = _NodeQueues(
+        node = self._node(node_id)
+        if node.queues is None:
+            node.queues = _NodeQueues(
                 node_id, self.topology.neighbors(node_id),
                 self.config.queue_packets_per_subqueue, self.config.fragmented)
-        return queues
+        return node.queues
 
     def _hop(self, sender: int, receiver: int) -> _Hop:
         """The hop's record, built when first asked for. The link is looked
@@ -453,7 +484,7 @@ class Engine:
                          else (occupancy, tx_per_bit * bits, self._rx_per_bit * bits))
         record = self._hops[(sender, receiver)] = _Hop(
             sender, receiver, link.delay_s, (min(sender, receiver), max(sender, receiver)),
-            *costs)
+            *costs, self._node(sender), self._node(receiver))
         return record
 
     # -------------------------------------------------------------- injection
@@ -464,39 +495,40 @@ class Engine:
         the flow there if the sub-queue is full or blocked, or once this
         packet fills it and the flow would try again. Returns whether it may
         inject again."""
-        source, next_hop = flow.head, flow.hops[flow.head].receiver
-        queues = self.queues.get(source)  # `_queues_at`, inlined per frame
+        head = flow.head
+        hop = flow.hops[head]
+        node, next_hop = hop.tx, hop.receiver
+        queues = node.queues
         if queues is None:
-            queues = self._queues_at(source)
+            queues = self._queues_at(head)
         if queues.has_space(next_hop):
             pkt = Packet("data", flow.key[0], self.scenario.sink, flow,
                          flow.first_seq + flow.next_seq, next(self._uid), self._now)
             flow.next_seq += 1
             flow.outstanding += 1
             if self._tracing:
-                self._trace("inject", source, pkt.uid)
-            if alone and not self._busy[source]:
+                self._trace("inject", head, pkt.uid)
+            if alone and not node.busy:
                 key = queues.pass_through(next_hop)
                 if key is not None:
-                    self._serve(source, pkt, key)
+                    self._serve(head, pkt, key, hop)
                     return False
             accepted, victim = queues.enqueue_data(pkt, next_hop)
             if not accepted or victim is not None:
                 raise SimulationError(
-                    f"node {source}: sub-queue {queues.key(next_hop)} reported space "
+                    f"node {head}: sub-queue {queues.key(next_hop)} reported space "
                     f"but did not take packet {pkt.uid} of flow {flow.key} cleanly")
             if (flow.next_seq == flow.quota or flow.outstanding == self.config.window
                     or queues.has_space(next_hop)):
                 return True
-        self._parked.setdefault((source, queues.key(next_hop)), {})[flow.key] = flow
+        self._parked.setdefault((head, queues.key(next_hop)), {})[flow.key] = flow
         flow.parked = True
         return False
 
     def _fill_source(self, flow: _Flow, alone: bool = False) -> None:
         """Inject while the flow has backlog, a live source and an open window."""
-        limit = self.config.window
-        while (flow.next_seq < flow.quota and not flow.abandoned
-               and flow.head not in self._fault_time
+        limit, node = self.config.window, flow.hops[flow.head].tx
+        while (flow.next_seq < flow.quota and not flow.abandoned and node.fault_s is None
                and (limit is None or flow.outstanding < limit) and self._inject(flow, alone)):
             pass
 
@@ -519,12 +551,14 @@ class Engine:
         if fate == "delivered":
             flow.delivered += 1
             flow.last_delivery_s = self._now
-            landed = self._first_copy[pkt.source]
-            if landed[pkt.seq]:
+            # a source completes when the first copy of its last packet
+            # lands, and event time never decreases
+            source = flow.source
+            if source.landed[pkt.seq]:
                 self.metrics.duplicates += 1
             else:
-                landed[pkt.seq] = 1
-                self.metrics.per_source_completion_s[pkt.source] = self._now
+                source.landed[pkt.seq] = 1
+                source.completion_s = self._now
         else:
             flow.dropped += 1
             if fate == "overflow":
@@ -533,13 +567,13 @@ class Engine:
                 self.metrics.dropped_fault += 1
         # a parked flow has had no free slot since it parked. A longer refill
         # queues: a frame passed through would wake parked flows before its end
-        if not flow.parked:
+        if not flow.parked and flow.next_seq < flow.quota:
             self._fill_source(flow, flow.next_seq + 1 == flow.quota
                               or flow.outstanding + 1 == self.config.window)
-        source = flow.head
-        queues = self.queues.get(source)
-        if queues is not None and (queues.control or queues.queued) and not self._busy[source]:
-            self._try_start(source)
+        node = flow.hops[flow.head].tx
+        queues = node.queues
+        if queues is not None and (queues.control or queues.queued) and not node.busy:
+            self._try_start(node)
 
     def _lose(self, pkt: Packet) -> None:
         """A frame lost to a fault: a data packet resolves as a fault drop,
@@ -551,65 +585,76 @@ class Engine:
 
     # ---------------------------------------------------------------- service
 
-    def _try_start(self, node_id: int) -> None:
+    def _try_start(self, node: _Node) -> None:
         """Serve the next frame of a live, idle node that holds one; the
         per-frame handlers test the buffer before they call."""
-        queues = self.queues.get(node_id)
+        queues = node.queues
         if (queues is None or not (queues.control or queues.queued)
-                or self._busy[node_id] or node_id in self._fault_time):
+                or node.busy or node.fault_s is not None):
             return
         pkt, key = queues.dispatch_next()
-        if pkt is not None:
-            self._serve(node_id, pkt, key)
+        if key is not None:
+            self._serve(node.id, pkt, key, pkt.flow.hops[node.id])
+        elif pkt is not None:
+            self._serve_beacon(node, pkt)
 
-    def _serve(self, node_id: int, pkt: Packet, key, hop: _Hop | None = None) -> None:
-        """Start transmitting `pkt`, just out of sub-queue `key` (None for a
-        control frame) of the live, idle `node_id`, over `hop` if the caller
-        has it. Every transmission starts here, dispatched or passed through."""
-        if pkt.kind == "data":
-            flow = pkt.flow
-            if hop is None:
-                hop = flow.hops[node_id]
-            flow.wait_total_s += self._now - pkt.enq_s
-            flow.wait_hops += 1
-            if self._parked and (node_id, key) in self._parked:
-                self._slot_freed(node_id, key)
-            cost, bucket, source = hop.data, "tx_data", pkt.source
-        else:
-            hop = self._hop(node_id, pkt.destination)
-            cost, bucket, source = hop.beacon, "tx_control", None
-        occupancy, tx_j, _rx_j = cost
-        residual, metrics = self._residual, self.metrics
-        residual[node_id] -= tx_j
+    def _serve(self, node_id: int, pkt: Packet, key, hop: _Hop) -> None:
+        """Start transmitting data frame `pkt`, just out of sub-queue `key`
+        of the live, idle `node_id`, over `hop`, the node's hop on the
+        frame's flow. Every data transmission starts here, dispatched or
+        passed through."""
+        flow = pkt.flow
+        flow.wait_total_s += self._now - pkt.enq_s
+        flow.wait_hops += 1
+        if self._parked and (node_id, key) in self._parked:
+            self._slot_freed(node_id, key)
+        occupancy, tx_j, _rx_j = cost = hop.data
+        node, metrics = hop.tx, self.metrics
+        node.residual_j -= tx_j
         metrics.energy_spent_j += tx_j
-        metrics.energy_breakdown_j[bucket] += tx_j
-        if source is not None:
-            metrics.per_source_comm_j[source] += tx_j
-        if residual[node_id] < 0:
+        metrics.energy_breakdown_j["tx_data"] += tx_j
+        flow.source.comm_j += tx_j
+        if node.residual_j < 0:
             self._node_failure(node_id)
-        self._busy[node_id] = True
-        if self._busy_time is not None:
-            self._busy_time[node_id] += occupancy
+        node.busy = True
+        node.busy_s += occupancy
         if self._tracing:
             self._trace("service", node_id, pkt.uid)
         heapq.heappush(self._events, (self._now + occupancy, _RANK_SERVICE, node_id,
                                       next(self._event_counter), pkt, hop, cost))
 
+    def _serve_beacon(self, node: _Node, pkt: Packet) -> None:
+        """Start transmitting self-check beacon `pkt`, just out of the
+        control queue of the live, idle `node`."""
+        hop = self._hop(node.id, pkt.destination)
+        occupancy, tx_j, _rx_j = cost = hop.beacon
+        metrics = self.metrics
+        node.residual_j -= tx_j
+        metrics.energy_spent_j += tx_j
+        metrics.energy_breakdown_j["tx_control"] += tx_j
+        if node.residual_j < 0:
+            self._node_failure(node.id)
+        node.busy = True
+        node.busy_s += occupancy
+        self._trace("service", node.id, pkt.uid)
+        self._push(self._now + occupancy, _RANK_SERVICE, node.id, pkt, hop, cost)
+
     def _on_service_end(self, node_id: int, pkt: Packet, hop: _Hop, cost: tuple) -> None:
-        """`hop` and `cost` are what `_serve` priced the frame with."""
-        self._busy[node_id] = False
+        """`hop` and `cost` are what the frame's start priced it with."""
+        node = hop.tx
+        node.busy = False
         lost = self._loss_prob > 0.0 and self.rng.random() < self._loss_prob
-        if node_id in self._fault_time:
+        if node.fault_s is not None:
             self._lose(pkt)  # the transmitter died mid-send
-        elif (hop.receiver in self._fault_time
+        elif (hop.rx.fault_s is not None
               or (self._down_links and hop.pair in self._down_links) or lost):
             self._on_attempt_failed(node_id, pkt, hop)
         else:
             heapq.heappush(self._events, (self._now + hop.delay_s, _RANK_ARRIVAL, hop.receiver,
                                           next(self._event_counter), pkt, hop, cost))
-        queues = self.queues[node_id]  # made when it first held this frame
+        queues = node.queues  # made when it first held this frame
         if queues.queued or queues.control:
-            self._try_start(node_id)
+            self._try_start(node)
 
     def _on_attempt_failed(self, node_id: int, pkt: Packet, hop: _Hop) -> None:
         self.metrics.retransmissions += 1
@@ -620,14 +665,14 @@ class Engine:
             return
         hop.failed += 1
         flow, next_hop = pkt.flow, hop.receiver
-        queues = self.queues[node_id]
+        queues = hop.tx.queues
         # the node's hop may have been redirected since this attempt started
         requeue_hop = flow.hops[node_id].receiver
         spent = requeue_hop == next_hop and hop.failed >= self.config.max_attempts
         if spent and self._send_beacon(node_id, next_hop, tried=set()):
             # the hop stays blocked while its self-check beacon is out
             queues.block(next_hop)
-        if (flow.abandoned or node_id in self._fault_time
+        if (flow.abandoned or hop.tx.fault_s is not None
                 or (spent and not queues.is_blocked(next_hop))):
             # no retry can help an abandoned flow, nor a sender that its own
             # beacon's transmit debit has just killed; and a frame at its
@@ -644,27 +689,24 @@ class Engine:
         empty buffer and its key open goes straight to service."""
         if self._tracing:
             self._trace("arrival", node_id, pkt.uid)
-        if node_id in self._fault_time:  # a dead node spends nothing
+        node = hop.rx
+        if node.fault_s is not None:  # a dead node spends nothing
             self._lose(pkt)
             return
-        data = pkt.kind == "data"
+        if pkt.kind != "data":
+            self._on_beacon_arrived(node, pkt, cost)
+            return
         occupancy, _tx_j, rx_j = cost
-        residual, metrics = self._residual, self.metrics
-        residual[node_id] -= rx_j
+        flow, metrics = pkt.flow, self.metrics
+        node.residual_j -= rx_j
         metrics.energy_spent_j += rx_j
-        metrics.energy_breakdown_j["rx_data" if data else "rx_control"] += rx_j
-        if data:
-            metrics.per_source_comm_j[pkt.source] += rx_j
-        if self._busy_time is not None:
-            self._busy_time[node_id] += occupancy
-        if residual[node_id] < 0:  # the receive debit kills it
+        metrics.energy_breakdown_j["rx_data"] += rx_j
+        flow.source.comm_j += rx_j
+        node.busy_s += occupancy
+        if node.residual_j < 0:  # the receive debit kills it
             self._node_failure(node_id)
             self._lose(pkt)
             return
-        if not data:
-            self._on_beacon_arrived(pkt)
-            return
-        flow = pkt.flow
         hop.failed = 0  # success resets the counter
         onward = flow.hops.get(node_id)
         # a node without a hop on the flow delivers: the route's end, or a
@@ -675,12 +717,12 @@ class Engine:
             self._packet_resolved(pkt, "delivered")
             return
         if self.detection:
-            self._arm_receiver_timer(flow, node_id, pkt.seq, hop.sender)
+            self._arm_receiver_timer(flow, node_id, pkt.seq, hop)
         next_hop = onward.receiver
-        queues = self.queues.get(node_id)  # `_queues_at`, inlined per frame
+        queues = node.queues
         if queues is None:
             queues = self._queues_at(node_id)
-        if not self._busy[node_id]:
+        if not node.busy:
             key = queues.pass_through(next_hop)
             if key is not None:
                 pkt.enq_s = self._now
@@ -695,21 +737,21 @@ class Engine:
             self._packet_resolved(pkt, "overflow")
         else:
             pkt.enq_s = self._now
-        if not self._busy[node_id]:  # the frame was queued or found its sub-queue full
-            self._try_start(node_id)
+        if not node.busy:  # the frame was queued or found its sub-queue full
+            self._try_start(node)
 
     # ------------------------------------------------------------ fault logic
 
     def _node_failure(self, node_id: int) -> None:
         """Every node that dies, by a scheduled fault or by a debit, dies
         here."""
-        if node_id in self._fault_time:
+        node = self._node(node_id)
+        if node.fault_s is not None:
             return
-        self._fault_time[node_id] = self._now
+        node.fault_s = self._now
         self._trace("fault", node_id, 0)
-        queues = self.queues.get(node_id)
-        if queues is not None:
-            for pkt in queues.drain():
+        if node.queues is not None:
+            for pkt in node.queues.drain():
                 self._lose(pkt)
         for flow in self.flows.values():
             if flow.head == node_id:
@@ -729,8 +771,8 @@ class Engine:
         flow.dropped += lost
         self.metrics.dropped_fault += lost
 
-    def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int, sender: int) -> None:
-        """Packet `seq` of `flow` has reached `node_id` from `sender`; its
+    def _arm_receiver_timer(self, flow: _Flow, node_id: int, seq: int, hop: _Hop) -> None:
+        """Packet `seq` of `flow` has reached `node_id` over `hop`; its
         watchdog waits for the next one. The deadline takes its heap key
         now, but enters the heap only once the sender is dead and its fault
         unresolved: only then can it act. Until then the flow holds it, and
@@ -739,7 +781,7 @@ class Engine:
         if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
         hold = (seq, self._now, next(self._event_counter))
-        if sender in self._fault_time and sender not in self._fault_resolved:
+        if hop.tx.fault_s is not None and hop.sender not in self._fault_resolved:
             heapq.heappush(self._events, self._timer_entry(flow, node_id, hold))
         else:
             flow.held[node_id] = hold  # a newer hold leaves the older one a no-op
@@ -772,16 +814,16 @@ class Engine:
         seq, _armed_s, counter = hold
         if flow.last_arrival.get(node_id) != seq:
             return  # newer traffic arrived; no silence to act on
-        if node_id in self._fault_time:
+        if self._fault_s(node_id) is not None:
             return
         route = flow.route
         if node_id not in route:
             return
         upstream = route[route.index(node_id) - 1]
-        if upstream in self._fault_time:
+        down_s = self._fault_s(upstream)
+        if down_s is not None:
             self._acting = (self._now, _RANK_TIMER, node_id, counter)
-            self._detect("receiver_timer", node_id, upstream,
-                         self._fault_time[upstream], expected_s)
+            self._detect("receiver_timer", node_id, upstream, down_s, expected_s)
             self._acting = None
 
     def _send_beacon(self, origin: int, suspect: int, tried: set[int]) -> bool:
@@ -793,21 +835,32 @@ class Engine:
             return False
         candidates = [n for n in self.topology.neighbors(origin)
                       if n != suspect and n not in tried
-                      and n not in self._fault_time]
+                      and self._fault_s(n) is None]
         if not candidates:
             return False
         target = candidates[0]
         pkt = Packet(kind="beacon", source=origin, destination=target,
                      flow=(suspect, tried), seq=0, uid=next(self._uid))
         self._queues_at(origin).enqueue_control(pkt)
-        self._try_start(origin)
+        self._try_start(self._nodes[origin])
         return True
 
-    def _on_beacon_arrived(self, pkt: Packet) -> None:
+    def _on_beacon_arrived(self, node: _Node, pkt: Packet, cost: tuple) -> None:
+        """The live `node` receives a self-check beacon, priced `cost`."""
+        occupancy, _tx_j, rx_j = cost
+        node.residual_j -= rx_j
+        self.metrics.energy_spent_j += rx_j
+        self.metrics.energy_breakdown_j["rx_control"] += rx_j
+        node.busy_s += occupancy
+        if node.residual_j < 0:  # the receive debit kills it
+            self._node_failure(node.id)
+            self._lose(pkt)
+            return
         origin, (suspect, _tried) = pkt.source, pkt.flow
         # the suspect node failed, or else the link to it did
-        down_s = self._fault_time.get(suspect, self._down_links.get(
-            (min(origin, suspect), max(origin, suspect))))
+        down_s = self._fault_s(suspect)
+        if down_s is None:
+            down_s = self._down_links.get((min(origin, suspect), max(origin, suspect)))
         if down_s is not None:
             self._detect("sender_beacon", origin, suspect, down_s, down_s)
         # else a false alarm: random losses made a live hop look dead
@@ -816,18 +869,18 @@ class Engine:
     def _end_self_check(self, origin: int, suspect: int) -> None:
         """The origin's self-check of `suspect` is over: it lifts its
         block, counts the hop's attempts anew and wakes its parked flows."""
-        queues = self.queues[origin]
-        queues.unblock(suspect)
+        node = self._nodes[origin]
+        node.queues.unblock(suspect)
         self._hops[(origin, suspect)].failed = 0  # its spent attempts made it
-        self._slot_freed(origin, queues.key(suspect))
-        self._try_start(origin)
+        self._slot_freed(origin, node.queues.key(suspect))
+        self._try_start(node)
 
     def _nearest_redundant(self, detector: int, failed: int) -> int | None:
         """The live spare nearest the detector, other than `failed`: a spare
         on a route whose link into it failed is alive, yet cannot replace
         itself."""
         live = [(self.topology.distance(detector, nid), nid)
-                for nid in self._spares if nid != failed and nid not in self._fault_time]
+                for nid in self._spares if nid != failed and self._fault_s(nid) is None]
         return min(live)[1] if live else None
 
     def _substitution_fits(self, flow: _Flow, failed: int, substitute: int) -> bool:
@@ -882,26 +935,26 @@ class Engine:
                     redirected.add(sender)
         # flows parked on the failed hop now inject toward the substitute;
         # a node without a buffer has nothing to send
-        holders = sorted(redirected & self.queues.keys())
+        holders = sorted(nid for nid in redirected if self._nodes[nid].queues is not None)
         for nid in holders:
-            self.queues[nid].retarget(failed, substitute)
+            self._nodes[nid].queues.retarget(failed, substitute)
             self._slot_freed(nid, failed)
             if (nid, failed) in self._hops:
                 self._hops[(nid, failed)].failed = 0
         for nid in holders:
-            self._try_start(nid)
+            self._try_start(self._nodes[nid])
 
     def _abandon_flow(self, flow: _Flow) -> None:
         flow.abandoned = True
         undeliverable = flow.backlog
         self._discard_backlog(flow)
         # flush whatever of this flow is still parked in sub-queues
-        for nid in sorted(self.queues):
-            for key, stuck in self.queues[nid].remove_flow(flow).items():
+        for nid, queues in sorted(self.queues.items()):
+            for key, stuck in queues.remove_flow(flow).items():
                 for pkt in stuck:
                     self._lose(pkt)
                 self._slot_freed(nid, key)
-                self._try_start(nid)
+                self._try_start(self._nodes[nid])
         self.metrics.abandoned.append((flow.key[0], flow.key[1], undeliverable))
 
     # ------------------------------------------------------------------- run
@@ -914,13 +967,13 @@ class Engine:
             self._down_links.setdefault((min(link), max(link)), self._now)
 
     def _on_probe(self, *_unused) -> None:
+        queues = self.queues
         for key, flow in self.flows.items():
             route = flow.route
             # a failed node not yet replaced makes the route stale: no sample
-            if flow.abandoned or any(nid in self._fault_time for nid in route[1:]):
+            if flow.abandoned or any(self._fault_s(nid) is not None for nid in route[1:]):
                 continue
-            occupancy = {nid: (self.queues[nid].occupancy() if nid in self.queues
-                               else 0.0)
+            occupancy = {nid: (queues[nid].occupancy() if nid in queues else 0.0)
                          for nid in route[1:]}
             count = choke_probe(occupancy, route)
             self.metrics.contention_history.setdefault(key, []).append(count)
@@ -948,7 +1001,7 @@ class Engine:
         for key in sorted(self.flows):
             self._fill_source(self.flows[key])
         for nid in sorted(self.queues):
-            self._try_start(nid)
+            self._try_start(self._nodes[nid])
         events, pop, cap = self._events, heapq.heappop, self.config.max_events
         handlers = (self._on_fault, self._on_service_end, self._on_arrival,
                     self._on_timer, self._on_probe)
@@ -977,8 +1030,8 @@ class Engine:
                 source, hop = flow.head, flow.hops[flow.head].receiver
                 held = ", ".join(
                     f"sub-queue {qkey} of node {nid} ({count} frames)"
-                    for nid in sorted(self.queues)
-                    for qkey, queue in self.queues[nid].data.items()
+                    for nid, queues in sorted(self.queues.items())
+                    for qkey, queue in queues.data.items()
                     if (count := sum(p.flow is flow for p in queue)))
                 raise SimulationError(
                     f"flow {flow.key} stalled at t={self._now:.9f}s: {flow.backlog} "
@@ -988,28 +1041,36 @@ class Engine:
 
     def _finalize(self) -> None:
         self._check_quiescent()
-        duration, metrics, residual = self._now, self.metrics, self._residual
+        duration, metrics, nodes = self._now, self.metrics, self._nodes
         # the ledger's running sums as locals, each added to in the order the
         # nodes are walked, and written back after the walk
         buckets = metrics.energy_breakdown_j
         spent, sensed, idled = metrics.energy_spent_j, buckets["sensing"], buckets["idle"]
-        fault_time, sensing_w = self._fault_time, self.params.sensing_w
+        initial_j, sensing_w = self.params.initial_energy_j, self.params.sensing_w
         include_idle, idle_power_w = self.config.include_idle, self.config.idle_power_w
-        for nid in sorted(residual):
-            alive_span = fault_time.get(nid, duration)
+        residual_j = metrics.residual_j
+        for nid in sorted(self.topology.nodes):
+            node = nodes.get(nid)
+            if node is None:  # never touched: alive, full and never busy
+                alive_span, residual, busy_s = duration, initial_j, 0.0
+            else:
+                alive_span = duration if node.fault_s is None else node.fault_s
+                residual, busy_s = node.residual_j, node.busy_s
             sensing = sensing_w * alive_span
-            residual[nid] -= sensing
+            residual -= sensing
             spent += sensing
             sensed += sensing
             if include_idle:
-                idle_span = max(0.0, alive_span - self._busy_time[nid])
-                idle = idle_power_w * idle_span
-                residual[nid] -= idle
+                idle = idle_power_w * max(0.0, alive_span - busy_s)
+                residual -= idle
                 spent += idle
                 idled += idle
-            metrics.residual_j[nid] = residual[nid]
+            residual_j[nid] = residual
         metrics.energy_spent_j, buckets["sensing"], buckets["idle"] = spent, sensed, idled
-        metrics.initial_j.update(dict.fromkeys(metrics.residual_j, self.params.initial_energy_j))
+        metrics.initial_j.update(dict.fromkeys(residual_j, initial_j))
+        for node_id, source in self._sources.items():
+            metrics.per_source_comm_j[node_id] = source.comm_j
+            metrics.per_source_completion_s[node_id] = source.completion_s
         for spec in self.specs:
             flows = [self.flows[(spec.node_id, i)] for i in range(len(spec.paths))]
             self.metrics.delivered[spec.node_id] = sum(f.delivered for f in flows)

@@ -15,7 +15,7 @@ from wsn_multipath.engine import Engine, RunMetrics, SimulationError, run_scenar
 from wsn_multipath.experiments import configured, metrics_rows, render_rows
 from wsn_multipath.metrics import receive_energy_per_bit, transmit_energy_per_bit
 from wsn_multipath.model import Packet, RoutingError
-from wsn_multipath.engine import _Flow, _NodeQueues
+from wsn_multipath.engine import _Flow, _NodeQueues, _Source
 from wsn_multipath.scenario import (
     FaultDecl,
     RunConfig,
@@ -44,7 +44,7 @@ from test_golden import _relay_link_cases
 
 
 def _flow(path=0):
-    return _Flow(key=(1, path), head=1, quota=1, tau_s=0.0)
+    return _Flow(key=(1, path), head=1, source=_Source(bytearray(1)), quota=1, tau_s=0.0)
 
 
 def _pkt(uid, kind="data", seq=0):
@@ -798,6 +798,68 @@ def test_buffers_exist_only_where_frames_waited():
     assert len(engine.queues) < len(engine.topology.nodes) // 10
 
 
+def test_node_records_exist_only_where_a_hop_a_buffer_or_a_fault_names_the_node():
+    engine = Engine(uniform_fault_scenario(1000, 540.0, 30.0, seed=10, packets=100))
+    engine.run()
+    named = ({n for pair in engine._hops for n in pair} | set(engine.queues)
+             | {fault.node for fault in engine.scenario.faults})
+    assert set(engine._nodes) == named
+    assert all(node.id == nid for nid, node in engine._nodes.items())
+    assert len(engine._nodes) < len(engine.topology.nodes) // 5
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_hop_records_hold_their_sender_and_receiver_records(fragmented, monkeypatch):
+    # node 6 fails, a beacon from 2 finds it and spare 17 takes its place
+    beacons, serve_beacon = [], Engine._serve_beacon
+
+    def recorded(self, node, pkt):
+        beacons.append((node.id, pkt.destination))
+        serve_beacon(self, node, pkt)
+
+    monkeypatch.setattr(Engine, "_serve_beacon", recorded)
+    engine = Engine(crossing_fault_scenario(3, fragmented, spare=True))
+    metrics = engine.run()
+    assert metrics.replacements == [(6, 17)]
+    assert [d["kind"] for d in metrics.detections] == ["sender_beacon"]
+    assert beacons and all(pair in engine._hops for pair in beacons)
+    assert any(17 in pair for flow in engine.flows.values()
+               for pair in ((hop.sender, hop.receiver) for hop in flow.hops.values()))
+    for (sender, receiver), hop in engine._hops.items():
+        assert hop.tx is engine._nodes[sender] and hop.rx is engine._nodes[receiver]
+    for flow in engine.flows.values():
+        for hop in flow.hops.values():
+            assert hop is engine._hops[(hop.sender, hop.receiver)]
+
+
+@pytest.mark.parametrize("include_idle", [False, True], ids=["no-idle", "idle"])
+def test_untouched_nodes_pay_sensing_and_idle_alone(include_idle):
+    # a node that no route and no beacon touches spends only what it senses
+    # (and idles) while it lives: one that dies off every route, and one
+    # that lives to the end of the run
+    base = crossing_scenario(0)
+    _topology, specs = build_scenario(base)
+    on_routes = {n for spec in specs for path in spec.paths for n in path.nodes}
+    dead, live = sorted(set(base.positions) - on_routes)[::-1][:2]
+    fault_s = 0.05
+    scenario = dataclasses.replace(base, faults=[FaultDecl(fault_s, node=dead)],
+                                   engine=dataclasses.replace(
+                                       base.engine, include_idle=include_idle,
+                                       idle_power_w=2.5e-4, record_trace=True))
+    metrics = run_scenario(scenario)  # the run checks its energy ledger
+    traced = [line.split(",") for line in metrics.trace]
+    assert [kind for _t, kind, node, _uid in traced if int(node) in (dead, live)] == ["fault"]
+    assert not metrics.detections and fault_s < metrics.final_time_s
+    params, config = scenario.params, scenario.engine
+    expected_dead = params.initial_energy_j - params.sensing_w * fault_s
+    expected_live = params.initial_energy_j - params.sensing_w * metrics.final_time_s
+    if include_idle:
+        expected_dead -= config.idle_power_w * fault_s
+        expected_live -= config.idle_power_w * metrics.final_time_s
+    assert metrics.residual_j[dead] == expected_dead
+    assert metrics.residual_j[live] == expected_live
+
+
 @pytest.mark.parametrize("replicate", [False, True], ids=["fragmented", "replicated"])
 def test_finished_engine_memory_does_not_grow_with_packets(replicate):
     # what a finished engine keeps is sized by nodes, flows and frames in
@@ -1266,11 +1328,13 @@ def test_spare_that_replaces_a_source_becomes_the_head(fragmented):
 def test_hops_that_close_a_loop_fail_the_route_walk():
     flow = _flow()
     assert flow.route == [1]  # the head alone until the run builds the hops
+    node = {n: engine_module._Node(n, 0.0) for n in (1, 2, 3)}
     flow.hops = {a: engine_module._Hop(a, b, 0.0, (min(a, b), max(a, b)), (0.0,) * 3,
-                                       (0.0,) * 3)
+                                       (0.0,) * 3, node[a], node[b])
                  for a, b in ((1, 2), (2, 3))}
     assert flow.route == [1, 2, 3]
-    flow.hops[3] = engine_module._Hop(3, 2, 0.0, (2, 3), (0.0,) * 3, (0.0,) * 3)
+    flow.hops[3] = engine_module._Hop(3, 2, 0.0, (2, 3), (0.0,) * 3, (0.0,) * 3,
+                                      node[3], node[2])
     with pytest.raises(SimulationError, match=r"flow \(1, 0\)"):
         flow.route
 
@@ -1439,7 +1503,7 @@ class _LeakyEngine(Engine):
         if self._leak == "bucket":
             self.metrics.energy_breakdown_j["tx_data"] += 1.0
         else:
-            self._residual[1] -= 1.0
+            self._nodes[1].residual_j -= 1.0
 
 
 @pytest.mark.parametrize("leak,match", [
