@@ -990,12 +990,21 @@ def test_event_cap_bounds_the_pops(tmp_path, capsys):
 
     sc = fault_timer_scenario()
     assert run_scenario(sc).event_count == 38
-    for cap, code in ((38, 0), (37, 3)):
-        sc.engine.max_events = cap
-        path = tmp_path / f"cap-{cap}.yaml"
-        save_scenario(sc, str(path))
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / str(cap))]) == code
-    assert "exceeded 37 events" in capsys.readouterr().err
+    # a pipelined shared FIFO: every buffer has one key, so every dispatch
+    # takes the one-key path
+    fifo = configured(shipped("three-source-mesh-sim"), packets=100, window=None,
+                      fragmented=False)
+    engine = Engine(fifo)
+    count = engine.run().event_count
+    assert engine.queues and all(len(q.order) == 1 for q in engine.queues.values())
+    for name, scenario, events in (("timer", sc, 38), ("fifo", fifo, count)):
+        for cap, code in ((events, 0), (events - 1, 3)):
+            scenario.engine.max_events = cap
+            path = tmp_path / f"{name}-{cap}.yaml"
+            save_scenario(scenario, str(path))
+            out = str(tmp_path / f"{name}-{cap}")
+            assert main(["run", "--scenario", str(path), "--out", out]) == code
+        assert f"exceeded {events - 1} events" in capsys.readouterr().err
 
 
 def _line_link_fault():
@@ -1140,6 +1149,16 @@ def test_pass_through_leaves_what_enqueue_then_dispatch_leaves(case, monkeypatch
         assert getattr(default, name) == getattr(queued, name), name
 
 
+def test_waits_are_summed_where_frames_leave_a_sub_queue(mesh_sim):
+    # a frame passed straight through waits exactly nothing, and is never
+    # stamped on the way; one dispatched from a sub-queue waits from when it
+    # last entered it
+    line = run_scenario(line_scenario(packets=20, hops=3, window=1))
+    assert [path["mean_wait_s"] for path in line.per_path.values()] == [0.0]
+    piped = run_scenario(configured(mesh_sim, packets=300, window=None))
+    assert any(path["mean_wait_s"] > 0.0 for path in piped.per_path.values())
+
+
 @pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
 @pytest.mark.parametrize("window", [1, None], ids=["window-1", "pipelined"])
 def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, window):
@@ -1156,12 +1175,13 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
         return pkt, key
 
     def checked_inject(self, flow, alone):
-        assert all(flow.key not in parked for parked in self._parked.values())
+        assert all(flow.key not in parked for node in self._nodes.values()
+                   for parked in (node.parked or {}).values())
         seen["inject"] += 1
         return inject(self, flow, alone)
 
     def checked_slot_freed(self, node_id, key):
-        assert self._parked.get((node_id, key))
+        assert (self._nodes[node_id].parked or {}).get(key)
         seen["wake"] += 1
         slot_freed(self, node_id, key)
 
