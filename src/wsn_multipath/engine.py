@@ -64,7 +64,7 @@ class _Flow:
     delivered: int = 0
     dropped: int = 0
     abandoned: bool = False
-    parked: bool = False            # in its head's `_Node.parked`: no free slot until its wake
+    parked: bool = False            # in `Engine._parked`: no free slot until its wake
     last_delivery_s: float = 0.0
     wait_total_s: float = 0.0
     wait_hops: int = 0
@@ -111,9 +111,6 @@ class _Node:
     busy_s: float = 0.0             # transmit and receive time
     fault_s: float | None = None    # time of death; None while alive
     queues: _NodeQueues | None = None   # its buffer, built for its first frame
-    # first-hop sub-queue key -> the flows injecting at this node that found
-    # it full or blocked, by flow key, in the order they did
-    parked: dict[object, dict[tuple[int, int], _Flow]] | None = None
 
 
 @dataclass(slots=True)
@@ -260,14 +257,7 @@ class _NodeQueues:
             return None, None
         order, data = self.order, self.data
         n = len(order)
-        if n == 1:  # a shared FIFO, or a node that forwards to one neighbor
-            key = order[0]
-            if key in self.blocked:
-                return None, None
-            self.cursor = key
-            self.queued -= 1
-            return data[key].popleft(), key
-        start = order.index(self.cursor) + 1 if self.cursor in data else 0
+        start = order.index(self.cursor) + 1 if n > 1 and self.cursor in data else 0
         for i in range(start, start + n):
             key = order[i % n]
             queue = data[key]
@@ -410,6 +400,9 @@ class Engine:
         self._fault_resolved: set[int] = set()
         self._sources: dict[int, _Source] = {}
         self.flows: dict[tuple[int, int], _Flow] = {}
+        # (source, first-hop queue key) -> flows that found it full or
+        # blocked, by flow key, in the order they did
+        self._parked: dict[tuple, dict[tuple[int, int], _Flow]] = {}
         # the run's total debit and its data buckets, added to per frame and
         # written into `metrics` when the run is finalized
         self._spent_j = self._tx_data_j = self._rx_data_j = 0.0
@@ -531,9 +524,7 @@ class Engine:
             if (flow.next_seq == flow.quota or flow.outstanding == self.config.window
                     or queues.has_space(next_hop)):
                 return True
-        if node.parked is None:
-            node.parked = {}
-        node.parked.setdefault(queues.key(next_hop), {})[flow.key] = flow
+        self._parked.setdefault((head, queues.key(next_hop)), {})[flow.key] = flow
         flow.parked = True
         return False
 
@@ -548,8 +539,7 @@ class Engine:
         """A data packet left sub-queue `key` of `node_id`: refill the
         flows parked on it. Every wake-up of a source that found its
         first-hop sub-queue full or blocked comes through here."""
-        node = self._nodes[node_id]
-        parked = node.parked and node.parked.pop(key, None)
+        parked = self._parked.pop((node_id, key), None)
         if parked:
             for flow in parked.values():
                 flow.parked = False
@@ -607,11 +597,7 @@ class Engine:
             return
         pkt, key = queues.dispatch_next()
         if key is not None:
-            # a frame passed straight through waits +0.0, so only a
-            # dispatched one adds its wait
-            flow = pkt.flow
-            flow.wait_total_s += self._now - pkt.enq_s
-            self._serve(node.id, pkt, key, flow.hops[node.id])
+            self._serve(node.id, pkt, key, pkt.flow.hops[node.id])
         elif pkt is not None:
             self._serve_beacon(node, pkt)
 
@@ -620,11 +606,13 @@ class Engine:
         of the live, idle `node_id`, over `hop`, the node's hop on the
         frame's flow. Every data transmission starts here, dispatched or
         passed through."""
-        flow, node = pkt.flow, hop.tx
+        flow = pkt.flow
+        flow.wait_total_s += self._now - pkt.enq_s
         flow.wait_hops += 1
-        if node.parked and key in node.parked:
+        if self._parked and (node_id, key) in self._parked:
             self._slot_freed(node_id, key)
         occupancy, tx_j, _rx_j = cost = hop.data
+        node = hop.tx
         node.residual_j -= tx_j
         self._spent_j += tx_j
         self._tx_data_j += tx_j
@@ -738,7 +726,8 @@ class Engine:
             queues = self._queues_at(node_id)
         if not node.busy:
             key = queues.pass_through(next_hop)
-            if key is not None:  # its `enq_s` is set when it next queues
+            if key is not None:
+                pkt.enq_s = self._now
                 self._serve(node_id, pkt, key, onward)
                 return
         accepted, victim = queues.enqueue_data(pkt, next_hop)
@@ -791,7 +780,7 @@ class Engine:
         unresolved: only then can it act. Until then the flow holds it, and
         the death of the node upstream on the route releases it."""
         flow.last_arrival[node_id] = seq
-        if flow.next_seq == flow.quota and flow.outstanding <= 1:
+        if flow.backlog == 0 and flow.outstanding <= 1:
             return  # nothing more will come this way
         hold = (seq, self._now, next(self._event_counter))
         if hop.tx.fault_s is not None and hop.sender not in self._fault_resolved:
@@ -1018,20 +1007,16 @@ class Engine:
         events, pop, cap = self._events, heapq.heappop, self.config.max_events
         handlers = (self._on_fault, self._on_service_end, self._on_arrival,
                     self._on_timer, self._on_probe)
-        # the range bounds the pops, so no pop counts or tests a counter
-        for processed in range(cap):
-            if not events:
-                break
+        processed = 0
+        while events:
             time, rank, node, _count, a, b, c = pop(events)
             self._now = time
-            handlers[rank](node, a, b, c)
-        else:
-            processed = cap
-            if events:
-                self._now = time = pop(events)[0]
+            processed += 1
+            if processed > cap:
                 raise SimulationError(
                     f"exceeded {cap} events at t={time:.6f}s; "
                     f"{sum(f.resolved for f in self.flows.values())} packets resolved")
+            handlers[rank](node, a, b, c)
         self.metrics.event_count = processed
         self.metrics.final_time_s = self._now
         self._finalize()

@@ -990,8 +990,8 @@ def test_event_cap_bounds_the_pops(tmp_path, capsys):
 
     sc = fault_timer_scenario()
     assert run_scenario(sc).event_count == 38
-    # a pipelined shared FIFO: every buffer has one key, so every dispatch
-    # takes the one-key path
+    # a pipelined shared FIFO: every buffer has one key, which the
+    # round-robin dispatch serves on every pop
     fifo = configured(shipped("three-source-mesh-sim"), packets=100, window=None,
                       fragmented=False)
     engine = Engine(fifo)
@@ -1149,10 +1149,10 @@ def test_pass_through_leaves_what_enqueue_then_dispatch_leaves(case, monkeypatch
         assert getattr(default, name) == getattr(queued, name), name
 
 
-def test_waits_are_summed_where_frames_leave_a_sub_queue(mesh_sim):
-    # a frame passed straight through waits exactly nothing, and is never
-    # stamped on the way; one dispatched from a sub-queue waits from when it
-    # last entered it
+def test_mean_queue_wait_counts_a_passed_through_frame_as_zero(mesh_sim):
+    # docs/csv_schema.md: a frame passed straight through waits exactly
+    # nothing; one dispatched from a sub-queue waits from when it last
+    # entered it
     line = run_scenario(line_scenario(packets=20, hops=3, window=1))
     assert [path["mean_wait_s"] for path in line.per_path.values()] == [0.0]
     piped = run_scenario(configured(mesh_sim, packets=300, window=None))
@@ -1175,13 +1175,12 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
         return pkt, key
 
     def checked_inject(self, flow, alone):
-        assert all(flow.key not in parked for node in self._nodes.values()
-                   for parked in (node.parked or {}).values())
+        assert all(flow.key not in parked for parked in self._parked.values())
         seen["inject"] += 1
         return inject(self, flow, alone)
 
     def checked_slot_freed(self, node_id, key):
-        assert (self._nodes[node_id].parked or {}).get(key)
+        assert self._parked.get((node_id, key))
         seen["wake"] += 1
         slot_freed(self, node_id, key)
 
