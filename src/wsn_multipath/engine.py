@@ -403,12 +403,10 @@ class Engine:
         # (source, first-hop queue key) -> flows that found it full or
         # blocked, by flow key, in the order they did
         self._parked: dict[tuple, dict[tuple[int, int], _Flow]] = {}
-        # the run's total debit and its data buckets, added to per frame and
-        # written into `metrics` when the run is finalized
+        # the run's total debit and its per-frame buckets, added to per frame
+        # and written into `metrics` when the run is finalized
         self._spent_j = self._tx_data_j = self._rx_data_j = 0.0
-        for key in ("tx_data", "rx_data", "tx_control", "rx_control",
-                    "sensing", "idle"):
-            self.metrics.energy_breakdown_j[key] = 0.0
+        self._tx_control_j = self._rx_control_j = 0.0
         self._init_flows()
 
     # ------------------------------------------------------------------ setup
@@ -492,19 +490,23 @@ class Engine:
 
     # -------------------------------------------------------------- injection
 
-    def _inject(self, flow: _Flow, alone: bool) -> bool:
-        """Move one backlog packet into the source's first-hop sub-queue, or
-        the refill's `alone` one into service of an idle, empty source. Park
-        the flow there if the sub-queue is full or blocked, or once this
-        packet fills it and the flow would try again. Returns whether it may
-        inject again."""
-        head = flow.head
+    def _fill_source(self, flow: _Flow, alone: bool = False) -> None:
+        """Inject while the flow has backlog, a live head and an open window:
+        each packet goes into the head's first-hop sub-queue, or the refill's
+        `alone` one into service of an idle, empty head. A sub-queue found
+        full or blocked parks the flow there until a slot frees."""
+        limit, head = self.config.window, flow.head
         hop = flow.hops[head]
         node, next_hop = hop.tx, hop.receiver
         queues = node.queues
-        if queues is None:
-            queues = self._queues_at(head)
-        if queues.has_space(next_hop):
+        while (flow.next_seq < flow.quota and not flow.abandoned and node.fault_s is None
+               and (limit is None or flow.outstanding < limit)):
+            if queues is None:
+                queues = self._queues_at(head)
+            if not queues.has_space(next_hop):
+                self._parked.setdefault((head, queues.key(next_hop)), {})[flow.key] = flow
+                flow.parked = True
+                return
             pkt = Packet("data", flow.key[0], self.scenario.sink, flow,
                          flow.first_seq + flow.next_seq, next(self._uid), self._now)
             flow.next_seq += 1
@@ -515,25 +517,12 @@ class Engine:
                 key = queues.pass_through(next_hop)
                 if key is not None:
                     self._serve(head, pkt, key, hop)
-                    return False
+                    return
             accepted, victim = queues.enqueue_data(pkt, next_hop)
             if not accepted or victim is not None:
                 raise SimulationError(
                     f"node {head}: sub-queue {queues.key(next_hop)} reported space "
                     f"but did not take packet {pkt.uid} of flow {flow.key} cleanly")
-            if (flow.next_seq == flow.quota or flow.outstanding == self.config.window
-                    or queues.has_space(next_hop)):
-                return True
-        self._parked.setdefault((head, queues.key(next_hop)), {})[flow.key] = flow
-        flow.parked = True
-        return False
-
-    def _fill_source(self, flow: _Flow, alone: bool = False) -> None:
-        """Inject while the flow has backlog, a live source and an open window."""
-        limit, node = self.config.window, flow.hops[flow.head].tx
-        while (flow.next_seq < flow.quota and not flow.abandoned and node.fault_s is None
-               and (limit is None or flow.outstanding < limit) and self._inject(flow, alone)):
-            pass
 
     def _slot_freed(self, node_id: int, key) -> None:
         """A data packet left sub-queue `key` of `node_id`: refill the
@@ -633,7 +622,7 @@ class Engine:
         occupancy, tx_j, _rx_j = cost = hop.beacon
         node.residual_j -= tx_j
         self._spent_j += tx_j
-        self.metrics.energy_breakdown_j["tx_control"] += tx_j
+        self._tx_control_j += tx_j
         if node.residual_j < 0:
             self._node_failure(node.id)
         node.busy = True
@@ -852,7 +841,7 @@ class Engine:
         occupancy, _tx_j, rx_j = cost
         node.residual_j -= rx_j
         self._spent_j += rx_j
-        self.metrics.energy_breakdown_j["rx_control"] += rx_j
+        self._rx_control_j += rx_j
         node.busy_s += occupancy
         if node.residual_j < 0:  # the receive debit kills it
             self._node_failure(node.id)
@@ -1045,11 +1034,12 @@ class Engine:
         duration, metrics, nodes = self._now, self.metrics, self._nodes
         buckets = metrics.energy_breakdown_j
         metrics.energy_spent_j = self._spent_j
-        buckets["tx_data"], buckets["rx_data"] = self._tx_data_j, self._rx_data_j
+        buckets.update(tx_data=self._tx_data_j, rx_data=self._rx_data_j,
+                       tx_control=self._tx_control_j, rx_control=self._rx_control_j)
         self._check_quiescent()
         # the ledger's running sums as locals, each added to in the order the
         # nodes are walked, and written back after the walk
-        spent, sensed, idled = metrics.energy_spent_j, buckets["sensing"], buckets["idle"]
+        spent, sensed, idled = metrics.energy_spent_j, 0.0, 0.0
         initial_j, sensing_w = self.params.initial_energy_j, self.params.sensing_w
         include_idle, idle_power_w = self.config.include_idle, self.config.idle_power_w
         residual_j = metrics.residual_j

@@ -696,6 +696,51 @@ def test_beacon_lost_mid_send(fragmented, monkeypatch):
     _conserves_and_balances(metrics)
 
 
+class _BeaconDrainEngine(Engine):
+    """An engine whose first self-check beacon finds its receiver with half
+    the beacon's receive cost left. What it takes from the receiver is
+    booked as received control energy, so that the ledger still balances.
+    `drained` records (time, receiver, origin, suspect), and whether the
+    origin's hop to the suspect was blocked and its attempt count, before
+    and after the beacon landed."""
+
+    drained = None
+
+    def _on_beacon_arrived(self, node, pkt, cost):
+        if self.drained is not None:
+            super()._on_beacon_arrived(node, pkt, cost)
+            return
+        origin, (suspect, _tried) = pkt.source, pkt.flow
+        hop, queues = self._hops[(origin, suspect)], self._nodes[origin].queues
+        before = (suspect in queues.blocked, hop.failed)
+        taken = node.residual_j - cost[2] / 2
+        node.residual_j -= taken
+        self._spent_j += taken
+        self._rx_control_j += taken
+        super()._on_beacon_arrived(node, pkt, cost)
+        self.drained = ((self._now, node.id, origin, suspect), before,
+                        (suspect in queues.blocked, hop.failed))
+
+
+@pytest.mark.parametrize("fragmented", [True, False], ids=["fragmented", "shared-fifo"])
+def test_beacon_receive_debit_that_kills_its_receiver(fragmented):
+    # node 3 dies at 0.125 s, and at 0.341 s node 2's self-check beacon
+    # about it lands on the source, node 1, whose receive debit kills it:
+    # node 1 dies then, the lost beacon detects nothing, node 2 lifts its
+    # block on 3 and counts its attempts anew, and the run ends cleanly
+    sc = fault_beacon_scenario()
+    sc.engine.fragmented = fragmented
+    sc.params = dataclasses.replace(sc.params, initial_energy_j=0.01)
+    engine = _BeaconDrainEngine(sc)
+    metrics = engine.run()
+    (time_s, receiver, origin, suspect), before, after = engine.drained
+    assert (receiver, origin, suspect) == (1, 2, 3)
+    assert engine._nodes[1].fault_s == time_s == pytest.approx(0.34128)
+    assert before == (True, sc.engine.max_attempts) and after == (False, 0)
+    assert all(d["time_s"] > time_s for d in metrics.detections)
+    _conserves_and_balances(metrics)
+
+
 @pytest.mark.parametrize("seed, window, outcome", [(57, None, (91, 84)), (64, 1, (91, 65))])
 def test_sender_killed_by_its_own_beacon_loses_the_failed_frame(seed, window, outcome):
     # a data frame at its hop's retry limit sends a self-check beacon whose
@@ -1114,7 +1159,7 @@ def _pass_through_cases():
     for seed in range(6):
         yield f"crossing-{seed}", lambda seed=seed: crossing_scenario(seed)
     # one-frame sub-queues under a window of 2: sources park on every
-    # injection and inject alone on every delivery
+    # fill and refill with one lone frame on every delivery
     for seed in range(2):
         yield (f"crossing-{seed}-window-2-queue-1",
                lambda seed=seed: configured(crossing_scenario(seed), window=2,
@@ -1144,7 +1189,7 @@ def test_pass_through_leaves_what_enqueue_then_dispatch_leaves(case, monkeypatch
     queued = run_scenario(scenario)
     assert taken
     if scenario.engine.window == 1:  # a delivery frees the one slot of a window
-        assert taken["_inject"]
+        assert taken["_fill_source"]
     for name in (f.name for f in dataclasses.fields(RunMetrics)):
         assert getattr(default, name) == getattr(queued, name), name
 
@@ -1165,7 +1210,7 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
     # on a loss-free, fault-free mesh no buffer is asked for a frame it
     # does not hold, no parked flow tries to inject again before its wake,
     # and a service start wakes only a sub-queue that has parked flows
-    dispatch, inject, slot_freed = _NodeQueues.dispatch_next, Engine._inject, Engine._slot_freed
+    dispatch, fill, slot_freed = _NodeQueues.dispatch_next, Engine._fill_source, Engine._slot_freed
     seen = collections.Counter()
 
     def checked_dispatch(self):
@@ -1174,10 +1219,10 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
         seen["dispatch"] += 1
         return pkt, key
 
-    def checked_inject(self, flow, alone):
+    def checked_fill(self, flow, alone=False):
         assert all(flow.key not in parked for parked in self._parked.values())
-        seen["inject"] += 1
-        return inject(self, flow, alone)
+        seen["fill"] += 1
+        fill(self, flow, alone)
 
     def checked_slot_freed(self, node_id, key):
         assert self._parked.get((node_id, key))
@@ -1185,12 +1230,12 @@ def test_frame_work_is_its_own_hops_only(mesh_sim, monkeypatch, fragmented, wind
         slot_freed(self, node_id, key)
 
     monkeypatch.setattr(_NodeQueues, "dispatch_next", checked_dispatch)
-    monkeypatch.setattr(Engine, "_inject", checked_inject)
+    monkeypatch.setattr(Engine, "_fill_source", checked_fill)
     monkeypatch.setattr(Engine, "_slot_freed", checked_slot_freed)
     metrics = run_scenario(configured(mesh_sim, packets=300, window=window,
                                       fragmented=fragmented))
     assert metrics.total_delivered + metrics.total_dropped == metrics.total_injected
-    assert seen["dispatch"] and seen["inject"]
+    assert seen["dispatch"] and seen["fill"]
     assert bool(seen["wake"]) == (window is None)  # only pipelined sources park
 
 
